@@ -26,7 +26,7 @@ if NUMBA_REQUESTED:
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         NUMBA_ENABLED = False
 else:
     NUMBA_ENABLED = False

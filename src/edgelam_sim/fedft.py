@@ -4,8 +4,10 @@ Devices train low-rank factor pairs (A, B) of varying rank on top of a
 frozen base matrix.  The server zero-pads uploads to the max participating
 rank, averages the A- and B-factors separately, and unicasts a truncated
 copy back to each device.  Device selection and bandwidth allocation are
-solved jointly: exhaustive over subsets (N <= 12), bisection on the target
-round latency, with per-device minimal-bandwidth inner solves.  The solve
+solved jointly and exactly: devices are ranked by the minimal bandwidth
+each needs to meet the round latency, the round latency is bisected, and
+per-device minimal-bandwidth inner solves price each device, with no
+enumeration of subsets and no limit on the device count.  The solve
 targets uplink only; downlink rides the same allocation symmetrically, and
 a joint two-way optimum is left unexplored.
 
@@ -16,13 +18,12 @@ convergence is checkable without real models.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, ShapeError, SizeLimitError
+from .errors import RankError, ShapeError
 from .netsim import (
     ChannelAllocation,
     DeviceProfile,
@@ -33,7 +34,6 @@ from .netsim import (
 from .numerics import as_matrix, as_prob_vector, as_vector, softmax
 from .rng import stream
 
-MAX_EXHAUSTIVE_DEVICES = 12
 KL_CLAMP = 1e-12
 
 
@@ -370,33 +370,19 @@ def _subset_min_latency(
     return latency, alloc
 
 
-def _greedy_selection(profiles, total_bandwidth, upload_bits, local_flops,
-                      deadline, noise_density):
-    """Add devices one at a time, keeping the subset latency minimal."""
-    chosen: list[DeviceProfile] = []
-    best = (math.inf, {})
-    remaining = sorted(profiles, key=lambda p: p.id)
-    while remaining:
-        trial_results = []
-        for p in remaining:
-            latency, alloc = _subset_min_latency(
-                chosen + [p], total_bandwidth, upload_bits, local_flops,
-                noise_density,
-            )
-            if latency <= deadline:
-                trial_results.append((latency, p.id, p, alloc))
-        if not trial_results:
-            break
-        trial_results.sort(key=lambda t: (t[0], t[1]))
-        latency, _, pick, alloc = trial_results[0]
-        chosen.append(pick)
-        remaining.remove(pick)
-        best = (latency, alloc)
-    if not chosen:
-        return SelectionResult((), None, math.inf, False)
-    latency, alloc = best
-    allocation = ChannelAllocation(alloc, noise_density, total_bandwidth)
-    return SelectionResult(tuple(sorted(p.id for p in chosen)), allocation, latency, True)
+def _device_bandwidth(profile: DeviceProfile, bits: float, comp: float,
+                      tau: float, noise_density: float, b_cap: float) -> float:
+    """Minimal bandwidth for one device to finish compute and upload by ``tau``.
+
+    inf when the device cannot make it at any bandwidth up to ``b_cap``:
+    its compute alone overruns ``tau`` (checked first, because
+    ``_min_bandwidth`` returns 0 for a zero-bit upload whatever the budget),
+    or it has bits to send over a dead channel.
+    """
+    if comp > tau or (bits > 0.0 and profile.channel_gain * profile.tx_power == 0.0):
+        return math.inf
+    return _min_bandwidth(bits, profile.channel_gain, profile.tx_power,
+                          noise_density, tau - comp, b_cap)
 
 
 def select_devices_and_bandwidth(
@@ -406,15 +392,19 @@ def select_devices_and_bandwidth(
     local_flops: dict[str, float],
     deadline: float,
     noise_density: float,
-    greedy: bool = False,
 ) -> SelectionResult:
     """Pick the participant set and its bandwidth split for one round.
 
-    Exhausts all nonempty subsets (N <= 12): for each, the minimal max
-    per-device latency is solved by bisection, and the winner maximizes the
-    participant count subject to the deadline, ties broken by lower latency
-    then lexicographic ids.  ``greedy=True`` switches to an incremental
-    heuristic with no optimality guarantee (required beyond 12 devices).
+    The winner maximizes the participant count subject to the deadline,
+    ties broken by lower round latency, then lexicographic ids.  At a fixed
+    round latency tau a subset fits iff its devices' minimal bandwidths
+    b_i(tau) sum to at most the band, and b_i(tau) never grows with tau.
+    So the largest feasible size k is the longest prefix of the devices
+    ranked by (b_i(deadline), id) that fits, and the fastest size-k subset
+    is the k cheapest devices at the smallest tau where those k fit, found
+    by bisecting tau.  That costs O(N log N) per bisection step instead of
+    one bisection per subset.  The reported latency and allocation come
+    from ``_subset_min_latency`` on the chosen subset.
     """
     if not profiles:
         raise ValueError("need at least one device profile")
@@ -426,39 +416,46 @@ def select_devices_and_bandwidth(
     for p in profiles:
         if p.id not in upload_bits or p.id not in local_flops:
             raise ValueError(f"missing upload_bits/local_flops for device {p.id}")
-    if greedy:
-        return _greedy_selection(
-            profiles, total_bandwidth, upload_bits, local_flops, deadline,
-            noise_density,
-        )
-    if len(profiles) > MAX_EXHAUSTIVE_DEVICES:
-        raise SizeLimitError(
-            f"{len(profiles)} devices exceeds the exhaustive limit of "
-            f"{MAX_EXHAUSTIVE_DEVICES}; pass greedy=True for the greedy fallback"
+
+    comp = {p.id: comp_latency(local_flops[p.id], p.compute_rate) for p in profiles}
+
+    def ranked(tau: float) -> list[tuple[float, str, DeviceProfile]]:
+        return sorted(
+            (
+                (_device_bandwidth(p, upload_bits[p.id], comp[p.id], tau,
+                                   noise_density, total_bandwidth), p.id, p)
+                for p in profiles
+            ),
+            key=lambda t: t[:2],
         )
 
-    best_key = None
-    best: SelectionResult | None = None
-    order = sorted(profiles, key=lambda p: p.id)
-    for size in range(len(order), 0, -1):
-        for combo in itertools.combinations(order, size):
-            latency, alloc = _subset_min_latency(
-                list(combo), total_bandwidth, upload_bits, local_flops,
-                noise_density,
-            )
-            if latency > deadline:
-                continue
-            ids_tuple = tuple(p.id for p in combo)
-            key = (-size, latency, ids_tuple)
-            if best_key is None or key < best_key:
-                best_key = key
-                allocation = ChannelAllocation(alloc, noise_density, total_bandwidth)
-                best = SelectionResult(ids_tuple, allocation, latency, True)
-        if best is not None:
-            break  # smaller subsets cannot beat this participant count
-    if best is None:
-        return SelectionResult((), None, math.inf, False)
-    return best
+    k = 0
+    used = 0.0
+    for b, _, _ in ranked(deadline):
+        used += b
+        if used > total_bandwidth:
+            break
+        k += 1
+    while k > 0:
+        if k == len(profiles):
+            candidate = sorted(profiles, key=lambda p: p.id)
+        else:
+            lo, hi = min(comp.values()), deadline
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                if sum(b for b, _, _ in ranked(mid)[:k]) <= total_bandwidth:
+                    hi = mid
+                else:
+                    lo = mid
+            candidate = sorted((p for _, _, p in ranked(hi)[:k]), key=lambda p: p.id)
+        latency, alloc = _subset_min_latency(
+            candidate, total_bandwidth, upload_bits, local_flops, noise_density,
+        )
+        if latency <= deadline:
+            allocation = ChannelAllocation(alloc, noise_density, total_bandwidth)
+            return SelectionResult(tuple(p.id for p in candidate), allocation, latency, True)
+        k -= 1  # a borderline subset that the bisection's rounding put past the deadline
+    return SelectionResult((), None, math.inf, False)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +546,6 @@ def fedft_round(
     lr: float,
     noise_density: float,
     bits_per_param: float = 64.0,
-    greedy: bool = False,
     selection: SelectionResult | None = None,
 ) -> tuple[FedFtState, RoundRecord]:
     """One federated round: select, local step, aggregate, redistribute.
@@ -567,7 +563,7 @@ def fedft_round(
     if selection is None:
         selection = solve_round_selection(
             state, profiles, total_bandwidth, deadline, noise_density,
-            bits_per_param=bits_per_param, greedy=greedy,
+            bits_per_param=bits_per_param,
         )
     sel = selection
     if not sel.feasible:
@@ -602,14 +598,16 @@ def fedft_round(
             down_latency = max(down_latency, comm_latency(down_bits, rate))
 
     state.global_adapter = new_global
-    state.round_index += 1
+    # count the round only once its record exists, so an error while
+    # computing the loss leaves round_index at the rounds completed
     record = RoundRecord(
-        state.round_index,
+        state.round_index + 1,
         global_loss(state),
         sel.round_latency + down_latency,
         sel.selected,
         dict(sel.allocation.bandwidth),
     )
+    state.round_index += 1
     return state, record
 
 
@@ -620,7 +618,6 @@ def solve_round_selection(
     deadline: float,
     noise_density: float,
     bits_per_param: float = 64.0,
-    greedy: bool = False,
 ) -> SelectionResult:
     """Selection/allocation for the current state's bits and flops."""
     upload_bits = {
@@ -635,7 +632,7 @@ def solve_round_selection(
     }
     return select_devices_and_bandwidth(
         profiles, total_bandwidth, upload_bits, local_flops, deadline,
-        noise_density, greedy=greedy,
+        noise_density,
     )
 
 
@@ -648,7 +645,6 @@ def run_fedft(
     noise_density: float,
     rounds: int,
     bits_per_param: float = 64.0,
-    greedy: bool = False,
 ) -> list[RoundRecord]:
     """Run ``rounds`` federated rounds, returning the per-round trace.
 
@@ -659,13 +655,13 @@ def run_fedft(
     """
     selection = solve_round_selection(
         state, profiles, total_bandwidth, deadline, noise_density,
-        bits_per_param=bits_per_param, greedy=greedy,
+        bits_per_param=bits_per_param,
     )
     records = []
     for _ in range(rounds):
         state, record = fedft_round(
             state, profiles, total_bandwidth, deadline, lr, noise_density,
-            bits_per_param=bits_per_param, greedy=greedy, selection=selection,
+            bits_per_param=bits_per_param, selection=selection,
         )
         records.append(record)
     return records

@@ -381,17 +381,26 @@ def _run_fedft(scenario: Scenario, out_dir: Path) -> None:
         noise_std=float(block.get("noise_std", 0.0)),
     )
     initial = fedft.global_loss(state)
-    records = fedft.run_fedft(
-        state,
-        devices,
-        ch["total_bandwidth"],
-        float(block["deadline_s"]),
-        float(block["lr"]),
-        ch["noise_density"],
-        rounds=int(block["rounds"]),
-        bits_per_param=float(block.get("bits_per_param", 64.0)),
-        greedy=bool(block.get("greedy", False)),
-    )
+    lr = float(block["lr"])
+    try:
+        # an overflow is the first sign of divergence: raise it before a
+        # non-finite adapter or loss exists
+        with np.errstate(over="raise", invalid="raise"):
+            records = fedft.run_fedft(
+                state,
+                devices,
+                ch["total_bandwidth"],
+                float(block["deadline_s"]),
+                lr,
+                ch["noise_density"],
+                rounds=int(block["rounds"]),
+                bits_per_param=float(block.get("bits_per_param", 64.0)),
+            )
+    except FloatingPointError as exc:
+        raise InfeasibleScenario(
+            f"training diverged in round {state.round_index + 1} ({exc}); "
+            f"lower fedft.lr (now {lr:g})"
+        ) from None
     if records and not math.isfinite(records[0].round_latency):
         raise InfeasibleScenario(
             "no device subset meets the deadline; raise deadline_s or bandwidth"

@@ -1,11 +1,12 @@
 """Federated fine-tuning: rank projection, aggregation, gradients, selection."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from edgelam_sim.errors import RankError, ShapeError, SizeLimitError
+from edgelam_sim.errors import RankError, ShapeError
 from edgelam_sim.fedft import (
     FrozenBase,
     LoraAdapter,
@@ -22,6 +23,8 @@ from edgelam_sim.fedft import (
     run_fedft,
     select_devices_and_bandwidth,
     solve_round_selection,
+    _min_bandwidth,
+    _subset_min_latency,
     truncate,
     zero_pad,
 )
@@ -293,6 +296,76 @@ def make_devices(specs):
     ]
 
 
+def exhaustive_selection(profiles, total_bandwidth, upload_bits, local_flops,
+                         deadline, noise_density):
+    """Oracle: solve every subset, largest size first, keyed on (-size, latency, ids).
+
+    Returns (ids, latency, bandwidth) of the winner, or None when no subset
+    meets the deadline.
+    """
+    best = None
+    order = sorted(profiles, key=lambda p: p.id)
+    for size in range(len(order), 0, -1):
+        for combo in itertools.combinations(order, size):
+            latency, alloc = _subset_min_latency(
+                list(combo), total_bandwidth, upload_bits, local_flops, noise_density
+            )
+            if latency > deadline:
+                continue
+            key = (-size, latency, tuple(p.id for p in combo))
+            if best is None or key < best[0]:
+                best = (key, alloc)
+        if best is not None:
+            return best[0][2], best[0][1], best[1]
+    return None
+
+
+def random_selection_instance(rng, deadline, n0):
+    """Devices, bits and flops drawn with the cases that make selection subtle.
+
+    Identical copies of one device (ties), a zero-upload device that misses
+    the deadline on compute, a dead channel, compute stragglers, and a band
+    that carries only the k < N devices cheapest at the deadline.
+    """
+    n = int(rng.integers(1, 9))
+    devs, bits, flops = [], {}, {}
+    template = None
+    for i in range(n):
+        dev_id = f"d{i}"
+        if template is not None and rng.random() < 0.3:
+            rate, gain, power, b, f = template
+        else:
+            rate = float(rng.uniform(5e8, 3e9))
+            gain = float(rng.uniform(0.2, 2.0))
+            power = float(rng.uniform(0.1, 1.0))
+            b = float(rng.uniform(1e5, 3e6))
+            f = float(rng.uniform(1e8, 2e9))
+            template = (rate, gain, power, b, f)
+        roll = rng.random()
+        if roll < 0.05:
+            gain = 0.0  # dead channel
+        elif roll < 0.1:
+            f = rate * deadline * float(rng.uniform(1.2, 3.0))  # straggler
+        elif roll < 0.14:
+            b, f = 0.0, rate * deadline * 1.5  # nothing to send, misses anyway
+        devs.append(DeviceProfile(dev_id, rate, 1e9, gain, power, 1))
+        bits[dev_id], flops[dev_id] = b, f
+    need = sorted(
+        _min_bandwidth(bits[d.id], d.channel_gain, d.tx_power, n0,
+                       deadline - flops[d.id] / d.compute_rate, 1e12)
+        for d in devs
+    )
+    finite = [b for b in need if math.isfinite(b)]
+    # the band carries one device fewer than could make the deadline; every
+    # size below N multiplies the subsets the oracle solves, so keep it close
+    k = len(finite) - 1
+    if k > 0 and finite[k] > 0.0 and rng.random() < 0.5:
+        band = sum(finite[:k]) + float(rng.uniform(0.05, 0.95)) * finite[k]
+    else:
+        band = float(rng.uniform(5e5, 5e6))
+    return devs, band, bits, flops
+
+
 class TestSelection:
     N0 = 1e-9
 
@@ -391,17 +464,74 @@ class TestSelection:
         assert res.selected == ()
         assert math.isinf(res.round_latency)
 
-    def test_size_guard_mentions_greedy(self):
-        devs = make_devices([(f"d{i:02d}", 1e9, 1.0, 0.5, 1) for i in range(13)])
-        bits = {d.id: 1e5 for d in devs}
-        flops = {d.id: 1e8 for d in devs}
-        with pytest.raises(SizeLimitError, match="greedy"):
-            select_devices_and_bandwidth(devs, 1e7, bits, flops, 100.0, self.N0)
+    def test_dead_channel_never_joins_even_without_deadline(self):
+        # with no deadline any device needs only a vanishing bandwidth, save
+        # one whose channel carries nothing
+        devs = make_devices([("a", 1e9, 1.0, 0.5, 1), ("b", 1e9, 0.0, 0.5, 1)])
         res = select_devices_and_bandwidth(
-            devs, 1e7, bits, flops, 100.0, self.N0, greedy=True
+            devs, 1e6, {"a": 1e6, "b": 1e6}, {"a": 1e9, "b": 1e9}, math.inf, self.N0
         )
+        assert res.selected == ("a",)
+        assert math.isfinite(res.round_latency)
+
+    def test_matches_exhaustive_oracle_exactly(self):
+        deadline = 10.0
+        rng = np.random.default_rng(5)
+        seen = dict.fromkeys(
+            ["tie_split", "zero_upload_late", "dead_channel", "straggler", "short_band",
+             "infeasible"], 0)
+        for _ in range(100):
+            devs, band, bits, flops = random_selection_instance(rng, deadline, self.N0)
+            res = select_devices_and_bandwidth(devs, band, bits, flops, deadline, self.N0)
+            oracle = exhaustive_selection(devs, band, bits, flops, deadline, self.N0)
+            if oracle is None:
+                seen["infeasible"] += 1
+                assert not res.feasible and res.selected == ()
+                continue
+            ids, latency, alloc = oracle
+            assert res.feasible
+            assert res.selected == ids
+            assert res.round_latency == latency
+            assert res.allocation.bandwidth == alloc
+            late = {d.id for d in devs if flops[d.id] / d.compute_rate > deadline}
+            dead = {d.id for d in devs if d.channel_gain * d.tx_power == 0.0}
+            params = {}
+            for d in devs:
+                key = (d.compute_rate, d.channel_gain, d.tx_power, bits[d.id], flops[d.id])
+                params.setdefault(key, set()).add(d.id in ids)
+            seen["tie_split"] += any(len(picked) == 2 for picked in params.values())
+            seen["zero_upload_late"] += any(bits[i] == 0.0 for i in late)
+            seen["dead_channel"] += bool(dead)
+            seen["straggler"] += any(bits[i] > 0.0 for i in late)
+            seen["short_band"] += len(ids) < len({d.id for d in devs} - late - dead)
+        assert min(seen.values()) >= 3, seen
+
+    def test_forty_devices_solved_exactly(self):
+        # same compute and upload, distinct gains: a better channel needs less
+        # bandwidth at every latency, so the ranking never changes with tau
+        # and the fastest k-subset is the k cheapest at the deadline
+        deadline = 2.0
+        devs = make_devices(
+            [(f"d{i:02d}", 1e9, 0.3 + 0.05 * ((7 * i) % 40), 0.5, 1) for i in range(40)]
+        )
+        bits = {d.id: 1e6 for d in devs}
+        flops = {d.id: 1e9 for d in devs}
+        need = sorted(
+            (_min_bandwidth(1e6, d.channel_gain, d.tx_power, self.N0, 1.0, 1e12), d.id)
+            for d in devs
+        )
+        band = sum(b for b, _ in need[:25]) + 0.5 * need[25][0]
+        res = select_devices_and_bandwidth(devs, band, bits, flops, deadline, self.N0)
         assert res.feasible
-        assert len(res.selected) == 13
+        assert res.selected == tuple(sorted(dev_id for _, dev_id in need[:25]))
+        assert sum(res.allocation.bandwidth.values()) <= band
+        assert res.round_latency <= deadline
+        attained = max(
+            1.0 + comm_latency(1e6, shannon_rate(res.allocation.bandwidth[d.id],
+                                                 d.channel_gain, d.tx_power, self.N0))
+            for d in devs if d.id in res.selected
+        )
+        assert attained == pytest.approx(res.round_latency, abs=1e-9)
 
 
 def hetero_state(seed=42, noise=0.01):

@@ -1,10 +1,14 @@
 """Config parsing, CLI dispatch, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import edgelam_sim
 from edgelam_sim.cli import main
 from edgelam_sim.errors import ConfigError
 from edgelam_sim.scenarios import parse_scenario, run_scenario
@@ -245,3 +249,20 @@ class TestCli:
 
     def test_casestudy_bad_budgets(self, capsys):
         assert main(["casestudy", "--budgets", "abc"]) == 2
+
+    def test_diverging_fedft_exits_3_without_traceback(self, tmp_path):
+        shipped = Path(__file__).resolve().parents[1] / "scenarios" / "fedft_hetero.json"
+        cfg = json.loads(shipped.read_text(encoding="utf-8"))
+        cfg["fedft"].update(feature_dim=32, output_dim=16, lr=0.05)
+        path = write_cfg(tmp_path, cfg)
+        src = str(Path(edgelam_sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgelam_sim.cli", "run",
+             "--config", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "diverged in round" in proc.stdout and "lower fedft.lr" in proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
