@@ -8,8 +8,6 @@ unlearning), ``moe_orchestrator`` (drift-plus-penalty expert scheduling),
 cost model) and ``scenarios``/``cli`` (the runner harness).
 """
 
-from ._accel import ACCEL_BACKEND, NUMBA_ENABLED
-
 __version__ = "0.1.0"
 
-__all__ = ["ACCEL_BACKEND", "NUMBA_ENABLED", "__version__"]
+__all__ = ["__version__"]

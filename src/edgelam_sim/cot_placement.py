@@ -4,9 +4,9 @@ A reasoning chain is a path graph of steps, each with a compute workload
 and a handoff payload to its successor.  Placing steps on heterogeneous
 devices trades compute speed against inter-device handoff latency under
 per-device memory capacity.  ``solve_exact`` enumerates every assignment
-(guarded at 10^6) through the accelerated scan; ``solve_local_search`` is
+(guarded at 10^6) through the vectorized scan; ``solve_local_search`` is
 the greedy + hill-climbing heuristic whose optimality gap tests measure
-against the exact oracle.
+against the exact solver.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import placement_batch, placement_scan
+from ._accel import placement_scan
 from .errors import PlacementError, SizeLimitError
 from .netsim import DeviceProfile, shannon_rate
 from .rng import stream
@@ -49,13 +49,10 @@ class CotChain:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, i + 1) for i in range(len(self.steps) - 1)]
-
 
 @dataclass(frozen=True)
 class Placement:
-    """Step -> device assignment; equivalently a binary indicator x[s, d]."""
+    """Step -> device assignment: ``assignment[s]`` is the device of step s."""
 
     assignment: tuple[int, ...]
     n_devices: int
@@ -65,20 +62,6 @@ class Placement:
             if not 0 <= d < self.n_devices:
                 raise PlacementError(f"device index {d} out of range")
 
-    def indicator(self) -> np.ndarray:
-        x = np.zeros((len(self.assignment), self.n_devices), dtype=np.int64)
-        x[np.arange(len(self.assignment)), list(self.assignment)] = 1
-        return x
-
-    @staticmethod
-    def from_indicator(x) -> "Placement":
-        x = np.asarray(x)
-        if x.ndim != 2 or not np.all((x == 0) | (x == 1)):
-            raise PlacementError("indicator must be a binary matrix")
-        if not np.all(x.sum(axis=1) == 1):
-            raise PlacementError("each step must be placed on exactly one device")
-        return Placement(tuple(int(d) for d in x.argmax(axis=1)), x.shape[1])
-
 
 @dataclass(frozen=True)
 class PlacementResult:
@@ -87,32 +70,6 @@ class PlacementResult:
     feasible: bool
     solver: str
     n_feasible: int | None = None
-
-
-def path_graph_check(n_nodes: int, edges) -> bool:
-    """True iff the graph is a path: connected, acyclic, all degrees <= 2."""
-    if n_nodes < 1:
-        return False
-    edges = [(int(a), int(b)) for a, b in edges]
-    if len(edges) != n_nodes - 1:
-        return False  # trees have n-1 edges; more means a cycle, fewer means disconnection
-    adj: dict[int, list[int]] = {i: [] for i in range(n_nodes)}
-    for a, b in edges:
-        if a == b or not (0 <= a < n_nodes and 0 <= b < n_nodes):
-            return False
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(len(neigh) > 2 for neigh in adj.values()):
-        return False
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n_nodes
 
 
 def link_rates_from_gains(
@@ -157,51 +114,6 @@ def _cost_arrays(chain, devices, link_rates, shard_bytes):
     mem = step_memory(chain, shard_bytes)
     cap = np.array([d.memory_capacity for d in devices])
     return comp, comm, mem, cap
-
-
-def validate_placement(
-    chain: CotChain, placement: Placement, devices: list[DeviceProfile], shard_bytes: float
-) -> None:
-    """Independent constraint check; raises PlacementError on violation."""
-    if len(placement.assignment) != len(chain):
-        raise PlacementError(
-            f"placement covers {len(placement.assignment)} steps, chain has {len(chain)}"
-        )
-    if placement.n_devices != len(devices):
-        raise PlacementError("placement device count differs from the device list")
-    x = placement.indicator()
-    if not np.all(x.sum(axis=1) == 1):
-        raise PlacementError("each step must sit on exactly one device")
-    mem = step_memory(chain, shard_bytes)
-    for d, dev in enumerate(devices):
-        load = float(mem[x[:, d] == 1].sum())
-        if load > dev.memory_capacity:
-            raise PlacementError(
-                f"device {dev.id} over capacity: {load} > {dev.memory_capacity}"
-            )
-
-
-def placement_cost(
-    chain: CotChain,
-    placement: Placement,
-    devices: list[DeviceProfile],
-    link_rates: np.ndarray,
-    shard_bytes: float = 0.0,
-) -> float:
-    """End-to-end latency: per-step compute plus inter-device handoffs."""
-    validate_placement(chain, placement, devices, shard_bytes)
-    total = 0.0
-    prev = None
-    for s, step in enumerate(chain.steps):
-        d = placement.assignment[s]
-        if s > 0 and prev != d:
-            bits = chain.steps[s - 1].handoff_size
-            if bits > 0:
-                rate = link_rates[prev, d]
-                total += bits / rate if rate > 0 else math.inf
-        total += step.workload / devices[d].compute_rate
-        prev = d
-    return total
 
 
 def solve_exact(
@@ -306,74 +218,3 @@ def solve_local_search(
             break
     placement = Placement(tuple(int(d) for d in assignment), n_dev)
     return PlacementResult(placement, float(current), True, "local_search")
-
-
-def random_feasible_placements(
-    chain: CotChain,
-    devices: list[DeviceProfile],
-    link_rates: np.ndarray,
-    n: int,
-    seed: int,
-    shard_bytes: float = 0.0,
-    max_tries: int = 200,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``n`` capacity-feasible placements; returns (placements, costs)."""
-    n_steps, n_dev = len(chain), len(devices)
-    comp, comm, mem, cap = _cost_arrays(chain, devices, link_rates, shard_bytes)
-    rng = stream(seed, "cot.sampling")
-    found: list[np.ndarray] = []
-    costs: list[np.ndarray] = []
-    total = 0
-    for _ in range(max_tries):
-        batch = rng.integers(0, n_dev, size=(max(n, 256), n_steps))
-        c, ok = placement_batch(batch, comp, comm, mem, cap)
-        found.append(batch[ok])
-        costs.append(c[ok])
-        total += int(ok.sum())
-        if total >= n:
-            break
-    if total < n:
-        raise PlacementError(
-            f"could not sample {n} feasible placements in {max_tries} batches"
-        )
-    placements = np.concatenate(found)[:n]
-    cost = np.concatenate(costs)[:n]
-    return placements, cost
-
-
-def make_random_instance(
-    seed: int,
-    n_steps: int,
-    n_devices: int,
-    tightness: float = 0.6,
-) -> tuple[CotChain, list[DeviceProfile], np.ndarray, float]:
-    """Seeded random instance: (chain, devices, link_rates, shard_bytes).
-
-    ``tightness`` scales capacities: 1.0 means one device can barely host
-    every step, lower is looser.
-    """
-    rng = stream(seed, "cot.instance")
-    steps = tuple(
-        CotStep(
-            workload=float(rng.uniform(0.5e9, 4e9)),
-            handoff_size=float(rng.uniform(1e5, 2e6)),
-        )
-        for _ in range(n_steps)
-    )
-    chain = CotChain(steps)
-    shard_bytes = float(rng.uniform(1e5, 1e6))
-    per_step = step_memory(chain, shard_bytes)
-    total_mem = float(per_step.sum())
-    devices = [
-        DeviceProfile(
-            id=f"d{i}",
-            compute_rate=float(rng.uniform(0.5e9, 5e9)),
-            memory_capacity=float(rng.uniform(tightness, 1.5) * total_mem),
-            channel_gain=1.0,
-            tx_power=float(rng.uniform(0.2, 1.0)),
-        )
-        for i in range(n_devices)
-    ]
-    gains = rng.uniform(0.05, 1.0, size=(n_devices, n_devices))
-    link_rates = link_rates_from_gains(devices, gains, 1e6, 1e-9)
-    return chain, devices, link_rates, shard_bytes

@@ -31,10 +31,8 @@ from .netsim import (
     comp_latency,
     shannon_rate,
 )
-from .numerics import as_matrix, as_prob_vector, as_vector, softmax
+from .numerics import as_matrix, as_vector
 from .rng import stream
-
-KL_CLAMP = 1e-12
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -90,19 +88,6 @@ class FrozenBase:
 
     def __post_init__(self):
         object.__setattr__(self, "W0", _read_only(as_matrix(self.W0)))
-
-
-@dataclass(frozen=True)
-class SharedModule:
-    """Linear-softmax head mapping feature vectors to class probabilities."""
-
-    weights: np.ndarray  # n_classes x feature_dim
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _read_only(as_matrix(self.weights)))
-
-    def predict(self, feature: np.ndarray) -> np.ndarray:
-        return softmax(self.weights @ as_vector(feature, self.weights.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,50 +200,6 @@ def lora_sgd_step(
     d_a = d_w @ adapter.B.T
     d_b = adapter.A.T @ d_w
     return LoraAdapter(adapter.A - lr * d_a, adapter.B - lr * d_b)
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) with q clamped below at 1e-12; 0*ln(0) treated as 0."""
-    p = as_prob_vector(p)
-    q = as_prob_vector(q)
-    if p.size != q.size:
-        raise ShapeError(f"length mismatch: {p.size} vs {q.size}")
-    q = np.maximum(q, KL_CLAMP)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def distill_loss(student: SharedModule, teacher_preds) -> float:
-    """Mean KL(teacher || student prediction) over (feature, prob) pairs."""
-    if not teacher_preds:
-        raise ValueError("need at least one teacher prediction")
-    total = 0.0
-    for feature, teacher in teacher_preds:
-        total += kl_divergence(teacher, student.predict(feature))
-    return total / len(teacher_preds)
-
-
-def distill_step(student: SharedModule, teacher_preds, lr: float) -> SharedModule:
-    """One gradient step decreasing the mean KL(teacher || student).
-
-    For the linear-softmax student the logit gradient per example is
-    (student_prob - teacher_prob), so dW = mean of (s - t) outer feature.
-    """
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
-    if not teacher_preds:
-        raise ValueError("need at least one teacher prediction")
-    w = student.weights
-    grad = np.zeros_like(w)
-    for feature, teacher in teacher_preds:
-        f = as_vector(feature, w.shape[1])
-        t = as_prob_vector(teacher)
-        if t.size != w.shape[0]:
-            raise ShapeError(f"teacher has {t.size} classes, student {w.shape[0]}")
-        s = softmax(w @ f)
-        grad += np.outer(s - t, f)
-    grad /= len(teacher_preds)
-    return SharedModule(w - lr * grad)
 
 
 # ---------------------------------------------------------------------------

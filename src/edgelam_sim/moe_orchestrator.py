@@ -8,7 +8,7 @@ plus V times the penalty), then updates every device's virtual queue with
 ``Q(t+1) = max(Q + arrivals - service, 0)``.
 
 Candidate sets are enumerated exhaustively up to 4096 and scored by the
-accelerated kernel; beyond that a per-call greedy kicks in, which is exact
+vectorized kernel; beyond that a per-call greedy kicks in, which is exact
 here because the objective is separable per call.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import assignment_scores
-from .errors import SchedulingError, ShapeError
+from .errors import SchedulingError
 from .netsim import (
     DeviceProfile,
     SlotClock,
@@ -54,81 +54,6 @@ class ExpertMicroservice:
             raise ValueError(f"expert {self.id}: replica set must be nonempty")
 
 
-@dataclass(frozen=True)
-class VirtualQueue:
-    """Backlog of admitted-but-unserved work on one device, in FLOPs."""
-
-    device_id: str
-    backlog: float = 0.0
-
-    def __post_init__(self):
-        if self.backlog < 0:
-            raise ValueError("backlog must be >= 0")
-
-
-def queue_update(q: VirtualQueue, arrival: float, service: float) -> VirtualQueue:
-    """Lindley recursion: Q(t+1) = max(Q(t) + a(t) - b(t), 0)."""
-    if arrival < 0 or service < 0:
-        raise ValueError("arrival and service must be >= 0")
-    return VirtualQueue(q.device_id, max(q.backlog + arrival - service, 0.0))
-
-
-@dataclass(frozen=True)
-class MicroserviceDag:
-    """Workload graph: node i is a microservice call, edges are data flow."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = len(self.nodes)
-        for a, b in self.edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ShapeError(f"edge ({a},{b}) out of range for {n} nodes")
-        self.topological_order()
-
-    def topological_order(self) -> list[int]:
-        """Kahn topological sort; raises on cycles."""
-        n = len(self.nodes)
-        indeg = [0] * n
-        out: dict[int, list[int]] = {i: [] for i in range(n)}
-        for a, b in self.edges:
-            indeg[b] += 1
-            out[a].append(b)
-        queue = [i for i in range(n) if indeg[i] == 0]
-        order = []
-        while queue:
-            i = queue.pop()
-            order.append(i)
-            for j in out[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if len(order) != n:
-            raise ValueError("microservice graph contains a cycle")
-        return order
-
-
-@dataclass(frozen=True)
-class InferenceTask:
-    """One arrived task: its call DAG and the gate-selected experts per layer."""
-
-    dag: MicroserviceDag
-    selected: tuple[tuple[int, ...], ...]  # per layer: chosen expert indices
-    arrival_slot: int
-
-
-@dataclass(frozen=True)
-class TradeoffKnob:
-    """Drift-plus-penalty weight: larger V buys lower cost at more backlog."""
-
-    v: float
-
-    def __post_init__(self):
-        if not (self.v >= 0 and math.isfinite(self.v)):
-            raise ValueError("V must be finite and >= 0")
-
-
 def gate_select(scores, k: int) -> tuple[int, ...]:
     """Indices of the top-k scores, ties broken toward the lower index."""
     s = as_vector(scores)
@@ -136,36 +61,6 @@ def gate_select(scores, k: int) -> tuple[int, ...]:
         raise ValueError(f"k={k} outside [1, {s.size}]")
     picked = np.argsort(-s, kind="stable")[:k]
     return tuple(sorted(int(i) for i in picked))
-
-
-def drift_plus_penalty_decision(queues, candidates, call_loads, v, cost_fn):
-    """Argmin over candidates of sum_i Q_i a_i(candidate) + V cost(candidate).
-
-    ``queues`` maps device id to backlog; each candidate is a tuple giving
-    the device of every call; ``call_loads`` aligns with calls.  Ties break
-    lexicographically on the device-id tuple.
-    """
-    if not candidates:
-        raise SchedulingError("candidate set is empty")
-    if v < 0:
-        raise ValueError("V must be >= 0")
-    backlog = {
-        dev: q.backlog if isinstance(q, VirtualQueue) else float(q)
-        for dev, q in queues.items()
-    }
-    best_score = math.inf
-    best = None
-    for cand in sorted(candidates):
-        if len(cand) != len(call_loads):
-            raise ShapeError("candidate length != number of calls")
-        drift = 0.0
-        for dev, load in zip(cand, call_loads):
-            drift += backlog[dev] * load
-        score = drift + v * cost_fn(cand)
-        if score < best_score:
-            best_score = score
-            best = cand
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +81,6 @@ class OrchestrationResult:
     time_avg_cost: float
     time_avg_backlog: float
     max_backlog: float
-
-
-def _chain_task(layer_experts: list[tuple[int, ...]], expert_ids: list[str], slot: int) -> InferenceTask:
-    """Build the layered call DAG for one task (complete bipartite between layers)."""
-    nodes = []
-    layer_start = []
-    for sel in layer_experts:
-        layer_start.append(len(nodes))
-        nodes.extend(expert_ids[e] for e in sel)
-    edges = []
-    for li in range(len(layer_experts) - 1):
-        for a in range(len(layer_experts[li])):
-            for b in range(len(layer_experts[li + 1])):
-                edges.append((layer_start[li] + a, layer_start[li + 1] + b))
-    dag = MicroserviceDag(tuple(nodes), tuple(edges))
-    return InferenceTask(dag, tuple(layer_experts), slot)
 
 
 def orchestrate(
@@ -230,13 +109,22 @@ def orchestrate(
     a device is ``w_lat * upload latency + w_energy * upload energy``.  The
     channel is static unless ``fading_sigma`` is set, in which case every
     device's gain is modulated by its seeded per-slot fading sequence.
+    Replicas on a dead uplink (zero bandwidth, gain or power) are dropped
+    for experts that have output to send; an expert left without replicas
+    raises ``SchedulingError``.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
-    TradeoffKnob(v)
+    if not (v >= 0 and math.isfinite(v)):
+        raise ValueError("V must be finite and >= 0")
     order = sorted(devices, key=lambda d: d.id)
     dev_index = {d.id: i for i, d in enumerate(order)}
     expert_ids = [e.id for e in experts]
+    dead_uplink = {
+        d.id
+        for d in order
+        if bandwidth.get(d.id, 0.0) == 0.0 or d.channel_gain == 0.0 or d.tx_power == 0.0
+    }
 
     alive_replicas = []
     for e in experts:
@@ -246,6 +134,11 @@ def orchestrate(
         for r in alive:
             if r not in dev_index:
                 raise SchedulingError(f"expert {e.id} replica {r} is not a device")
+        if e.output_size > 0:
+            # a replica that cannot upload its output never serves a call
+            alive = tuple(r for r in alive if r not in dead_uplink)
+            if not alive:
+                raise SchedulingError(f"expert {e.id} has no replica with a live uplink")
         alive_replicas.append(alive)
 
     clock = SlotClock(0, slot_duration)
@@ -294,13 +187,8 @@ def orchestrate(
             base_cost = slot_cost_matrix(slot)
         calls: list[int] = []  # expert index per call
         if arrival_rng.random() <= arrival_prob:
-            layer_sel = []
             for _ in range(layers_per_task):
-                scores = gate_rng.random(len(experts))
-                layer_sel.append(gate_select(scores, top_k))
-            task = _chain_task(layer_sel, expert_ids, slot)
-            for sel in task.selected:
-                calls.extend(sel)
+                calls.extend(gate_select(gate_rng.random(len(experts)), top_k))
 
         arrivals = np.zeros(len(order))
         assignment: tuple[tuple[str, str], ...] = ()

@@ -1,8 +1,7 @@
-"""Dense linear algebra and probability helpers used by every algorithm module.
+"""Input validation, small dense helpers and Gram-Schmidt.
 
-Matrices are 2-D float64 C-order arrays, vectors are 1-D float64 arrays and
-probability vectors additionally sum to one.  All functions are pure and
-never mutate their inputs.
+Matrices are 2-D float64 C-order arrays and vectors are 1-D float64
+arrays.  All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -40,18 +39,6 @@ def as_vector(data, size: int | None = None) -> np.ndarray:
     return v
 
 
-def as_prob_vector(data) -> np.ndarray:
-    """Validate ``data`` as a probability vector (entries in [0,1], sum 1)."""
-    p = as_vector(data)
-    if p.size == 0:
-        raise ShapeError("probability vector must be nonempty")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
-    return p
-
-
 def matmul(a, b) -> np.ndarray:
     """Matrix product with an explicit conformability check."""
     a = as_matrix(a)
@@ -65,14 +52,6 @@ def frobenius_norm(m) -> float:
     """sqrt of the sum of squared entries."""
     m = as_matrix(m)
     return float(np.sqrt(np.sum(m * m)))
-
-
-def softmax(z) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted)."""
-    z = as_vector(z)
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def gram_schmidt(vectors, tol: float = DROP_TOL) -> list[np.ndarray]:

@@ -22,7 +22,7 @@ from . import cot_placement as cot
 from . import fedft
 from . import moe_orchestrator as moe
 from . import unlearn
-from .errors import ConfigError, PlacementError, SizeLimitError
+from .errors import ConfigError, PlacementError, SchedulingError, SizeLimitError
 from .netsim import DeviceProfile
 
 KINDS = ("fedft", "unlearn", "moe", "cot", "casestudy")
@@ -46,6 +46,19 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _finite(v) -> bool:
+    """True for a number that converts to a finite float (JSON allows NaN/Infinity)."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _nonnegative(v) -> bool:
+    """True for a finite number >= 0 that is not a bool."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and _finite(v) and v >= 0
+
+
 def _number(cfg: dict, key: str, where: str, default=None, minimum=None, positive=False):
     if key not in cfg:
         if default is not None:
@@ -54,6 +67,8 @@ def _number(cfg: dict, key: str, where: str, default=None, minimum=None, positiv
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"expected a number, got {type(v).__name__}", f"{where}.{key}")
+    if not _finite(v):
+        raise ConfigError(f"must be a finite number, got {v}", f"{where}.{key}")
     v = float(v)
     if positive and v <= 0:
         raise ConfigError(f"must be > 0, got {v}", f"{where}.{key}")
@@ -171,6 +186,7 @@ def _validate_fedft(cfg: dict) -> None:
     _integer(block, "samples_per_device", "fedft", minimum=1)
     _number(block, "noise_std", "fedft", default=0.0, minimum=0.0)
     _number(block, "deadline_s", "fedft", positive=True)
+    _number(block, "bits_per_param", "fedft", default=64.0, positive=True)
     for d in devices:
         if d.local_rank > min(fd, od):
             raise ConfigError(
@@ -241,6 +257,7 @@ def _validate_moe(cfg: dict) -> None:
     _number(block, "load_jitter", "moe", default=0.0, minimum=0.0)
     _number(block, "w_lat", "moe", default=1.0, minimum=0.0)
     _number(block, "w_energy", "moe", default=0.0, minimum=0.0)
+    _number(block, "arrival_prob", "moe", default=1.0, minimum=0.0)
     if block.get("fading_sigma") is not None:
         _number(block, "fading_sigma", "moe", minimum=0.0)
     failed = block.get("failed_devices", [])
@@ -254,8 +271,8 @@ def _validate_moe(cfg: dict) -> None:
         if not isinstance(sweep, list) or not sweep:
             raise ConfigError("v_sweep must be a nonempty list", "moe.v_sweep")
         for v in sweep:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
-                raise ConfigError("v_sweep entries must be numbers >= 0", "moe.v_sweep")
+            if not _nonnegative(v):
+                raise ConfigError("v_sweep entries must be finite numbers >= 0", "moe.v_sweep")
 
 
 def _validate_cot(cfg: dict) -> None:
@@ -282,6 +299,10 @@ def _validate_cot(cfg: dict) -> None:
             or any(not isinstance(row, list) or len(row) != n for row in gains)
         ):
             raise ConfigError(f"gains must be a {n}x{n} matrix", "cot.gains")
+        for i, row in enumerate(gains):
+            for j, g in enumerate(row):
+                if not _nonnegative(g):
+                    raise ConfigError("gains must be finite numbers >= 0", f"cot.gains[{i}][{j}]")
     _number(block, "shard_bytes", "cot", default=0.0, minimum=0.0)
     solver = block.get("solver", "both")
     if solver not in ("exact", "local_search", "both"):
@@ -371,20 +392,27 @@ def _run_fedft(scenario: Scenario, out_dir: Path) -> None:
     ch = _channel(cfg)
     block = cfg["fedft"]
     samples = {d.id: int(block["samples_per_device"]) for d in devices}
-    state = fedft.make_synthetic_task(
-        scenario.seed,
-        devices,
-        feature_dim=int(block["feature_dim"]),
-        output_dim=int(block["output_dim"]),
-        true_rank=int(block["true_rank"]),
-        samples_per_device=samples,
-        noise_std=float(block.get("noise_std", 0.0)),
-    )
-    initial = fedft.global_loss(state)
+    noise_std = float(block.get("noise_std", 0.0))
     lr = float(block["lr"])
+    # an overflow is the first sign of an ill-scaled task or of divergence:
+    # raise it before a non-finite sample, adapter or loss exists
     try:
-        # an overflow is the first sign of divergence: raise it before a
-        # non-finite adapter or loss exists
+        with np.errstate(over="raise", invalid="raise"):
+            state = fedft.make_synthetic_task(
+                scenario.seed,
+                devices,
+                feature_dim=int(block["feature_dim"]),
+                output_dim=int(block["output_dim"]),
+                true_rank=int(block["true_rank"]),
+                samples_per_device=samples,
+                noise_std=noise_std,
+            )
+            initial = fedft.global_loss(state)
+    except FloatingPointError as exc:
+        raise InfeasibleScenario(
+            f"synthetic task overflows ({exc}); lower fedft.noise_std (now {noise_std:g})"
+        ) from None
+    try:
         with np.errstate(over="raise", invalid="raise"):
             records = fedft.run_fedft(
                 state,
@@ -729,7 +757,7 @@ def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None)
     except InfeasibleScenario as exc:
         print(f"infeasible scenario: {exc}")
         return EXIT_INFEASIBLE
-    except (PlacementError, SizeLimitError) as exc:
+    except (PlacementError, SchedulingError, SizeLimitError) as exc:
         print(f"infeasible scenario: {exc}")
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -14,13 +14,12 @@ its influence on the model is distinguishable and removable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import DROP_TOL, as_matrix, as_prob_vector, as_vector, gram_schmidt
+from .numerics import DROP_TOL, as_matrix, as_vector, gram_schmidt
 from .rng import stream, stream_word
 
 
@@ -87,24 +86,6 @@ def orthogonal_project(g, subspace: RetainedSubspace) -> np.ndarray:
     return out
 
 
-def bounded_cross_entropy(p, label: int, delta: float) -> float:
-    """Cross-entropy with the log shifted: -ln((p_label + delta)/(1 + delta)).
-
-    Zero at p_label = 1, capped at ln((1+delta)/delta) at p_label = 0.
-    """
-    p = as_prob_vector(p)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    if not 0 <= label < p.size:
-        raise ValueError(f"label {label} out of range for {p.size} classes")
-    return float(-math.log((p[label] + delta) / (1.0 + delta)))
-
-
-def bounded_ce_plabel_grad(p_label: float, delta: float) -> float:
-    """d/dp_label of the bounded loss: -1/(p_label + delta)."""
-    return -1.0 / (p_label + delta)
-
-
 def add_dp_noise(g, clip_norm: float, sigma: float, rng_seed: int) -> np.ndarray:
     """Clip ``g`` to norm <= clip_norm, then add N(0, sigma^2 clip_norm^2) per coordinate."""
     g = as_vector(g)
@@ -166,7 +147,6 @@ class UnlearnState:
     global_weights: np.ndarray  # n_classes x feature_dim
     datasets: dict[str, tuple[np.ndarray, np.ndarray]]  # id -> (X, labels)
     unlearned: dict[str, np.ndarray] = field(default_factory=dict)
-    personalized: dict[str, np.ndarray] = field(default_factory=dict)
     round_index: int = 0
 
 
@@ -258,12 +238,11 @@ def unlearning_round(
     delta: float,
     dp: DpConfig | None = None,
 ) -> UnlearnRoundRecord:
-    """One unlearning round with personalized unicast updates.
+    """One unlearning round over every opt-out device.
 
     Retained devices supply descent gradients (evaluated at each opt-out
-    model) that span the protected subspace and get their own descent step
-    on the global model; each opt-out model takes a projected (optionally
-    noised) ascent step on its forget data.
+    model) that span the protected subspace; each opt-out model takes a
+    projected (optionally noised) ascent step on its forget data.
     """
     unknown = request.opt_out_ids - set(state.datasets)
     if unknown:
@@ -298,10 +277,6 @@ def unlearning_round(
             update = add_dp_noise(projected, dp.clip_norm, dp.sigma, draw_seed)
         state.unlearned[dev] = w_u + lr * update.reshape(shape)
 
-    # personalized descent for retained devices (unicast, own gradient)
-    for rid in retained_ids:
-        grad = bce_dataset_grad(state.global_weights, *state.datasets[rid], delta)
-        state.personalized[rid] = state.global_weights - lr * grad
     state.round_index += 1
 
     return UnlearnRoundRecord(

@@ -1,4 +1,4 @@
-"""Path checks, placement cost, exact solver, and the local-search heuristic."""
+"""Placement cost oracle, exact solver, and the local-search heuristic."""
 
 import math
 
@@ -10,38 +10,20 @@ from edgelam_sim.cot_placement import (
     CotStep,
     Placement,
     link_rates_from_gains,
-    make_random_instance,
-    path_graph_check,
-    placement_cost,
-    random_feasible_placements,
     solve_exact,
     solve_local_search,
     step_memory,
-    validate_placement,
 )
 from edgelam_sim.errors import PlacementError, SizeLimitError
 from edgelam_sim.netsim import DeviceProfile
 
+from oracles import (
+    brute_force_placement,
+    make_random_instance,
+    placement_cost,
+    validate_placement,
+)
 
-class TestPathGraphCheck:
-    def test_single_node(self):
-        assert path_graph_check(1, [])
-
-    def test_path(self):
-        assert path_graph_check(4, [(0, 1), (1, 2), (2, 3)])
-
-    def test_triangle(self):
-        assert not path_graph_check(3, [(0, 1), (1, 2), (2, 0)])
-
-    def test_star(self):
-        assert not path_graph_check(4, [(0, 1), (0, 2), (0, 3)])
-
-    def test_disconnected(self):
-        assert not path_graph_check(4, [(0, 1), (2, 3)])
-
-    def test_chain_edges_are_a_path(self):
-        chain = CotChain(tuple(CotStep(1e9, 1e5) for _ in range(5)))
-        assert path_graph_check(len(chain), chain.edges())
 
 
 def uniform_instance(n_steps=3, n_devices=3, rate=1e9, link=1e12):
@@ -97,16 +79,6 @@ class TestPlacementCost:
             validate_placement(chain, Placement((0, 0, 0), 3), tight, 0.0)
 
 
-class TestIndicator:
-    def test_round_trip(self):
-        p = Placement((2, 0, 1), 3)
-        assert Placement.from_indicator(p.indicator()) == p
-
-    def test_bad_indicator(self):
-        with pytest.raises(PlacementError):
-            Placement.from_indicator(np.array([[1, 1], [0, 1]]))
-
-
 class TestSolveExact:
     def test_single_step_fastest_device(self):
         chain = CotChain((CotStep(1e9, 0.0),))
@@ -123,6 +95,20 @@ class TestSolveExact:
         chain, devices, links = uniform_instance()
         res = solve_exact(chain, devices, links)
         assert res.placement.assignment == (0, 0, 0)
+        assert res.placement == brute_force_placement(chain, devices, links, 0.0)[0]
+
+    def test_matches_brute_force_oracle(self):
+        for seed in range(12):
+            tightness = 0.25 if seed % 2 else 0.6
+            chain, devices, links, shard = make_random_instance(seed, 5, 4, tightness)
+            res = solve_exact(chain, devices, links, shard)
+            best, best_cost = brute_force_placement(chain, devices, links, shard)
+            if best is None:
+                assert not res.feasible
+                continue
+            assert res.feasible
+            assert res.placement == best
+            assert abs(res.cost - best_cost) <= 1e-12
 
     def test_beats_random_samples(self):
         for seed in range(10):
@@ -130,10 +116,17 @@ class TestSolveExact:
             res = solve_exact(chain, devices, links, shard)
             assert res.feasible
             validate_placement(chain, res.placement, devices, shard)
-            _, costs = random_feasible_placements(
-                chain, devices, links, 200, seed, shard
-            )
-            assert res.cost <= costs.min() + 1e-12
+            rng = np.random.default_rng(seed)
+            costs = []
+            while len(costs) < 200:
+                assignment = tuple(int(d) for d in rng.integers(0, 4, size=5))
+                try:
+                    costs.append(
+                        placement_cost(chain, Placement(assignment, 4), devices, links, shard)
+                    )
+                except PlacementError:
+                    continue  # over capacity
+            assert res.cost <= min(costs) + 1e-12
 
     def test_enumeration_guard(self):
         chain = CotChain(tuple(CotStep(1e9, 1e5) for _ in range(8)))

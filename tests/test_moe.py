@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 
 from edgelam_sim.errors import SchedulingError
-from edgelam_sim.moe_orchestrator import (
-    ExpertMicroservice,
-    MicroserviceDag,
-    VirtualQueue,
-    drift_plus_penalty_decision,
-    gate_select,
-    orchestrate,
-    queue_update,
-)
-from edgelam_sim.netsim import DeviceProfile
+from edgelam_sim.moe_orchestrator import ExpertMicroservice, gate_select, orchestrate
+from edgelam_sim.netsim import DeviceProfile, comm_latency, shannon_rate
+
+from oracles import VirtualQueue, drift_plus_penalty_decision, queue_update
 
 
 class TestGateSelect:
@@ -60,16 +54,6 @@ class TestQueueUpdate:
             queue_update(VirtualQueue("a", 1.0), -1.0, 0.0)
         with pytest.raises(ValueError):
             VirtualQueue("a", -0.1)
-
-
-class TestDag:
-    def test_topological_order_exists(self):
-        dag = MicroserviceDag(("e0", "e1", "e2"), ((0, 1), (1, 2)))
-        assert set(dag.topological_order()) == {0, 1, 2}
-
-    def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            MicroserviceDag(("a", "b"), ((0, 1), (1, 0)))
 
 
 class TestDecision:
@@ -243,8 +227,6 @@ class TestOrchestrate:
             devices, experts, 80, v=2.0, top_k=2, seed=9,
             bandwidth=bw, noise_density=1e-9, layers_per_task=1, load_jitter=0.0,
         )
-        from edgelam_sim.netsim import comm_latency, shannon_rate
-
         rates = {
             d.id: shannon_rate(bw[d.id], d.channel_gain, d.tx_power, 1e-9)
             for d in devices
@@ -254,24 +236,21 @@ class TestOrchestrate:
             for e in experts
             for d in devices
         }
-        queues = {d.id: 0.0 for d in devices}
+        queues = {d.id: VirtualQueue(d.id) for d in devices}
         for record in res.records:
             calls = [e for e, _ in record.assignment]
             loads = [0.5] * len(calls)
             candidates = list(
                 itertools.product(sorted(d.id for d in devices), repeat=len(calls))
             )
-            best = min(
-                candidates,
-                key=lambda c: (
-                    sum(queues[d] * w for d, w in zip(c, loads))
-                    + 2.0 * sum(lat[(e, d)] for e, d in zip(calls, c)),
-                    c,
-                ),
+            best = drift_plus_penalty_decision(
+                queues, candidates, loads, 2.0,
+                lambda c: sum(lat[(e, d)] for e, d in zip(calls, c)),
             )
             assert tuple(d for _, d in record.assignment) == best
             arrivals = {d.id: 0.0 for d in devices}
             for (_, dev), w in zip(record.assignment, loads):
                 arrivals[dev] += w
             for d in devices:
-                queues[d.id] = max(queues[d.id] + arrivals[d.id] - 1.0, 0.0)
+                queues[d.id] = queue_update(queues[d.id], arrivals[d.id], 1.0)
+                assert record.backlogs[d.id] == pytest.approx(queues[d.id].backlog, abs=1e-12)

@@ -1,6 +1,7 @@
 """Config parsing, CLI dispatch, exit codes, and output determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -266,3 +267,113 @@ class TestCli:
         assert "diverged in round" in proc.stdout and "lower fedft.lr" in proc.stdout
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
+
+
+def shipped_cfg(name):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+# JSON numbers that parse but have no finite float value
+NON_FINITE = [float("nan"), float("inf"), 10**400]
+NON_FINITE_IDS = ["nan", "inf", "huge-int"]
+
+
+class TestCliExitCodes:
+    """Every input ends in exit 0, 2 with a field path, or 3; never a traceback."""
+
+    def run_cli(self, tmp_path, cfg):
+        path = write_cfg(tmp_path, cfg)
+        return main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    @pytest.mark.parametrize("field", [
+        ("fedft", "fedft", "lr"),
+        ("fedft", "fedft", "noise_std"),
+        ("fedft", "fedft", "bits_per_param"),
+        ("moe", "moe", "v"),
+        ("moe", "moe", "arrival_prob"),
+        ("unlearn", "unlearn", "lr"),
+    ], ids=lambda f: f"{f[1]}.{f[2]}")
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, field, value):
+        kind, block, key = field
+        cfg = ALL_CONFIGS[kind]()
+        cfg[block][key] = value
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert f"{block}.{key}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_v_sweep_entry_is_config_error(self, tmp_path, capsys, value):
+        cfg = moe_cfg()
+        cfg["moe"]["v_sweep"] = [1.0, value]
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert "moe.v_sweep" in capsys.readouterr().out
+
+    def test_non_finite_casestudy_target_is_config_error(self, tmp_path, capsys):
+        cfg = casestudy_cfg()
+        cfg["casestudy"]["targets"] = [float("nan"), 0.5]
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert "casestudy.targets" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gain", [-1.0, float("nan"), "x"])
+    def test_bad_cot_gain_is_config_error(self, tmp_path, capsys, gain):
+        cfg = cot_cfg()
+        cfg["cot"]["gains"] = [[0.0, gain], [1.0, 0.0]]
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert "cot.gains[0][1]" in capsys.readouterr().out
+
+    def test_overflowing_fedft_task_exits_3(self, tmp_path, capsys):
+        cfg = shipped_cfg("fedft_hetero")
+        cfg["fedft"]["noise_std"] = 1e308
+        assert self.run_cli(tmp_path, cfg) == 3
+        out = capsys.readouterr().out
+        assert "overflow" in out and "lower fedft.noise_std" in out
+
+    def test_overflowing_initial_loss_exits_3(self, tmp_path, capsys):
+        cfg = shipped_cfg("fedft_hetero")
+        cfg["fedft"]["noise_std"] = 1e200  # samples stay finite, their squares do not
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "lower fedft.noise_std" in capsys.readouterr().out
+
+    def test_moe_all_replicas_failed_exits_3(self, tmp_path, capsys):
+        cfg = shipped_cfg("moe_tradeoff")
+        cfg["moe"]["failed_devices"] = ["d0", "d1", "d2"]
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "no live replicas" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dead", [
+        {"channel_gain": 0.0}, {"tx_power": 0.0},
+    ])
+    def test_moe_dead_uplink_replica_is_never_used_at_v_zero(self, tmp_path, dead):
+        cfg = shipped_cfg("moe_tradeoff")
+        cfg["devices"][0].update(dead)
+        cfg["moe"]["v"] = 0.0
+        assert self.run_cli(tmp_path, cfg) == 0
+        summary = json.loads((tmp_path / "out" / "moe_summary.json").read_text())
+        assert math.isfinite(summary["time_avg_cost"])
+        trace = (tmp_path / "out" / "moe_trace.csv").read_text()
+        assert "=d0" not in trace
+
+    @pytest.mark.parametrize("v", [0.0, 1.0])
+    def test_moe_dead_uplink_equals_failed_device(self, tmp_path, v):
+        # a replica that cannot upload is dropped exactly like a failed one;
+        # for v > 0 it would score inf and never win, so only v = 0 needs the drop
+        dead = shipped_cfg("moe_tradeoff")
+        dead["devices"][0]["channel_gain"] = 0.0
+        failed = shipped_cfg("moe_tradeoff")
+        failed["moe"]["failed_devices"] = ["d0"]
+        for cfg in (dead, failed):
+            cfg["moe"]["v"] = v
+            del cfg["moe"]["v_sweep"]
+        assert main(["run", "--config", str(write_cfg(tmp_path, dead, "dead.json")),
+                     "--out", str(tmp_path / "dead")]) == 0
+        assert main(["run", "--config", str(write_cfg(tmp_path, failed, "failed.json")),
+                     "--out", str(tmp_path / "failed")]) == 0
+        assert read_outputs(tmp_path / "dead") == read_outputs(tmp_path / "failed")
+
+    def test_moe_expert_without_live_uplink_exits_3(self, tmp_path, capsys):
+        cfg = shipped_cfg("moe_tradeoff")
+        for dev in cfg["devices"]:
+            dev["channel_gain"] = 0.0
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "no replica with a live uplink" in capsys.readouterr().out
