@@ -1,4 +1,4 @@
-"""Input validation, small dense helpers and Gram-Schmidt.
+"""Input validation and Gram-Schmidt.
 
 Matrices are 2-D float64 C-order arrays and vectors are 1-D float64
 arrays.  All functions are pure and never mutate their inputs.
@@ -37,21 +37,6 @@ def as_vector(data, size: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def frobenius_norm(m) -> float:
-    """sqrt of the sum of squared entries."""
-    m = as_matrix(m)
-    return float(np.sqrt(np.sum(m * m)))
 
 
 def gram_schmidt(vectors, tol: float = DROP_TOL) -> list[np.ndarray]:

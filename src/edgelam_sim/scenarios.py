@@ -1,15 +1,19 @@
-"""Scenario configs: parse, validate, dispatch, and write outputs.
+"""Scenario configs: parse, dispatch, and write outputs.
 
 A scenario is a JSON file with a top-level ``kind`` discriminator
 (``fedft | unlearn | moe | cot | casestudy``), a mandatory ``seed``, and a
-kind-specific parameter block.  Every run is a pure function of the config
-bytes and the seed: outputs (UTF-8 CSV with a header row, pretty-printed
-JSON with sorted keys) are byte-identical across re-runs.
+kind-specific parameter block.  ``parse_scenario`` reads the JSON once: the
+parser of each kind checks every field and builds the typed inputs its
+runner needs (the scenario's ``spec``), so a config passes validation
+exactly when a run can build it.  Every run is a pure function of the
+config bytes and the seed: outputs (UTF-8 CSV with a header row,
+pretty-printed JSON with sorted keys) are byte-identical across re-runs.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -24,8 +28,6 @@ from . import moe_orchestrator as moe
 from . import unlearn
 from .errors import ConfigError, PlacementError, SchedulingError, SizeLimitError
 from .netsim import DeviceProfile
-
-KINDS = ("fedft", "unlearn", "moe", "cot", "casestudy")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,41 +92,76 @@ def _integer(cfg: dict, key: str, where: str, default=None, minimum=None):
     return v
 
 
+def _string(cfg: dict, key: str, where: str) -> str:
+    v = _require(cfg, key, where)
+    if not isinstance(v, str) or not v:
+        raise ConfigError("expected a nonempty string", f"{where}.{key}")
+    return v
+
+
+def _object(cfg: dict, key: str, where: str) -> dict:
+    v = cfg.get(key)
+    if not isinstance(v, dict):
+        raise ConfigError("expected an object", where)
+    return v
+
+
+def _list(cfg: dict, key: str, where: str) -> list:
+    v = cfg.get(key)
+    if not isinstance(v, list) or not v:
+        raise ConfigError("expected a nonempty list", where)
+    return v
+
+
+def _device_ids(ids, known: set[str], where: str) -> list[str]:
+    """``ids`` as a list of configured device ids; strings are checked before membership."""
+    if not isinstance(ids, list):
+        raise ConfigError("expected a list of device ids", where)
+    for j, dev in enumerate(ids):
+        if not isinstance(dev, str) or dev not in known:
+            raise ConfigError(f"{dev!r} is not a device id", f"{where}[{j}]")
+    return ids
+
+
+def _check_seed(seed: int, where: str) -> int:
+    if not 0 <= seed < 2**64:  # ``rng.stream`` takes u64 seeds
+        raise ConfigError(f"must be in [0, 2**64), got {seed}", where)
+    return seed
+
+
+def _build(cls, where: str, **fields):
+    """``cls(**fields)``, with a ValueError from its own checks as a ConfigError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc), where) from exc
+
+
 def parse_devices(cfg: dict, where: str = "devices") -> list[DeviceProfile]:
-    entries = cfg.get("devices")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("expected a nonempty device list", where)
     out = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_list(cfg, "devices", where)):
         w = f"{where}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError("device entry must be an object", w)
-        dev_id = _require(entry, "id", w)
-        if not isinstance(dev_id, str) or not dev_id:
-            raise ConfigError("device id must be a nonempty string", f"{w}.id")
-        try:
-            out.append(
-                DeviceProfile(
-                    id=dev_id,
-                    compute_rate=_number(entry, "compute_rate", w, positive=True),
-                    memory_capacity=_number(entry, "memory_capacity", w, positive=True),
-                    channel_gain=_number(entry, "channel_gain", w, minimum=0.0),
-                    tx_power=_number(entry, "tx_power", w, minimum=0.0),
-                    local_rank=_integer(entry, "local_rank", w, default=1, minimum=1),
-                )
+        out.append(
+            _build(
+                DeviceProfile,
+                w,
+                id=_string(entry, "id", w),
+                compute_rate=_number(entry, "compute_rate", w, positive=True),
+                memory_capacity=_number(entry, "memory_capacity", w, positive=True),
+                channel_gain=_number(entry, "channel_gain", w, minimum=0.0),
+                tx_power=_number(entry, "tx_power", w, minimum=0.0),
+                local_rank=_integer(entry, "local_rank", w, default=1, minimum=1),
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc), w) from exc
-    ids = [d.id for d in out]
-    if len(set(ids)) != len(ids):
+        )
+    if len({d.id for d in out}) != len(out):
         raise ConfigError("device ids must be unique", where)
     return out
 
 
 def _channel(cfg: dict, where: str = "channel") -> dict:
-    ch = cfg.get("channel")
-    if not isinstance(ch, dict):
-        raise ConfigError("expected a channel object", where)
+    ch = _object(cfg, "channel", where)
     return {
         "total_bandwidth": _number(ch, "total_bandwidth", where, positive=True),
         "noise_density": _number(ch, "noise_density", where, positive=True),
@@ -136,7 +173,7 @@ def _channel(cfg: dict, where: str = "channel") -> dict:
 class Scenario:
     kind: str
     seed: int
-    config: dict
+    spec: dict  # the runner's typed inputs, built by the kind's parser
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -150,12 +187,11 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(cfg, dict):
         raise ConfigError("top level must be an object", "$")
     kind = _require(cfg, "kind", "$")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown kind {kind!r}, expected one of {KINDS}", "$.kind")
-    seed = _integer(cfg, "seed", "$", minimum=0)
-    validator = _VALIDATORS[kind]
-    validator(cfg)
-    return Scenario(kind, seed, cfg)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown kind {kind!r}, expected one of {tuple(_KINDS)}", "$.kind")
+    seed = _check_seed(_integer(cfg, "seed", "$"), "$.seed")
+    parse, _ = _KINDS[kind]
+    return Scenario(kind, seed, parse(cfg))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -167,156 +203,184 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# per-kind validation
+# per-kind parsers: config dict -> runner spec
 # ---------------------------------------------------------------------------
 
-def _validate_fedft(cfg: dict) -> None:
+def _parse_fedft(cfg: dict) -> dict:
     devices = parse_devices(cfg)
-    _channel(cfg)
-    block = cfg.get("fedft")
-    if not isinstance(block, dict):
-        raise ConfigError("expected a fedft parameter object", "fedft")
-    _integer(block, "rounds", "fedft", minimum=1)
-    _number(block, "lr", "fedft", positive=True)
+    ch = _channel(cfg)
+    block = _object(cfg, "fedft", "fedft")
     fd = _integer(block, "feature_dim", "fedft", minimum=1)
     od = _integer(block, "output_dim", "fedft", minimum=1)
     tr = _integer(block, "true_rank", "fedft", minimum=1)
     if tr > min(fd, od):
         raise ConfigError(f"true_rank {tr} exceeds min(dims) {min(fd, od)}", "fedft.true_rank")
-    _integer(block, "samples_per_device", "fedft", minimum=1)
-    _number(block, "noise_std", "fedft", default=0.0, minimum=0.0)
-    _number(block, "deadline_s", "fedft", positive=True)
-    _number(block, "bits_per_param", "fedft", default=64.0, positive=True)
     for d in devices:
         if d.local_rank > min(fd, od):
             raise ConfigError(
                 f"device {d.id} local_rank {d.local_rank} exceeds min(dims)",
                 "devices",
             )
+    samples = _integer(block, "samples_per_device", "fedft", minimum=1)
+    return {
+        "devices": devices,
+        "task": dict(
+            feature_dim=fd,
+            output_dim=od,
+            true_rank=tr,
+            samples_per_device={d.id: samples for d in devices},
+            noise_std=_number(block, "noise_std", "fedft", default=0.0, minimum=0.0),
+        ),
+        "train": dict(
+            total_bandwidth=ch["total_bandwidth"],
+            deadline=_number(block, "deadline_s", "fedft", positive=True),
+            lr=_number(block, "lr", "fedft", positive=True),
+            noise_density=ch["noise_density"],
+            rounds=_integer(block, "rounds", "fedft", minimum=1),
+            bits_per_param=_number(block, "bits_per_param", "fedft", default=64.0, positive=True),
+        ),
+    }
 
 
-def _validate_unlearn(cfg: dict) -> None:
+def _parse_unlearn(cfg: dict) -> dict:
     devices = parse_devices(cfg)
-    block = cfg.get("unlearn")
-    if not isinstance(block, dict):
-        raise ConfigError("expected an unlearn parameter object", "unlearn")
-    _integer(block, "classes", "unlearn", minimum=2)
-    _integer(block, "feature_dim", "unlearn", minimum=1)
-    _integer(block, "samples_per_device", "unlearn", minimum=1)
-    _integer(block, "pretrain_rounds", "unlearn", minimum=0)
-    _integer(block, "unlearn_rounds", "unlearn", minimum=1)
-    _number(block, "lr", "unlearn", positive=True)
+    block = _object(cfg, "unlearn", "unlearn")
     delta = _number(block, "delta", "unlearn", positive=True)
     if delta > 1:
         raise ConfigError("delta must be in (0, 1]", "unlearn.delta")
-    opt_out = _require(block, "opt_out", "unlearn")
-    ids = {d.id for d in devices}
-    if not isinstance(opt_out, list) or not opt_out:
-        raise ConfigError("opt_out must be a nonempty list of device ids", "unlearn.opt_out")
-    for dev in opt_out:
-        if dev not in ids:
-            raise ConfigError(f"opt_out id {dev!r} is not a device", "unlearn.opt_out")
-    dp = block.get("dp")
-    if dp is not None:
-        if not isinstance(dp, dict):
-            raise ConfigError("dp must be an object", "unlearn.dp")
-        _number(dp, "clip_norm", "unlearn.dp", positive=True)
-        _number(dp, "sigma", "unlearn.dp", minimum=0.0)
+    opt_out = _device_ids(block.get("opt_out"), {d.id for d in devices}, "unlearn.opt_out")
+    dp = None
+    if block.get("dp") is not None:
+        dp_block = _object(block, "dp", "unlearn.dp")
+        dp = dict(
+            clip_norm=_number(dp_block, "clip_norm", "unlearn.dp", positive=True),
+            sigma=_number(dp_block, "sigma", "unlearn.dp", minimum=0.0),
+        )
+    return {
+        "device_ids": [d.id for d in devices],
+        "request": _build(
+            unlearn.UnlearnRequest, "unlearn.opt_out", opt_out_ids=frozenset(opt_out)
+        ),
+        "task": dict(
+            n_classes=_integer(block, "classes", "unlearn", minimum=2),
+            # two feature coordinates are reserved for the opt-out signature
+            feature_dim=_integer(block, "feature_dim", "unlearn", minimum=3),
+            samples_per_device=_integer(block, "samples_per_device", "unlearn", minimum=1),
+        ),
+        "lr": _number(block, "lr", "unlearn", positive=True),
+        "delta": delta,
+        "pretrain_rounds": _integer(block, "pretrain_rounds", "unlearn", minimum=0),
+        "unlearn_rounds": _integer(block, "unlearn_rounds", "unlearn", minimum=1),
+        "dp": dp,
+    }
 
 
-def _validate_moe(cfg: dict) -> None:
+def _parse_moe(cfg: dict) -> dict:
     devices = parse_devices(cfg)
-    _channel(cfg)
-    block = cfg.get("moe")
-    if not isinstance(block, dict):
-        raise ConfigError("expected a moe parameter object", "moe")
-    experts = block.get("experts")
-    if not isinstance(experts, list) or not experts:
-        raise ConfigError("expected a nonempty expert list", "moe.experts")
-    ids = {d.id for d in devices}
-    n_experts = len(experts)
-    for i, entry in enumerate(experts):
+    ch = _channel(cfg)
+    block = _object(cfg, "moe", "moe")
+    known = {d.id for d in devices}
+    experts = []
+    for i, entry in enumerate(_list(block, "experts", "moe.experts")):
         w = f"moe.experts[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError("expert entry must be an object", w)
-        _require(entry, "id", w)
-        _number(entry, "workload", w, positive=True)
-        _number(entry, "output_size", w, minimum=0.0)
-        replicas = _require(entry, "replicas", w)
-        if not isinstance(replicas, list) or not replicas:
-            raise ConfigError("replicas must be a nonempty list", f"{w}.replicas")
-        for r in replicas:
-            if r not in ids:
-                raise ConfigError(f"replica {r!r} is not a device", f"{w}.replicas")
+        replicas = _device_ids(_require(entry, "replicas", w), known, f"{w}.replicas")
+        experts.append(
+            _build(
+                moe.ExpertMicroservice,
+                w,
+                id=_string(entry, "id", w),
+                workload_per_call=_number(entry, "workload", w, positive=True),
+                output_size=_number(entry, "output_size", w, minimum=0.0),
+                replicas=tuple(replicas),
+            )
+        )
+    if len({e.id for e in experts}) != len(experts):
+        raise ConfigError("expert ids must be unique", "moe.experts")
     k = _integer(block, "top_k", "moe", minimum=1)
-    if k > n_experts:
-        raise ConfigError(f"top_k {k} exceeds expert count {n_experts}", "moe.top_k")
-    _integer(block, "slots", "moe", minimum=1)
-    _number(block, "v", "moe", minimum=0.0)
-    _integer(block, "layers_per_task", "moe", default=1, minimum=1)
-    _number(block, "load_jitter", "moe", default=0.0, minimum=0.0)
-    _number(block, "w_lat", "moe", default=1.0, minimum=0.0)
-    _number(block, "w_energy", "moe", default=0.0, minimum=0.0)
-    _number(block, "arrival_prob", "moe", default=1.0, minimum=0.0)
-    if block.get("fading_sigma") is not None:
-        _number(block, "fading_sigma", "moe", minimum=0.0)
-    failed = block.get("failed_devices", [])
-    if not isinstance(failed, list):
-        raise ConfigError("failed_devices must be a list", "moe.failed_devices")
-    for f in failed:
-        if f not in ids:
-            raise ConfigError(f"failed device {f!r} is not a device", "moe.failed_devices")
-    sweep = block.get("v_sweep")
-    if sweep is not None:
-        if not isinstance(sweep, list) or not sweep:
-            raise ConfigError("v_sweep must be a nonempty list", "moe.v_sweep")
-        for v in sweep:
-            if not _nonnegative(v):
-                raise ConfigError("v_sweep entries must be finite numbers >= 0", "moe.v_sweep")
+    if k > len(experts):
+        raise ConfigError(f"top_k {k} exceeds expert count {len(experts)}", "moe.top_k")
+    failed = _device_ids(block.get("failed_devices", []), known, "moe.failed_devices")
+    sweep = [] if block.get("v_sweep") is None else _list(block, "v_sweep", "moe.v_sweep")
+    if not all(_nonnegative(v) for v in sweep):
+        raise ConfigError("v_sweep entries must be finite numbers >= 0", "moe.v_sweep")
+    share = ch["total_bandwidth"] / len(devices)
+    return {
+        "v": _number(block, "v", "moe", minimum=0.0),
+        "v_sweep": [float(v) for v in sweep],
+        # the orchestrate keywords shared by the main run and every sweep point
+        "orchestrate": dict(
+            devices=devices,
+            experts=experts,
+            n_slots=_integer(block, "slots", "moe", minimum=1),
+            top_k=k,
+            bandwidth={d.id: share for d in devices},
+            noise_density=ch["noise_density"],
+            layers_per_task=_integer(block, "layers_per_task", "moe", default=1, minimum=1),
+            load_jitter=_number(block, "load_jitter", "moe", default=0.0, minimum=0.0),
+            w_lat=_number(block, "w_lat", "moe", default=1.0, minimum=0.0),
+            w_energy=_number(block, "w_energy", "moe", default=0.0, minimum=0.0),
+            failed_devices=frozenset(failed),
+            arrival_prob=_number(block, "arrival_prob", "moe", default=1.0, minimum=0.0),
+            fading_sigma=(
+                None
+                if block.get("fading_sigma") is None
+                else _number(block, "fading_sigma", "moe", minimum=0.0)
+            ),
+        ),
+    }
 
 
-def _validate_cot(cfg: dict) -> None:
+def _parse_cot(cfg: dict) -> dict:
     devices = parse_devices(cfg)
-    _channel(cfg)
-    block = cfg.get("cot")
-    if not isinstance(block, dict):
-        raise ConfigError("expected a cot parameter object", "cot")
-    steps = block.get("steps")
-    if not isinstance(steps, list) or not steps:
-        raise ConfigError("expected a nonempty step list", "cot.steps")
-    for i, entry in enumerate(steps):
+    ch = _channel(cfg)
+    block = _object(cfg, "cot", "cot")
+    steps = []
+    for i, entry in enumerate(_list(block, "steps", "cot.steps")):
         w = f"cot.steps[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError("step entry must be an object", w)
-        _number(entry, "workload", w, positive=True)
-        _number(entry, "handoff_size", w, minimum=0.0)
-    gains = block.get("gains")
+        steps.append(
+            _build(
+                cot.CotStep,
+                w,
+                workload=_number(entry, "workload", w, positive=True),
+                handoff_size=_number(entry, "handoff_size", w, minimum=0.0),
+            )
+        )
     n = len(devices)
-    if gains is not None:
-        if (
-            not isinstance(gains, list)
-            or len(gains) != n
-            or any(not isinstance(row, list) or len(row) != n for row in gains)
-        ):
-            raise ConfigError(f"gains must be a {n}x{n} matrix", "cot.gains")
-        for i, row in enumerate(gains):
-            for j, g in enumerate(row):
-                if not _nonnegative(g):
-                    raise ConfigError("gains must be finite numbers >= 0", f"cot.gains[{i}][{j}]")
-    _number(block, "shard_bytes", "cot", default=0.0, minimum=0.0)
+    gains = block.get("gains")
+    if gains is None:
+        gains = [[1.0] * n for _ in range(n)]
+    elif (
+        not isinstance(gains, list)
+        or len(gains) != n
+        or any(not isinstance(row, list) or len(row) != n for row in gains)
+    ):
+        raise ConfigError(f"gains must be a {n}x{n} matrix", "cot.gains")
+    for i, row in enumerate(gains):
+        for j, g in enumerate(row):
+            if not _nonnegative(g):
+                raise ConfigError("gains must be finite numbers >= 0", f"cot.gains[{i}][{j}]")
     solver = block.get("solver", "both")
     if solver not in ("exact", "local_search", "both"):
         raise ConfigError(f"unknown solver {solver!r}", "cot.solver")
-    _integer(block, "iters", "cot", default=10, minimum=1)
+    return {
+        "devices": devices,
+        "chain": cot.CotChain(tuple(steps)),
+        "gains": gains,
+        "link_bandwidth": ch["link_bandwidth"],
+        "noise_density": ch["noise_density"],
+        "shard_bytes": _number(block, "shard_bytes", "cot", default=0.0, minimum=0.0),
+        "solver": solver,
+        "iters": _integer(block, "iters", "cot", default=10, minimum=1),
+    }
 
 
-def _validate_casestudy(cfg: dict) -> None:
-    block = cfg.get("casestudy")
-    if not isinstance(block, dict):
-        raise ConfigError("expected a casestudy parameter object", "casestudy")
-    budgets = block.get("budgets")
-    if not isinstance(budgets, list) or not budgets:
-        raise ConfigError("expected a nonempty budget list", "casestudy.budgets")
+def _parse_casestudy(cfg: dict) -> dict:
+    block = _object(cfg, "casestudy", "casestudy")
+    budgets = _list(block, "budgets", "casestudy.budgets")
     for b in budgets:
         if isinstance(b, bool) or not isinstance(b, int) or b < 1:
             raise ConfigError("budgets must be positive integers", "casestudy.budgets")
@@ -331,26 +395,33 @@ def _validate_casestudy(cfg: dict) -> None:
             or any(not isinstance(t, (int, float)) or not 0 < t < 1 for t in targets)
         ):
             raise ConfigError("targets must be two fractions in (0,1)", "casestudy.targets")
-    else:
-        model = block.get("model")
-        if not isinstance(model, dict):
-            raise ConfigError("need a model object when calibrate is false", "casestudy.model")
-        _integer(model, "n_total", "casestudy.model", minimum=1)
-        _integer(model, "t_budget", "casestudy.model", minimum=1)
-        _number(model, "alpha_mem", "casestudy.model", positive=True)
-        _number(model, "beta_comp", "casestudy.model", positive=True)
-        _number(model, "gamma_handoff", "casestudy.model", minimum=0.0)
-        _number(model, "base_mem", "casestudy.model", minimum=0.0)
-        _number(model, "compute_rate", "casestudy.model", default=cs.DEFAULT_COMPUTE_RATE, positive=True)
-
-
-_VALIDATORS = {
-    "fedft": _validate_fedft,
-    "unlearn": _validate_unlearn,
-    "moe": _validate_moe,
-    "cot": _validate_cot,
-    "casestudy": _validate_casestudy,
-}
+        return {"budgets": budgets, "targets": tuple(targets), "model": None}
+    where = "casestudy.model"
+    model = _object(block, "model", where)
+    n_total = _integer(model, "n_total", where, minimum=1)
+    t_budget = _integer(model, "t_budget", where, minimum=1)
+    if t_budget > n_total:
+        raise ConfigError(f"exceeds n_total {n_total}", f"{where}.t_budget")
+    for j, b in enumerate(budgets):
+        if b > n_total:
+            raise ConfigError(f"budget {b} exceeds n_total {n_total}", f"casestudy.budgets[{j}]")
+    return {
+        "budgets": budgets,
+        "targets": None,
+        # the TokenBudgetModel arguments; the run builds the model, whose
+        # device-limit check is an infeasible scenario, not a config error
+        "model": dict(
+            n_total=n_total,
+            t_budget=t_budget,
+            alpha_mem=_number(model, "alpha_mem", where, positive=True),
+            beta_comp=_number(model, "beta_comp", where, positive=True),
+            gamma_handoff=_number(model, "gamma_handoff", where, minimum=0.0),
+            base_mem=_number(model, "base_mem", where, minimum=0.0),
+            compute_rate=_number(
+                model, "compute_rate", where, default=cs.DEFAULT_COMPUTE_RATE, positive=True
+            ),
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -383,51 +454,28 @@ def write_json(path: Path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: spec -> output files
 # ---------------------------------------------------------------------------
 
-def _run_fedft(scenario: Scenario, out_dir: Path) -> None:
-    cfg = scenario.config
-    devices = parse_devices(cfg)
-    ch = _channel(cfg)
-    block = cfg["fedft"]
-    samples = {d.id: int(block["samples_per_device"]) for d in devices}
-    noise_std = float(block.get("noise_std", 0.0))
-    lr = float(block["lr"])
+def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
+    devices, task, train = spec["devices"], spec["task"], spec["train"]
     # an overflow is the first sign of an ill-scaled task or of divergence:
     # raise it before a non-finite sample, adapter or loss exists
     try:
         with np.errstate(over="raise", invalid="raise"):
-            state = fedft.make_synthetic_task(
-                scenario.seed,
-                devices,
-                feature_dim=int(block["feature_dim"]),
-                output_dim=int(block["output_dim"]),
-                true_rank=int(block["true_rank"]),
-                samples_per_device=samples,
-                noise_std=noise_std,
-            )
+            state = fedft.make_synthetic_task(seed, devices, **task)
             initial = fedft.global_loss(state)
     except FloatingPointError as exc:
         raise InfeasibleScenario(
-            f"synthetic task overflows ({exc}); lower fedft.noise_std (now {noise_std:g})"
+            f"synthetic task overflows ({exc}); lower fedft.noise_std (now {task['noise_std']:g})"
         ) from None
     try:
         with np.errstate(over="raise", invalid="raise"):
-            records = fedft.run_fedft(
-                state,
-                devices,
-                ch["total_bandwidth"],
-                float(block["deadline_s"]),
-                lr,
-                ch["noise_density"],
-                rounds=int(block["rounds"]),
-                bits_per_param=float(block.get("bits_per_param", 64.0)),
-            )
+            records = fedft.run_fedft(state, devices, **train)
     except FloatingPointError as exc:
         raise InfeasibleScenario(
             f"training diverged in round {state.round_index + 1} ({exc}); "
-            f"lower fedft.lr (now {lr:g})"
+            f"lower fedft.lr (now {train['lr']:g})"
         ) from None
     if records and not math.isfinite(records[0].round_latency):
         raise InfeasibleScenario(
@@ -452,7 +500,7 @@ def _run_fedft(scenario: Scenario, out_dir: Path) -> None:
         out_dir / "fedft_summary.json",
         {
             "kind": "fedft",
-            "seed": scenario.seed,
+            "seed": seed,
             "rounds": len(records),
             "initial_loss": initial,
             "final_loss": records[-1].global_loss if records else initial,
@@ -462,34 +510,17 @@ def _run_fedft(scenario: Scenario, out_dir: Path) -> None:
     )
 
 
-def _run_unlearn(scenario: Scenario, out_dir: Path) -> None:
-    cfg = scenario.config
-    devices = parse_devices(cfg)
-    block = cfg["unlearn"]
-    opt_out = frozenset(block["opt_out"])
+def _run_unlearn(spec: dict, seed: int, out_dir: Path) -> None:
+    request, lr, delta = spec["request"], spec["lr"], spec["delta"]
     state = unlearn.make_classification_task(
-        scenario.seed,
-        [d.id for d in devices],
-        set(opt_out),
-        n_classes=int(block["classes"]),
-        feature_dim=int(block["feature_dim"]),
-        samples_per_device=int(block["samples_per_device"]),
+        seed, spec["device_ids"], set(request.opt_out_ids), **spec["task"]
     )
-    delta = float(block["delta"])
-    unlearn.pretrain(state, float(block["lr"]), int(block["pretrain_rounds"]), delta)
-    request = unlearn.UnlearnRequest(opt_out)
-    dp_cfg = None
-    if block.get("dp") is not None:
-        dp_cfg = unlearn.DpConfig(
-            clip_norm=float(block["dp"]["clip_norm"]),
-            sigma=float(block["dp"]["sigma"]),
-            seed=scenario.seed,
-        )
+    unlearn.pretrain(state, lr, spec["pretrain_rounds"], delta)
+    dp_cfg = None if spec["dp"] is None else unlearn.DpConfig(**spec["dp"], seed=seed)
     pre_forget = unlearn.forget_loss(state, request, delta)
     pre_retained = unlearn.retained_loss(state, request, delta)
     records = unlearn.run_unlearning(
-        state, request, float(block["lr"]), delta,
-        rounds=int(block["unlearn_rounds"]), dp=dp_cfg,
+        state, request, lr, delta, rounds=spec["unlearn_rounds"], dp=dp_cfg
     )
     rows = [
         [r.round_index, r.forget_loss, r.retained_loss, r.projection_residual_norm, r.sigma]
@@ -504,8 +535,8 @@ def _run_unlearn(scenario: Scenario, out_dir: Path) -> None:
         out_dir / "unlearn_summary.json",
         {
             "kind": "unlearn",
-            "seed": scenario.seed,
-            "opt_out": sorted(opt_out),
+            "seed": seed,
+            "opt_out": sorted(request.opt_out_ids),
             "pre_unlearning_forget_loss": pre_forget,
             "pre_unlearning_retained_loss": pre_retained,
             "final_forget_loss": records[-1].forget_loss,
@@ -515,47 +546,10 @@ def _run_unlearn(scenario: Scenario, out_dir: Path) -> None:
     )
 
 
-def _moe_bandwidth(devices, ch) -> dict[str, float]:
-    share = ch["total_bandwidth"] / len(devices)
-    return {d.id: share for d in devices}
-
-
-def _run_moe(scenario: Scenario, out_dir: Path) -> None:
-    cfg = scenario.config
-    devices = parse_devices(cfg)
-    ch = _channel(cfg)
-    block = cfg["moe"]
-    experts = [
-        moe.ExpertMicroservice(
-            id=str(e["id"]),
-            workload_per_call=float(e["workload"]),
-            output_size=float(e["output_size"]),
-            replicas=tuple(e["replicas"]),
-        )
-        for e in block["experts"]
-    ]
-    kwargs = dict(
-        devices=devices,
-        experts=experts,
-        n_slots=int(block["slots"]),
-        top_k=int(block["top_k"]),
-        seed=scenario.seed,
-        bandwidth=_moe_bandwidth(devices, ch),
-        noise_density=ch["noise_density"],
-        layers_per_task=int(block.get("layers_per_task", 1)),
-        load_jitter=float(block.get("load_jitter", 0.0)),
-        w_lat=float(block.get("w_lat", 1.0)),
-        w_energy=float(block.get("w_energy", 0.0)),
-        failed_devices=frozenset(block.get("failed_devices", [])),
-        arrival_prob=float(block.get("arrival_prob", 1.0)),
-        fading_sigma=(
-            float(block["fading_sigma"])
-            if block.get("fading_sigma") is not None
-            else None
-        ),
-    )
-    result = moe.orchestrate(v=float(block["v"]), **kwargs)
-    dev_ids = sorted(d.id for d in devices)
+def _run_moe(spec: dict, seed: int, out_dir: Path) -> None:
+    kwargs = spec["orchestrate"]
+    result = moe.orchestrate(v=spec["v"], seed=seed, **kwargs)
+    dev_ids = sorted(d.id for d in kwargs["devices"])
     rows = [
         [
             r.slot,
@@ -572,20 +566,19 @@ def _run_moe(scenario: Scenario, out_dir: Path) -> None:
     )
     summary = {
         "kind": "moe",
-        "seed": scenario.seed,
-        "v": float(block["v"]),
+        "seed": seed,
+        "v": spec["v"],
         "time_avg_cost": result.time_avg_cost,
         "time_avg_backlog": result.time_avg_backlog,
         "max_backlog": result.max_backlog,
     }
-    sweep = block.get("v_sweep")
-    if sweep:
+    if spec["v_sweep"]:
         entries = []
-        for v in sweep:
-            res = moe.orchestrate(v=float(v), **kwargs)
+        for v in spec["v_sweep"]:
+            res = moe.orchestrate(v=v, seed=seed, **kwargs)
             entries.append(
                 {
-                    "v": float(v),
+                    "v": v,
                     "time_avg_cost": res.time_avg_cost,
                     "time_avg_backlog": res.time_avg_backlog,
                     "max_backlog": res.max_backlog,
@@ -595,31 +588,15 @@ def _run_moe(scenario: Scenario, out_dir: Path) -> None:
     write_json(out_dir / "moe_summary.json", summary)
 
 
-def _run_cot(scenario: Scenario, out_dir: Path) -> None:
-    cfg = scenario.config
-    devices = parse_devices(cfg)
-    ch = _channel(cfg)
-    block = cfg["cot"]
-    chain = cot.CotChain(
-        tuple(
-            cot.CotStep(float(s["workload"]), float(s["handoff_size"]))
-            for s in block["steps"]
-        )
-    )
-    n = len(devices)
-    gains = block.get("gains")
-    if gains is None:
-        gains = [[1.0] * n for _ in range(n)]
+def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
+    devices, chain, shard_bytes = spec["devices"], spec["chain"], spec["shard_bytes"]
     link_rates = cot.link_rates_from_gains(
-        devices, gains, ch["link_bandwidth"], ch["noise_density"]
+        devices, spec["gains"], spec["link_bandwidth"], spec["noise_density"]
     )
-    shard_bytes = float(block.get("shard_bytes", 0.0))
-    solver = block.get("solver", "both")
-    iters = int(block.get("iters", 10))
-
+    solver = spec["solver"]
     payload: dict = {
         "kind": "cot",
-        "seed": scenario.seed,
+        "seed": seed,
         "n_steps": len(chain),
         "devices": [d.id for d in devices],
     }
@@ -636,7 +613,7 @@ def _run_cot(scenario: Scenario, out_dir: Path) -> None:
         }
     if solver in ("local_search", "both"):
         ls_res = cot.solve_local_search(
-            chain, devices, link_rates, scenario.seed, iters, shard_bytes
+            chain, devices, link_rates, seed, spec["iters"], shard_bytes
         )
         if not ls_res.feasible:
             raise InfeasibleScenario("local search found no feasible start")
@@ -655,13 +632,12 @@ def _run_cot(scenario: Scenario, out_dir: Path) -> None:
     write_json(out_dir / "cot_result.json", payload)
 
 
-def _run_casestudy(scenario: Scenario, out_dir: Path) -> None:
-    block = scenario.config["casestudy"]
-    budgets = [int(b) for b in block["budgets"]]
-    summary: dict = {"kind": "casestudy", "seed": scenario.seed, "budgets": budgets}
-    if block.get("calibrate", False):
-        targets = block.get("targets", [0.708, 0.596])
-        result = cs.calibrate_casestudy((float(targets[0]), float(targets[1])))
+def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
+    budgets = spec["budgets"]
+    summary: dict = {"kind": "casestudy", "seed": seed, "budgets": budgets}
+    if spec["model"] is None:
+        targets = spec["targets"]
+        result = cs.calibrate_casestudy(targets)
         if result.model is None:
             raise InfeasibleScenario(f"calibration failed: {result.message}")
         model = result.model
@@ -676,19 +652,10 @@ def _run_casestudy(scenario: Scenario, out_dir: Path) -> None:
             "message": result.message,
         }
     else:
-        m = block["model"]
-        model = cs.TokenBudgetModel(
-            n_total=int(m["n_total"]),
-            t_budget=int(m["t_budget"]),
-            alpha_mem=float(m["alpha_mem"]),
-            beta_comp=float(m["beta_comp"]),
-            gamma_handoff=float(m["gamma_handoff"]),
-            base_mem=float(m["base_mem"]),
-            compute_rate=float(m.get("compute_rate", cs.DEFAULT_COMPUTE_RATE)),
-        )
+        model = cs.TokenBudgetModel(**spec["model"])
     try:
         rows = cs.casestudy_sweep(model, budgets)
-    except SizeLimitError as exc:
+    except ValueError as exc:  # a budget beyond the calibrated chain, or the device limit
         raise InfeasibleScenario(str(exc)) from exc
     write_csv(
         out_dir / "casestudy_sweep.csv",
@@ -732,12 +699,13 @@ def _run_casestudy(scenario: Scenario, out_dir: Path) -> None:
     write_json(out_dir / "casestudy_summary.json", summary)
 
 
-_RUNNERS = {
-    "fedft": _run_fedft,
-    "unlearn": _run_unlearn,
-    "moe": _run_moe,
-    "cot": _run_cot,
-    "casestudy": _run_casestudy,
+# kind -> (parser, runner)
+_KINDS = {
+    "fedft": (_parse_fedft, _run_fedft),
+    "unlearn": (_parse_unlearn, _run_unlearn),
+    "moe": (_parse_moe, _run_moe),
+    "cot": (_parse_cot, _run_cot),
+    "casestudy": (_parse_casestudy, _run_casestudy),
 }
 
 
@@ -746,18 +714,16 @@ def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None)
     try:
         scenario = load_scenario(path)
         if seed is not None:
-            scenario = Scenario(scenario.kind, seed, dict(scenario.config, seed=seed))
+            scenario = dataclasses.replace(scenario, seed=_check_seed(seed, "--seed"))
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _, run = _KINDS[scenario.kind]
     try:
-        _RUNNERS[scenario.kind](scenario, out)
-    except InfeasibleScenario as exc:
-        print(f"infeasible scenario: {exc}")
-        return EXIT_INFEASIBLE
-    except (PlacementError, SchedulingError, SizeLimitError) as exc:
+        run(scenario.spec, scenario.seed, out)
+    except (InfeasibleScenario, PlacementError, SchedulingError, SizeLimitError) as exc:
         print(f"infeasible scenario: {exc}")
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -1,5 +1,6 @@
 """Config parsing, CLI dispatch, exit codes, and output determinism."""
 
+import copy
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgelam_sim
 from edgelam_sim.cli import main
@@ -83,6 +86,10 @@ def casestudy_cfg():
     }
 
 
+CASESTUDY_MODEL = {"n_total": 2048, "t_budget": 128, "alpha_mem": 2.0, "beta_comp": 2.0,
+                   "gamma_handoff": 0.0, "base_mem": 0.0}
+
+
 ALL_CONFIGS = {
     "fedft": fedft_cfg,
     "unlearn": unlearn_cfg,
@@ -146,11 +153,7 @@ class TestRunScenario:
 
     def test_casestudy_device_limit_infeasible(self, tmp_path):
         cfg = casestudy_cfg()
-        cfg["casestudy"] = {
-            "budgets": [64], "calibrate": False,
-            "model": {"n_total": 2048, "t_budget": 128, "alpha_mem": 2.0,
-                      "beta_comp": 2.0, "gamma_handoff": 0.0, "base_mem": 0.0},
-        }
+        cfg["casestudy"] = {"budgets": [64], "calibrate": False, "model": CASESTUDY_MODEL}
         path = write_cfg(tmp_path, cfg)
         assert run_scenario(path, tmp_path / "out") == 3
 
@@ -377,3 +380,98 @@ class TestCliExitCodes:
             dev["channel_gain"] = 0.0
         assert self.run_cli(tmp_path, cfg) == 3
         assert "no replica with a live uplink" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("name,path,value,where", [
+        ("moe_tradeoff", ("moe", "experts", 0, "replicas"), [["d0"]],
+         "moe.experts[0].replicas[0]"),
+        ("moe_tradeoff", ("moe", "failed_devices"), [["d0"]], "moe.failed_devices[0]"),
+        ("unlearn_optout", ("unlearn", "opt_out"), [["d3"]], "unlearn.opt_out[0]"),
+        ("moe_tradeoff", ("moe", "experts", 0, "id"), ["x"], "moe.experts[0].id"),
+        ("moe_tradeoff", ("moe", "experts", 0, "id"), "", "moe.experts[0].id"),
+        ("moe_tradeoff", ("moe", "experts", 1, "id"), "e0", "moe.experts"),
+        ("moe_tradeoff", ("seed",), 2**64, "$.seed"),
+        ("unlearn_optout", ("unlearn", "feature_dim"), 2, "unlearn.feature_dim"),
+        ("casestudy_tokens", ("casestudy",),
+         {"budgets": [64, 700], "model": dict(CASESTUDY_MODEL, n_total=640)},
+         "casestudy.budgets[1]"),
+        ("casestudy_tokens", ("casestudy",),
+         {"budgets": [64], "model": dict(CASESTUDY_MODEL, n_total=640, t_budget=700)},
+         "casestudy.model.t_budget"),
+    ], ids=["replica-list", "failed-list", "opt-out-list", "expert-id-list",
+            "expert-id-empty", "expert-id-repeated", "seed-2^64", "unlearn-feature-dim-2",
+            "budget-above-n-total", "t-budget-above-n-total"])
+    def test_config_error_names_field(self, tmp_path, capsys, command, name, path, value,
+                                      where):
+        # validate and run read a config with the same parser, so both exit 2
+        cfg = shipped_cfg(name)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        argv = [command, "--config", str(write_cfg(tmp_path, cfg))]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{where}:" in captured.out + captured.err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_run_seed_out_of_range_is_config_error(self, tmp_path, capsys, seed):
+        path = write_cfg(tmp_path, shipped_cfg("moe_tradeoff"))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", str(seed)]
+        assert main(argv) == 2
+        assert "--seed:" in capsys.readouterr().out
+
+    def test_casestudy_budget_beyond_calibrated_chain_exits_3(self, tmp_path, capsys):
+        cfg = shipped_cfg("casestudy_tokens")
+        cfg["casestudy"]["budgets"] = [128, 700]  # the default targets calibrate n_total 640
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "budget 700" in capsys.readouterr().out
+
+
+SHIPPED_NAMES = sorted(
+    p.stem for p in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")
+)
+
+# replacement values: every other JSON type, NaN, an integer beyond u64 and float
+# precision, and a nested list where an id or a number is expected
+MUTANTS = [None, True, "x", {}, [], 0, -1, 1.5, float("nan"), 2**70, [["d0"]]]
+
+
+def json_paths(node, prefix=()):
+    """Every key/index path in a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+class TestParseProperty:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_mutated_shipped_config_parses_or_is_config_error(self, data):
+        cfg = copy.deepcopy(shipped_cfg(data.draw(st.sampled_from(SHIPPED_NAMES))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(json_paths(cfg))))
+            drop = bool(path) and data.draw(st.booleans())
+            value = None if drop else data.draw(st.sampled_from(MUTANTS))
+            if not path:
+                cfg = value
+                continue
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            if drop:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        try:
+            parse_scenario(json.dumps(cfg))
+        except ConfigError:
+            pass
