@@ -1,10 +1,9 @@
-"""Vectorized enumeration kernels.
+"""Vectorized kernels for the two hot inner loops.
 
-Two inner loops dominate heavy runs: the exhaustive placement scan (up to
-10^6 candidate placements per instance) and per-slot scoring of scheduler
-assignment candidates (up to 4096 per slot over thousands of slots).  Both
-accumulate per-candidate sums sequentially over steps / calls, so costs
-and tie decisions are reproducible bit for bit.
+``placement_scan`` scores all D^S CoT placements (up to 10^6 per instance),
+accumulating each placement's cost sequentially over steps, so costs and
+tie decisions are reproducible bit for bit.  ``assignment_scores`` scores
+every expert call of an MoE slot on each of its replicas at once.
 """
 
 from __future__ import annotations
@@ -53,19 +52,18 @@ def placement_scan(comp, comm, mem, cap):
     return best_idx, best_cost, n_feasible
 
 
-def assignment_scores(candidates, queue, call_load, call_cost, v):
-    """Drift-plus-penalty score of each candidate assignment.
+def assignment_scores(options, queue, call_load, call_cost, v):
+    """Drift-plus-penalty score of each call on each of its replicas.
 
-    ``candidates``: (n, n_calls) device index per expert call; ``queue``:
-    (D,) backlogs; ``call_load``: (n_calls,) FLOPs added by each call;
-    ``call_cost``: (n_calls, D) penalty of serving call c on device d.
-    Score = sum_c Q[d_c]*load_c + V * sum_c call_cost[c, d_c].
+    ``options``: (n_calls, R) device indices of each call's replicas, padded
+    with -1; ``queue``: (D,) backlogs; ``call_load``: (n_calls,) FLOPs added
+    by each call; ``call_cost``: (n_calls, D) penalty of serving call c on
+    device d.  Score = Q[d]*load_c + V*call_cost[c, d]; a padded entry
+    scores +inf, so it never wins an argmin over a row.
     """
-    n, n_calls = candidates.shape
-    drift = np.zeros(n)
-    penalty = np.zeros(n)
-    for c in range(n_calls):
-        d = candidates[:, c]
-        drift += queue[d] * call_load[c]
-        penalty += call_cost[c, d]
-    return drift + v * penalty
+    pad = options < 0
+    # score padding as the row's first replica, then overwrite it
+    real = np.where(pad, options[:, :1], options)
+    scores = queue[real] * call_load[:, None] + v * np.take_along_axis(call_cost, real, axis=1)
+    scores[pad] = np.inf
+    return scores

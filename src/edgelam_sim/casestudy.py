@@ -20,7 +20,7 @@ cost (normalized memory plus normalized latency).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class TokenBudgetModel:
 
 
 def device_count(n_total: int, t_budget: int) -> int:
-    return math.ceil(n_total / t_budget)
+    return -(-n_total // t_budget)  # exact ceiling, also beyond the float range
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,10 @@ class SweepRow:
 
 
 def evaluate_budget(model: TokenBudgetModel, t_budget: int) -> SweepRow:
-    """Model forward pass at one per-device token budget."""
+    """Model forward pass at one per-device token budget.
+
+    A value that leaves the float range raises ValueError, never inf or nan.
+    """
     if t_budget <= 0 or t_budget > model.n_total:
         raise ValueError(f"budget {t_budget} outside (0, {model.n_total}]")
     m = device_count(model.n_total, t_budget)
@@ -93,21 +96,28 @@ def evaluate_budget(model: TokenBudgetModel, t_budget: int) -> SweepRow:
         raise SizeLimitError(
             f"budget {t_budget} needs {m} devices, limit is {MAX_DEVICES}"
         )
-    total_memory = m * (model.alpha_mem * t_budget**2 + model.base_mem)
-    mono_memory = model.alpha_mem * model.n_total**2 + model.base_mem
-    comp = model.beta_comp * t_budget**2 / model.compute_rate
-    total_latency = m * comp + (m - 1) * model.gamma_handoff
-    mono_latency = model.beta_comp * model.n_total**2 / model.compute_rate
-    return SweepRow(
-        t_budget,
-        m,
-        total_memory,
-        mono_memory,
-        total_latency,
-        mono_latency,
-        1.0 - total_memory / mono_memory,
-        1.0 - total_latency / mono_latency,
-    )
+    try:
+        total_memory = m * (model.alpha_mem * t_budget**2 + model.base_mem)
+        mono_memory = model.alpha_mem * model.n_total**2 + model.base_mem
+        comp = model.beta_comp * t_budget**2 / model.compute_rate
+        total_latency = m * comp + (m - 1) * model.gamma_handoff
+        mono_latency = model.beta_comp * model.n_total**2 / model.compute_rate
+        row = SweepRow(
+            t_budget,
+            m,
+            total_memory,
+            mono_memory,
+            total_latency,
+            mono_latency,
+            1.0 - total_memory / mono_memory,
+            1.0 - total_latency / mono_latency,
+        )
+        values = (*astuple(row)[2:], row.combined_normalized_cost)
+    except (OverflowError, ZeroDivisionError):
+        values = (math.nan,)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"budget {t_budget}: the model's values leave the float range")
+    return row
 
 
 def casestudy_sweep(model: TokenBudgetModel, budgets) -> list[SweepRow]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from .scenarios import (
     write_csv,
     write_json,
 )
+
+SWEEP_N_TOTAL = 608  # chain length of the uncalibrated sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,30 +71,35 @@ def _cmd_casestudy(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not budgets:
-        print("config error: no budgets given", file=sys.stderr)
+    if args.calibrate and not (0 < mem_t < 1 and 0 < lat_t < 1):
+        print("config error: --targets: must be two fractions in (0,1)", file=sys.stderr)
         return EXIT_CONFIG
-    if args.calibrate:
-        result = cs.calibrate_casestudy((mem_t, lat_t))
-        if result.model is None:
-            print(f"infeasible: {result.message}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        model = result.model
-        print(
-            f"calibrated: N={model.n_total} gamma_handoff={model.gamma_handoff:.6g}s "
-            f"base_mem={model.base_mem:.6g}B "
-            f"(mem_reduction={result.achieved_mem_reduction:.3f}, "
-            f"lat_reduction={result.achieved_lat_reduction:.3f}) {result.message}"
-        )
-    else:
-        model = cs.TokenBudgetModel(
-            n_total=608, t_budget=min(budgets),
-            alpha_mem=cs.DEFAULT_ALPHA_MEM, beta_comp=cs.DEFAULT_BETA_COMP,
-            gamma_handoff=0.03, base_mem=1e4,
-        )
+    top = math.inf if args.calibrate else SWEEP_N_TOTAL
+    if not budgets or not all(1 <= b <= top for b in budgets):
+        limit = "" if args.calibrate else f" up to n_total {top}"
+        print(f"config error: --budgets: must be positive integers{limit}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
+        if args.calibrate:
+            result = cs.calibrate_casestudy((mem_t, lat_t))
+            if result.model is None:
+                print(f"infeasible: {result.message}", file=sys.stderr)
+                return EXIT_INFEASIBLE
+            model = result.model
+            print(
+                f"calibrated: N={model.n_total} gamma_handoff={model.gamma_handoff:.6g}s "
+                f"base_mem={model.base_mem:.6g}B "
+                f"(mem_reduction={result.achieved_mem_reduction:.3f}, "
+                f"lat_reduction={result.achieved_lat_reduction:.3f}) {result.message}"
+            )
+        else:
+            model = cs.TokenBudgetModel(
+                n_total=SWEEP_N_TOTAL, t_budget=min(budgets),
+                alpha_mem=cs.DEFAULT_ALPHA_MEM, beta_comp=cs.DEFAULT_BETA_COMP,
+                gamma_handoff=0.03, base_mem=1e4,
+            )
         rows = cs.casestudy_sweep(model, budgets)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:  # the device limit, or a budget beyond the calibrated chain
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     header = f"{'T':>6} {'devices':>8} {'mem_red':>9} {'lat_red':>9} {'norm_cost':>10}"

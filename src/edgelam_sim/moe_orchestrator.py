@@ -7,14 +7,14 @@ assignments of this slot (the classic one-shot bound on the Lyapunov drift
 plus V times the penalty), then updates every device's virtual queue with
 ``Q(t+1) = max(Q + arrivals - service, 0)``.
 
-Candidate sets are enumerated exhaustively up to 4096 and scored by the
-vectorized kernel; beyond that a per-call greedy kicks in, which is exact
-here because the objective is separable per call.
+Every call of a slot sees the same queues, so the objective separates per
+call: each call goes to the replica minimizing ``Q[d]*load + V*cost[d]``,
+ties to the lowest device id.  One array of those scores per slot is the
+exact minimizer; no assignment is enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +24,6 @@ from ._accel import assignment_scores
 from .errors import SchedulingError
 from .netsim import (
     DeviceProfile,
-    SlotClock,
     comm_latency,
     energy,
     fading_sequence,
@@ -32,8 +31,6 @@ from .netsim import (
 )
 from .numerics import as_vector
 from .rng import stream
-
-MAX_EXHAUSTIVE_CANDIDATES = 4096
 
 
 @dataclass(frozen=True)
@@ -97,15 +94,14 @@ def orchestrate(
     w_lat: float = 1.0,
     w_energy: float = 0.0,
     failed_devices: frozenset[str] = frozenset(),
-    slot_duration: float = 1.0,
     arrival_prob: float = 1.0,
-    max_exhaustive: int = MAX_EXHAUSTIVE_CANDIDATES,
     fading_sigma: float | None = None,
 ) -> OrchestrationResult:
     """Run the per-slot gate -> schedule -> queue-update loop.
 
-    Gate scores and per-call load jitter come from named seeded streams, so
-    the whole trace is a pure function of (config, seed).  Cost of a call on
+    A slot lasts one second, so a device serves ``compute_rate`` FLOPs per
+    slot.  Gate scores and per-call load jitter come from named seeded
+    streams, so the whole trace is a pure function of (config, seed).  Cost of a call on
     a device is ``w_lat * upload latency + w_energy * upload energy``.  The
     channel is static unless ``fading_sigma`` is set, in which case every
     device's gain is modulated by its seeded per-slot fading sequence.
@@ -139,16 +135,18 @@ def orchestrate(
             alive = tuple(r for r in alive if r not in dead_uplink)
             if not alive:
                 raise SchedulingError(f"expert {e.id} has no replica with a live uplink")
-        alive_replicas.append(alive)
+        alive_replicas.append([dev_index[r] for r in alive])
+    # live replica indices per expert in id order, padded with -1
+    width = max(len(rl) for rl in alive_replicas)
+    replica_index = np.array([rl + [-1] * (width - len(rl)) for rl in alive_replicas])
 
-    clock = SlotClock(0, slot_duration)
     if fading_sigma is None:
         fading = np.ones((n_slots, len(order)))
     else:
         fading = np.column_stack(
             [fading_sequence(seed, d.id, n_slots, fading_sigma) for d in order]
         )
-    service = np.array([d.compute_rate * clock.slot_duration for d in order])
+    service = np.array([d.compute_rate for d in order])
 
     def slot_cost_matrix(slot: int) -> np.ndarray:
         """Cost of one call of each expert on each device at this slot."""
@@ -174,15 +172,13 @@ def orchestrate(
     jitter_rng = stream(seed, "moe.jitter")
     arrival_rng = stream(seed, "moe.arrivals")
 
-    product_cache: dict[tuple[tuple[str, ...], ...], np.ndarray] = {}
     queues = np.zeros(len(order))
     records: list[SlotRecord] = []
     cost_sum = 0.0
     backlog_sum = 0.0
     max_backlog = 0.0
 
-    while clock.slot_index < n_slots:
-        slot = clock.slot_index
+    for slot in range(n_slots):
         if fading_sigma is not None and slot > 0:
             base_cost = slot_cost_matrix(slot)
         calls: list[int] = []  # expert index per call
@@ -199,31 +195,10 @@ def orchestrate(
                 loads = loads * (
                     1.0 + load_jitter * (2.0 * jitter_rng.random(len(calls)) - 1.0)
                 )
-            replica_lists = tuple(alive_replicas[e] for e in calls)
-            n_cand = 1
-            for rl in replica_lists:
-                n_cand *= len(rl)
             call_cost = base_cost[calls, :]
-            if n_cand <= max_exhaustive:
-                if replica_lists not in product_cache:
-                    combos = np.array(
-                        [
-                            [dev_index[r] for r in combo]
-                            for combo in itertools.product(*replica_lists)
-                        ],
-                        dtype=np.int64,
-                    )
-                    product_cache[replica_lists] = combos
-                cand = product_cache[replica_lists]
-                scores = assignment_scores(cand, queues, loads, call_cost, v)
-                chosen = cand[int(np.argmin(scores))]
-            else:
-                # exact here: the objective separates across calls
-                chosen = np.empty(len(calls), dtype=np.int64)
-                for c, rl in enumerate(replica_lists):
-                    opts = np.array([dev_index[r] for r in rl], dtype=np.int64)
-                    per = queues[opts] * loads[c] + v * call_cost[c, opts]
-                    chosen[c] = opts[int(np.argmin(per))]
+            options = replica_index[calls]
+            scores = assignment_scores(options, queues, loads, call_cost, v)
+            chosen = options[np.arange(len(calls)), np.argmin(scores, axis=1)]
             for c, j in enumerate(chosen):
                 arrivals[j] += loads[c]
                 slot_cost += call_cost[c, j]
@@ -243,7 +218,6 @@ def orchestrate(
                 {d.id: float(queues[j]) for j, d in enumerate(order)},
             )
         )
-        clock.advance()
 
     return OrchestrationResult(
         records,

@@ -1,5 +1,5 @@
-"""Wireless edge-network model: devices, Shannon-rate channels, latency and
-energy accounting, and the slot clock shared by the schedulers.
+"""Wireless edge-network model: devices, Shannon-rate channels, and latency
+and energy accounting.
 
 The channel is a standard FDMA link budget: a device allocated bandwidth B
 sees noise power N0*B, so its uplink rate is B*log2(1 + g*p/(N0*B)); this
@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DomainError
 from .rng import stream
-
-DEFAULT_SLOT_DURATION = 1.0  # seconds
 
 
 @dataclass(frozen=True)
@@ -67,33 +65,12 @@ class ChannelAllocation:
             raise DomainError("sum of allocated bandwidth exceeds the total")
 
 
-@dataclass
-class SlotClock:
-    """Discrete slot counter owned by a single simulation loop."""
-
-    slot_index: int = 0
-    slot_duration: float = DEFAULT_SLOT_DURATION
-
-    def __post_init__(self):
-        if self.slot_duration <= 0:
-            raise DomainError("slot_duration must be > 0")
-        if self.slot_index < 0:
-            raise DomainError("slot_index must be >= 0")
-
-    @property
-    def now(self) -> float:
-        return self.slot_index * self.slot_duration
-
-    def advance(self, slots: int = 1) -> None:
-        if slots < 0:
-            raise DomainError("clock only moves forward")
-        self.slot_index += slots
-
-
 def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: float) -> float:
     """Uplink rate in bit/s: B*log2(1 + g*p/(N0*B)).
 
-    Zero bandwidth or zero received power means zero rate.
+    Zero bandwidth or zero received power means zero rate.  Where the SNR
+    overflows (N0*B underflowing, say), the rate is B*log2(g*p/(N0*B))
+    taken in logs, which stays finite; the 1 is negligible there.
     """
     if bandwidth < 0 or gain < 0 or power < 0:
         raise DomainError("bandwidth, gain and power must be >= 0")
@@ -101,7 +78,12 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
         raise DomainError("noise_density must be > 0")
     if bandwidth == 0.0 or gain * power == 0.0:
         return 0.0
-    snr = gain * power / (noise_density * bandwidth)
+    # in Python floats an overflow is inf, not a numpy RuntimeWarning
+    noise = float(noise_density) * float(bandwidth)
+    snr = float(gain) * float(power) / noise if noise > 0.0 else math.inf
+    if snr == math.inf:
+        logs = math.log2(gain) + math.log2(power) - math.log2(noise_density)
+        return bandwidth * (logs - math.log2(bandwidth))
     return bandwidth * math.log2(1.0 + snr)
 
 

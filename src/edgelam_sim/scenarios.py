@@ -574,8 +574,11 @@ def _run_moe(spec: dict, seed: int, out_dir: Path) -> None:
     }
     if spec["v_sweep"]:
         entries = []
+        runs = {spec["v"]: result}  # one run per distinct V
         for v in spec["v_sweep"]:
-            res = moe.orchestrate(v=v, seed=seed, **kwargs)
+            if v not in runs:
+                runs[v] = moe.orchestrate(v=v, seed=seed, **kwargs)
+            res = runs[v]
             entries.append(
                 {
                     "v": v,

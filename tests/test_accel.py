@@ -32,24 +32,27 @@ def test_placement_scan_paths_identical(monkeypatch):
 
 
 def test_assignment_scores_paths_identical():
-    """The vectorized scores equal a per-candidate loop summed in call order."""
+    """The score array equals a per-call loop over each call's replicas, bit
+    for bit, and a padded entry never wins its row."""
     rng = np.random.default_rng(2)
     for _ in range(60):
-        n_calls = int(rng.integers(1, 7))
-        n_dev = int(rng.integers(2, 5))
-        n_cand = int(rng.integers(1, 300))
-        cand = rng.integers(0, n_dev, size=(n_cand, n_calls))
-        queue = rng.uniform(0, 10, n_dev)
+        n_calls = int(rng.integers(1, 13))
+        n_dev = int(rng.integers(1, 6))
+        width = int(rng.integers(1, n_dev + 1))
+        options = np.full((n_calls, width), -1)
+        for c in range(n_calls):
+            live = np.sort(rng.choice(n_dev, size=int(rng.integers(1, width + 1)), replace=False))
+            options[c, : live.size] = live
+        queue = rng.uniform(0, 10, n_dev) * rng.integers(0, 2, n_dev)  # some empty
         load = rng.uniform(0.1, 2.0, n_calls)
         cost = rng.uniform(0, 3.0, (n_calls, n_dev))
-        v = float(rng.uniform(0, 50))
-        expected = np.empty(n_cand)
-        for i in range(n_cand):
-            drift = 0.0
-            penalty = 0.0
-            for c in range(n_calls):
-                d = cand[i, c]
-                drift += queue[d] * load[c]
-                penalty += cost[c, d]
-            expected[i] = drift + v * penalty
-        assert np.array_equal(assignment_scores(cand, queue, load, cost, v), expected)
+        v = float(rng.choice([0.0, rng.uniform(0, 50)]))
+        scores = assignment_scores(options, queue, load, cost, v)
+        assert scores.shape == (n_calls, width)
+        picks = np.argmin(scores, axis=1)
+        for c in range(n_calls):
+            live = [d for d in options[c] if d >= 0]
+            expected = [queue[d] * load[c] + v * cost[c, d] for d in live]
+            assert scores[c, : len(live)].tolist() == expected
+            assert np.all(scores[c, len(live):] == np.inf)
+            assert picks[c] == expected.index(min(expected))  # lowest id on ties

@@ -1,8 +1,9 @@
 """Byte contract: scenario outputs match recorded sha256 digests.
 
 Covers the six shipped scenarios plus seeded stress configs for paths the
-shipped set misses: MoE on the exhaustive path with several calls per slot,
-fading and random arrivals, and unlearning with DP noise.
+shipped set misses: MoE with several calls per slot, fading and random
+arrivals, unlearning with DP noise, a CoT chain whose memory capacities
+bind, and fedft on a band that carries only four of its six devices.
 
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (SkylakeX
 core).  fedft and unlearn outputs change with the BLAS kernel and with
@@ -27,9 +28,9 @@ from test_scenarios import write_cfg
 SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def _device(dev_id, gain, rate=1.0):
-    return {"id": dev_id, "compute_rate": rate, "memory_capacity": 1e9,
-            "channel_gain": gain, "tx_power": 0.5}
+def _device(dev_id, gain, rate=1.0, memory=1e9, power=0.5, rank=1):
+    return {"id": dev_id, "compute_rate": rate, "memory_capacity": memory,
+            "channel_gain": gain, "tx_power": power, "local_rank": rank}
 
 
 STRESS = {
@@ -65,6 +66,36 @@ STRESS = {
             "lr": 0.4, "delta": 0.05, "dp": {"clip_norm": 0.5, "sigma": 0.2},
         },
     },
+    # 2,555 of the 4^6 placements fit; c0 and c1 hold two steps at most
+    "cot_stress": {
+        "kind": "cot", "seed": 29,
+        "devices": [_device("c0", 1.0, 3e9, 1.3e6, 0.4), _device("c1", 1.0, 2e9, 1.3e6, 0.6),
+                    _device("c2", 1.0, 1e9, 1.9e6, 0.5), _device("c3", 1.0, 5e8, 2.5e6, 0.3)],
+        "channel": {"total_bandwidth": 1e6, "noise_density": 1e-9, "link_bandwidth": 1e6},
+        "cot": {
+            "steps": [{"workload": 2e9, "handoff_size": 8e5},
+                      {"workload": 3e9, "handoff_size": 6e5},
+                      {"workload": 1e9, "handoff_size": 1.2e6},
+                      {"workload": 2.5e9, "handoff_size": 4e5},
+                      {"workload": 1.5e9, "handoff_size": 9e5},
+                      {"workload": 2e9, "handoff_size": 0.0}],
+            "gains": [[0.0, 0.7, 0.2, 0.4], [0.7, 0.0, 0.5, 0.3],
+                      [0.2, 0.5, 0.0, 0.8], [0.4, 0.3, 0.8, 0.0]],
+            "shard_bytes": 5e5, "solver": "both", "iters": 10,
+        },
+    },
+    # the band lies between what the 4 and the 5 cheapest devices need at
+    # the deadline, so the selection drops f1 and f5
+    "fedft_stress": {
+        "kind": "fedft", "seed": 37,
+        "devices": [_device("f0", 0.6, 1.0e9, rank=1), _device("f1", 1.9, 0.9e9, power=0.3, rank=4),
+                    _device("f2", 1.2, 1.1e9, power=0.6, rank=2),
+                    _device("f3", 0.8, 1.2e9, power=0.4, rank=2),
+                    _device("f4", 1.5, 0.8e9, power=0.7, rank=1), _device("f5", 1.0, 1.0e9, rank=4)],
+        "channel": {"total_bandwidth": 6.2e5, "noise_density": 1e-9},
+        "fedft": {"rounds": 30, "lr": 0.05, "feature_dim": 8, "output_dim": 6, "true_rank": 2,
+                  "samples_per_device": 32, "noise_std": 0.01, "deadline_s": 1e-3},
+    },
 }
 
 DIGESTS = {
@@ -98,6 +129,12 @@ DIGESTS = {
         "2d64628fcf7464e3e81fa90c0891e5598209c22089476a28624d4bcbf4bc9c0c",
     "unlearn_stress/unlearn_summary.json":
         "294e9e645dbc0053c784dc81131d17ada6ce5d37f91bde1adcab122fa06f9e57",
+    "cot_stress/cot_result.json":
+        "326bd7aca1c1bb13ddb12fc8841a1f54b4f586872228c33684e0f566cb976a17",
+    "fedft_stress/fedft_rounds.csv":
+        "65415943a6ccb575300ca31cb45f4cb904a0501eb48c365e89480b2e13de5e1a",
+    "fedft_stress/fedft_summary.json":
+        "deabcdca3f34bfd1d01ac64cdaf2b39fe2db0580c17bebc4453fb39db2580dd6",
 }
 
 

@@ -73,6 +73,14 @@ class TestSweepFormulas:
             model(n=0)
         assert device_count(608, 128) == 5
 
+    def test_values_beyond_float_range_raise(self):
+        huge_alpha = TokenBudgetModel(640, 128, 1e305, 2.0, 0.0, 0.0, 1e6)
+        with pytest.raises(ValueError, match="float range"):
+            evaluate_budget(huge_alpha, 128)  # memory overflows to inf
+        with pytest.raises(ValueError, match="float range"):
+            evaluate_budget(model(n=10**400, t=10**400), 10**400)  # no float value
+        assert device_count(10**400, 10**399) == 10
+
 
 class TestCalibration:
     def test_hits_reported_reductions(self):

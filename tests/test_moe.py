@@ -176,21 +176,6 @@ class TestOrchestrate:
                 failed_devices=frozenset({"d0", "d1", "d2"}),
             )
 
-    def test_greedy_fallback_matches_exhaustive(self):
-        # the objective separates per call, so forcing the greedy path must
-        # reproduce the exhaustive decisions slot by slot
-        devices, experts, bw = simple_setup()
-        kwargs = dict(
-            n_slots=200, v=3.0, top_k=3, seed=8, bandwidth=bw,
-            noise_density=1e-9, layers_per_task=2, load_jitter=0.4,
-        )
-        full = orchestrate(devices, experts, **kwargs)
-        forced = orchestrate(devices, experts, max_exhaustive=1, **kwargs)
-        assert [r.assignment for r in full.records] == [
-            r.assignment for r in forced.records
-        ]
-        assert full.time_avg_cost == forced.time_avg_cost
-
     def test_fading_changes_costs_deterministically(self):
         devices, experts, bw = simple_setup()
         kwargs = dict(
@@ -254,3 +239,59 @@ class TestOrchestrate:
             for d in devices:
                 queues[d.id] = queue_update(queues[d.id], arrivals[d.id], 1.0)
                 assert record.backlogs[d.id] == pytest.approx(queues[d.id].backlog, abs=1e-12)
+
+
+def assert_per_call_argmin(res, devices, experts, bandwidth, v, w_energy):
+    """Each call sits on a replica minimizing Q[d]*load + V*cost, lowest id on ties.
+
+    Needs a static channel, no jitter and no failed devices, so that a
+    call's load is its expert's workload; Q is replayed with ``queue_update``.
+    """
+    by_id = {e.id: e for e in experts}
+    rates = {d.id: shannon_rate(bandwidth[d.id], d.channel_gain, d.tx_power, 1e-9)
+             for d in devices}
+    power = {d.id: d.tx_power for d in devices}
+
+    def cost(e, dev):
+        lat = comm_latency(by_id[e].output_size, rates[dev])
+        return lat + w_energy * power[dev] * lat
+
+    queues = {d.id: VirtualQueue(d.id) for d in devices}
+    for record in res.records:
+        for e, dev in record.assignment:
+            load = by_id[e].workload_per_call
+            scores = {r: queues[r].backlog * load + v * cost(e, r)
+                      for r in sorted(by_id[e].replicas)}
+            best = min(scores.values())
+            assert dev == next(r for r, s in scores.items() if s == best), (record.slot, e)
+        arrivals = {d.id: 0.0 for d in devices}
+        for e, dev in record.assignment:
+            arrivals[dev] += by_id[e].workload_per_call
+        for d in devices:
+            queues[d.id] = queue_update(queues[d.id], arrivals[d.id], d.compute_rate)
+            assert record.backlogs[d.id] == queues[d.id].backlog
+
+
+def test_per_call_rule_on_near_tie():
+    # Slot 103 starts with backlogs that differ in the last bits: d0 is the
+    # fuller one.  With V = 0 every call that d1 can serve belongs on d1, but
+    # an enumeration of whole assignments, comparing rounded sums over 12
+    # calls, ties them and sends three such calls to d0.  e3 and e5 have one
+    # replica each, so the score rows are padded.
+    devices = [DeviceProfile("d0", 2.0, 1e9, 0.5, 0.1), DeviceProfile("d1", 2.0, 1e9, 4.0, 0.1)]
+    experts = [
+        ExpertMicroservice("e0", 1.0, 2e5, ("d0", "d1")),
+        ExpertMicroservice("e1", 1.0, 1e5, ("d1", "d0")),
+        ExpertMicroservice("e2", 0.4, 0.0, ("d1", "d0")),
+        ExpertMicroservice("e3", 1.0, 1e5, ("d1",)),
+        ExpertMicroservice("e4", 1.0, 1e5, ("d1", "d0")),
+        ExpertMicroservice("e5", 0.4, 2e5, ("d0",)),
+    ]
+    bw = {"d0": 3e5, "d1": 3e5}
+    res = orchestrate(
+        devices, experts, n_slots=113, v=0.0, top_k=4, seed=31, bandwidth=bw,
+        noise_density=1e-9, layers_per_task=3, w_energy=1.0,
+    )
+    assert res.records[102].backlogs == {"d0": 284.80000000000007, "d1": 284.79999999999995}
+    assert_per_call_argmin(res, devices, experts, bw, v=0.0, w_energy=1.0)
+

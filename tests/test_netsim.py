@@ -9,7 +9,6 @@ from edgelam_sim.errors import DomainError
 from edgelam_sim.netsim import (
     ChannelAllocation,
     DeviceProfile,
-    SlotClock,
     comm_latency,
     comp_latency,
     energy,
@@ -52,6 +51,17 @@ class TestShannonRate:
             mid = shannon_rate((b1 + b2) / 2, 2.0, 0.3, 1e-9)
             ends = shannon_rate(b1, 2.0, 0.3, 1e-9) + shannon_rate(b2, 2.0, 0.3, 1e-9)
             assert mid >= ends / 2 - 1e-6
+
+    @pytest.mark.parametrize("gain", [4.0, np.float64(4.0)], ids=["float", "numpy"])
+    def test_overflowing_snr_stays_finite(self, gain):
+        # N0*B = 3e-310 is subnormal and g*p/(N0*B) overflows; the rate is
+        # B*log2(g*p/(N0*B)) taken in logs, not inf (and no RuntimeWarning)
+        b = 3e-301
+        expected = b * (math.log2(2.0) - math.log2(1e-9) - math.log2(b))
+        assert shannon_rate(b, gain, 0.5, 1e-9) == pytest.approx(expected, rel=1e-12)
+        assert 0.0 < shannon_rate(b, gain, 0.5, 1e-9) < shannon_rate(1e-3, gain, 0.5, 1e-9)
+        # a finite SNR keeps the plain formula, bit for bit
+        assert shannon_rate(3e5, gain, 0.5, 1e-9) == 3e5 * math.log2(1.0 + 2.0 / (1e-9 * 3e5))
 
 
 class TestLatencyEnergy:
@@ -96,16 +106,6 @@ class TestTypes:
         ChannelAllocation({"a": 0.5e6, "b": 0.5e6}, 1e-9, 1e6)
         with pytest.raises(DomainError):
             ChannelAllocation({"a": 0.7e6, "b": 0.5e6}, 1e-9, 1e6)
-
-    def test_clock(self):
-        clock = SlotClock()
-        clock.advance(3)
-        assert clock.slot_index == 3
-        assert clock.now == 3.0
-        with pytest.raises(DomainError):
-            clock.advance(-1)
-        with pytest.raises(DomainError):
-            SlotClock(slot_duration=0.0)
 
 
 class TestFading:

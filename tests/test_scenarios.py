@@ -254,6 +254,22 @@ class TestCli:
     def test_casestudy_bad_budgets(self, capsys):
         assert main(["casestudy", "--budgets", "abc"]) == 2
 
+    @pytest.mark.parametrize("argv,code,where", [
+        (["--budgets", "1000"], 2, "--budgets"),
+        (["--budgets", "0"], 2, "--budgets"),
+        (["--budgets", "-5"], 2, "--budgets"),
+        (["--budgets", "64,1000"], 2, "--budgets"),
+        (["--budgets", "1"], 3, "needs more than 10 devices"),
+        (["--calibrate", "--targets", "0.5,2"], 2, "--targets"),
+        (["--calibrate", "--targets", "nan,0.5"], 2, "--targets"),
+    ], ids=["above-n-total", "zero", "negative", "one-above-n-total", "device-limit",
+            "target-above-one", "target-nan"])
+    def test_casestudy_out_of_range_exits_2_or_3(self, capsys, argv, code, where):
+        # same conventions as run: an argument out of range exits 2 and names
+        # it, the device limit exits 3
+        assert main(["casestudy", *argv]) == code
+        assert where in capsys.readouterr().err
+
     def test_diverging_fedft_exits_3_without_traceback(self, tmp_path):
         shipped = Path(__file__).resolve().parents[1] / "scenarios" / "fedft_hetero.json"
         cfg = json.loads(shipped.read_text(encoding="utf-8"))
@@ -422,6 +438,25 @@ class TestCliExitCodes:
         argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", str(seed)]
         assert main(argv) == 2
         assert "--seed:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tokens", [10**154, 10**400], ids=["1e154", "1e400"])
+    def test_casestudy_model_beyond_float_range_exits_3(self, tmp_path, capsys, tokens):
+        # 10**154 squared overflows to inf; 10**400 does not convert to a float
+        cfg = shipped_cfg("casestudy_tokens")
+        model = dict(CASESTUDY_MODEL, n_total=tokens, t_budget=tokens)
+        cfg["casestudy"] = {"budgets": [tokens], "model": model}
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "float range" in capsys.readouterr().out
+        assert not (tmp_path / "out" / "casestudy_sweep.csv").exists()
+
+    def test_moe_band_too_narrow_for_the_snr_stays_finite(self, tmp_path):
+        # N0*B underflows, so the SNR overflows; every upload then takes
+        # about 1e303 s instead of the 0 s an infinite rate implies
+        cfg = shipped_cfg("moe_tradeoff")
+        cfg["channel"]["total_bandwidth"] = 1e-300
+        assert self.run_cli(tmp_path, cfg) == 0
+        summary = json.loads((tmp_path / "out" / "moe_summary.json").read_text())
+        assert 1e300 < summary["time_avg_cost"] < math.inf
 
     def test_casestudy_budget_beyond_calibrated_chain_exits_3(self, tmp_path, capsys):
         cfg = shipped_cfg("casestudy_tokens")
