@@ -1,55 +1,168 @@
-"""Vectorized kernels for the two hot inner loops.
+"""Kernels for the two hot inner loops.
 
-``placement_scan`` scores all D^S CoT placements (up to 10^6 per instance),
-accumulating each placement's cost sequentially over steps, so costs and
-tie decisions are reproducible bit for bit.  ``assignment_scores`` scores
-every expert call of an MoE slot on each of its replicas at once.
+``placement_scan`` solves exact CoT placement without scoring all D^S
+placements: a depth-first branch-and-bound finds the cheapest feasible one,
+accumulating each candidate's cost sequentially over steps, so costs and
+tie decisions are reproducible bit for bit, and a subset DP over devices
+counts the feasible placements.  ``assignment_scores`` scores every expert
+call of an MoE slot on each of its replicas at once.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_CHUNK = 1 << 15  # placements scored per vectorized block
+_BLOCK_STEPS = 9  # the count's blocks hold the 3^9 (M, T) pairs of the low steps
+# The bound adds its terms in another order than a placement's cost, so it
+# may exceed that cost by a few ulps; prune only above this relative margin.
+_MARGIN = 1.0 + 1e-12
 
 
 def placement_scan(comp, comm, mem, cap):
-    """Scan all D^S placements; return (best_index, best_cost, n_feasible).
+    """Exact placement search; return (best_index, best_cost, n_feasible).
 
     ``comp``: (S, D) per-step compute latency; ``comm``: (S-1, D, D) handoff
-    latency between consecutive steps; ``mem``: (S,) bytes per deployed step;
-    ``cap``: (D,) device capacities.  Placements enumerate in lexicographic
-    device-vector order (step 0 most significant), so the strict `<` keeps
-    the lexicographically smallest argmin.  best_index is -1 when no
-    placement is capacity-feasible.
+    latency between consecutive steps; ``mem``: (S,) bytes (>= 0) per
+    deployed step; ``cap``: (D,) device capacities.  A placement is feasible
+    when each device's load, summed in step order from 0.0, is <= its
+    capacity.  best_index encodes the device vector in base D, step 0 most
+    significant; among equal costs the lexicographically smallest vector
+    wins.  best_index is -1 (and best_cost inf) when no feasible placement
+    has a finite cost.  n_feasible counts the feasible placements.
     """
-    n_steps, n_devices = comp.shape
-    total = n_devices**n_steps
-    powers = n_devices ** np.arange(n_steps - 1, -1, -1, dtype=np.int64)
-    best_idx = np.int64(-1)
-    best_cost = np.inf
-    n_feasible = np.int64(0)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % n_devices
-        rows = np.arange(idx.size)
-        loads = np.zeros((idx.size, n_devices))
-        for s in range(n_steps):
-            loads[rows, digits[:, s]] += mem[s]
-        feasible = np.all(loads <= cap[None, :], axis=1)
-        if not feasible.any():
-            continue
-        n_feasible += np.int64(np.count_nonzero(feasible))
-        cost = comp[0, digits[:, 0]].copy()
-        for s in range(1, n_steps):
-            cost += comm[s - 1, digits[:, s - 1], digits[:, s]]
-            cost += comp[s, digits[:, s]]
-        cost[~feasible] = np.inf
-        local = int(np.argmin(cost))
-        if cost[local] < best_cost:
-            best_cost = float(cost[local])
-            best_idx = idx[local]
-    return best_idx, best_cost, n_feasible
+    n_feasible = _count_feasible(mem, cap)
+    best = _cheapest(comp.tolist(), comm.tolist(), mem.tolist(), cap.tolist())
+    if best is None:
+        return -1, math.inf, n_feasible
+    assignment, cost = best
+    index = 0
+    for d in assignment:
+        index = index * cap.size + d
+    return index, cost, n_feasible
+
+
+def _cost_to_go(comp, comm):
+    """Capacity-relaxed cheapest completion, and the devices worth visiting.
+
+    ``togo[s][d]`` is the least handoff-plus-compute cost of steps s+1..S-1
+    once step s sits on device d, ignoring capacity (a lower bound on any
+    feasible completion).  ``live[s]`` lists, ascending, the devices d for
+    which step s on d has a completion without an infinite term; the test
+    is on the terms, so a sum that merely overflows never hides a device.
+    """
+    n_steps, n_dev = len(comp), len(comp[0])
+    togo = [[0.0] * n_dev for _ in range(n_steps)]
+    dead = [[c == math.inf for c in comp[s]] for s in range(n_steps)]
+    for s in range(n_steps - 2, -1, -1):
+        after = [comp[s + 1][e] + togo[s + 1][e] for e in range(n_dev)]
+        togo[s] = [min(map(float.__add__, comm[s][d], after)) for d in range(n_dev)]
+        for d in range(n_dev):
+            dead[s][d] = dead[s][d] or all(
+                h == math.inf or dead[s + 1][e] for e, h in enumerate(comm[s][d])
+            )
+    live = [[d for d in range(n_dev) if not dead[s][d]] for s in range(n_steps)]
+    return togo, live
+
+
+def _cheapest(comp, comm, mem, cap):
+    """Depth-first branch-and-bound over steps in order, devices ascending.
+
+    A device whose load would exceed its capacity is skipped (loads only
+    grow, since mem >= 0).  A partial placement is pruned when its cost plus
+    the relaxed cost-to-go exceeds the incumbent by more than ``_MARGIN``,
+    or when its cost is already infinite.  A leaf replaces the incumbent
+    only on a strict ``<``, so ties keep the lexicographically first
+    placement.  Returns (assignment, cost), or None.
+    """
+    n_steps, n_dev = len(comp), len(cap)
+    last = n_steps - 1
+    togo, live = _cost_to_go(comp, comm)
+    loads = [0.0] * n_dev
+    path = [0] * n_steps
+    best_path, best, limit = None, math.inf, math.inf
+    # per step on the current path: devices left to try, handoff row into
+    # the step, cost of the steps before it, the load its device had; step 0
+    # gets a zero row, and 0.0 + 0.0 + comp[0][d] is comp[0][d] bit for bit
+    todo = [iter(live[0])] + [None] * last
+    into = [[0.0] * n_dev] + [None] * last
+    before = [0.0] * n_steps
+    saved = [0.0] * n_steps
+    s = 0
+    while s >= 0:
+        m, work, hop, partial, bound = mem[s], comp[s], into[s], before[s], togo[s]
+        for d in todo[s]:
+            old = loads[d]
+            if old + m > cap[d]:
+                continue
+            cost = partial + hop[d]
+            cost += work[d]
+            if s == last:
+                if cost < best:
+                    path[s] = d
+                    best_path, best, limit = path.copy(), cost, cost * _MARGIN
+                continue
+            if cost == math.inf or cost + bound[d] > limit:
+                continue
+            saved[s], loads[d], path[s] = old, old + m, d
+            s += 1
+            todo[s], into[s], before[s] = iter(live[s]), comm[s - 1][d], cost
+            break
+        else:
+            s -= 1
+            if s >= 0:
+                loads[path[s]] = saved[s]
+    return None if best_path is None else (best_path, best)
+
+
+def _count_feasible(mem, cap):
+    """Number of capacity-feasible placements, by a subset DP over devices.
+
+    ``ways[U]`` counts the ways to put exactly the steps in U (bit s = step
+    s) on the devices seen so far.  Each further device d takes a step set
+    T disjoint from U with load(T) <= cap[d]; the middle devices walk every
+    disjoint (M, T) pair, one block per pair of the steps above the lowest
+    ``_BLOCK_STEPS``, and the last device takes the rest.  load(T) sums mem
+    in ascending step order from 0.0, as a placement's device load does, so
+    the capacity tests agree bit for bit.
+    """
+    n_steps, n_dev = mem.size, cap.size
+    if n_dev == 1:
+        total = 0.0
+        for m in mem.tolist():
+            total += m
+        return int(total <= cap[0])
+    load = np.zeros(1 << n_steps)
+    for s in range(n_steps):
+        load[1 << s : 2 << s] = load[: 1 << s] + mem[s]
+    ways = (load <= cap[0]).astype(np.int64)
+    if n_dev > 2:
+        low = min(n_steps, _BLOCK_STEPS)
+        low_held, low_taken = _disjoint_pairs(0, low)
+        high_held, high_taken = _disjoint_pairs(low, n_steps)
+        for d in range(1, n_dev - 1):
+            fits = load <= cap[d]
+            nxt = np.zeros_like(ways)
+            for hm, ht in zip(high_held.tolist(), high_taken.tolist()):
+                held, taken = low_held | hm, low_taken | ht
+                keep = fits[taken]
+                held, taken = held[keep], taken[keep]
+                np.add.at(nxt, held | taken, ways[held])
+            ways = nxt
+    # the last device takes every step not yet placed: ways[full ^ T] is ways[::-1][T]
+    return int(ways[::-1] @ (load <= cap[-1]))
+
+
+def _disjoint_pairs(first, stop):
+    """Bit masks (M, T) of every disjoint pair of sets of steps first..stop-1."""
+    held = taken = np.zeros(1, dtype=np.int64)
+    for s in range(first, stop):
+        held, taken = (
+            np.concatenate([held, held | (1 << s), held]),
+            np.concatenate([taken, taken, taken | (1 << s)]),
+        )
+    return held, taken
 
 
 def assignment_scores(options, queue, call_load, call_cost, v):
@@ -59,11 +172,17 @@ def assignment_scores(options, queue, call_load, call_cost, v):
     with -1; ``queue``: (D,) backlogs; ``call_load``: (n_calls,) FLOPs added
     by each call; ``call_cost``: (n_calls, D) penalty of serving call c on
     device d.  Score = Q[d]*load_c + V*call_cost[c, d]; a padded entry
-    scores +inf, so it never wins an argmin over a row.
+    scores +inf, so it never wins an argmin over a row, and so does an
+    infinite call_cost (a starved link) for any V, zero included.
     """
     pad = options < 0
     # score padding as the row's first replica, then overwrite it
     real = np.where(pad, options[:, :1], options)
-    scores = queue[real] * call_load[:, None] + v * np.take_along_axis(call_cost, real, axis=1)
+    penalty = np.take_along_axis(call_cost, real, axis=1)
+    if v == 0.0:  # 0 * inf is nan; 0 * a finite cost adds +0.0
+        penalty = np.where(np.isinf(penalty), np.inf, 0.0)
+    else:
+        penalty = v * penalty
+    scores = queue[real] * call_load[:, None] + penalty
     scores[pad] = np.inf
     return scores

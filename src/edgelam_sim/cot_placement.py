@@ -3,10 +3,12 @@
 A reasoning chain is a path graph of steps, each with a compute workload
 and a handoff payload to its successor.  Placing steps on heterogeneous
 devices trades compute speed against inter-device handoff latency under
-per-device memory capacity.  ``solve_exact`` enumerates every assignment
-(guarded at 10^6) through the vectorized scan; ``solve_local_search`` is
-the greedy + hill-climbing heuristic whose optimality gap tests measure
-against the exact solver.
+per-device memory capacity.  ``solve_exact`` finds the optimum by
+branch-and-bound under a capacity-relaxed cost-to-go bound and counts the
+feasible placements with a subset DP over devices, without enumerating
+them (guarded at 10^6 placements); ``solve_local_search`` is the greedy +
+hill-climbing heuristic whose optimality gap tests measure against the
+exact solver.
 """
 
 from __future__ import annotations
@@ -122,11 +124,15 @@ def solve_exact(
     link_rates: np.ndarray,
     shard_bytes: float = 0.0,
 ) -> PlacementResult:
-    """Globally minimal placement by exhaustive scan (guard: D^S <= 10^6).
+    """Globally minimal placement by branch-and-bound (guard: D^S <= 10^6).
 
-    Ties resolve to the lexicographically smallest device vector.  Returns
-    an infeasible result when no capacity-feasible placement has finite cost.
+    Ties resolve to the lexicographically smallest device vector; the cost
+    is summed step by step, the same bits as scoring that placement alone.
+    ``n_feasible`` counts every capacity-feasible placement.  Returns an
+    infeasible result when no capacity-feasible placement has finite cost.
     """
+    if shard_bytes < 0:  # the search prunes on partial loads, so memory must not shrink them
+        raise ValueError("shard_bytes must be >= 0")
     n_steps, n_dev = len(chain), len(devices)
     if n_dev**n_steps > ENUMERATION_GUARD:
         raise SizeLimitError(

@@ -40,9 +40,10 @@ def as_vector(data, size: int | None = None) -> np.ndarray:
 
 
 def gram_schmidt(vectors, tol: float = DROP_TOL) -> list[np.ndarray]:
-    """Orthonormalize ``vectors`` by classical Gram-Schmidt.
+    """Orthonormalize ``vectors`` by modified Gram-Schmidt.
 
-    Each vector is projected against the basis built so far, twice (the
+    Each vector's running residual is projected against the basis built so
+    far, one basis vector at a time, in two passes (the
     re-orthogonalization pass restores orthogonality to ~1e-15 at desk
     scale), then kept iff its residual norm exceeds ``tol`` times its input
     norm.  Returns an orthonormal list spanning the input span; the empty

@@ -38,6 +38,10 @@ class InfeasibleScenario(Exception):
     """Raised when a validated scenario has no feasible solution."""
 
 
+class NonFiniteOutput(Exception):
+    """An output value is inf or nan, which strict JSON and the CSVs exclude."""
+
+
 # ---------------------------------------------------------------------------
 # field helpers
 # ---------------------------------------------------------------------------
@@ -435,22 +439,34 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise NonFiniteOutput(f"a cell is {float(value)!r}")
         return repr(float(value))
     return str(value)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+    """Write every row; at a float cell that is inf or nan, remove the file
+    and raise.  Rows stream out, so no second copy of the table is held."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([fmt(v) for v in row])
+    except NonFiniteOutput as exc:
+        path.unlink()
+        raise NonFiniteOutput(f"{path}: {exc}") from None
 
 
 def write_json(path: Path, payload) -> None:
+    """Write strict JSON, or nothing when a number is inf or nan."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -728,5 +744,8 @@ def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None)
         run(scenario.spec, scenario.seed, out)
     except (InfeasibleScenario, PlacementError, SchedulingError, SizeLimitError) as exc:
         print(f"infeasible scenario: {exc}")
+        return EXIT_INFEASIBLE
+    except NonFiniteOutput as exc:
+        print(f"non-finite output: {exc}")
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -136,6 +136,45 @@ def brute_force_placement(chain, devices, links, shard):
     return best, best_cost
 
 
+def feasible_count(chain, devices, shard):
+    """Number of capacity-feasible placements, by checking all D^S."""
+    n_feasible = 0
+    for assignment in itertools.product(range(len(devices)), repeat=len(chain)):
+        try:
+            validate_placement(chain, Placement(assignment, len(devices)), devices, shard)
+        except PlacementError:
+            continue  # over capacity
+        n_feasible += 1
+    return n_feasible
+
+
+def scan_placements(comp, comm, mem, cap):
+    """(best_index, best_cost, n_feasible) by scoring all D^S placements in turn.
+
+    Placements run in lexicographic order (index = device vector in base D,
+    step 0 most significant); a device's load is its steps' ``mem`` summed
+    in step order from 0.0, the cost ``comp[0]`` then ``+= comm``, ``+=
+    comp`` step by step, and only a strictly cheaper feasible placement
+    replaces the best one.  best_index is -1 when none has a finite cost.
+    """
+    n_steps, n_dev = comp.shape
+    best_idx, best_cost, n_feasible = -1, math.inf, 0
+    for idx, p in enumerate(itertools.product(range(n_dev), repeat=n_steps)):
+        loads = [0.0] * n_dev
+        for s, d in enumerate(p):
+            loads[d] += float(mem[s])
+        if any(load > float(c) for load, c in zip(loads, cap)):
+            continue
+        n_feasible += 1
+        cost = float(comp[0, p[0]])
+        for s in range(1, n_steps):
+            cost += float(comm[s - 1, p[s - 1], p[s]])
+            cost += float(comp[s, p[s]])
+        if cost < best_cost:
+            best_idx, best_cost = idx, cost
+    return best_idx, best_cost, n_feasible
+
+
 def make_random_instance(
     seed: int,
     n_steps: int,

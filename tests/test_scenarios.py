@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 import edgelam_sim
 from edgelam_sim.cli import main
 from edgelam_sim.errors import ConfigError
-from edgelam_sim.scenarios import parse_scenario, run_scenario
+from edgelam_sim.scenarios import (
+    NonFiniteOutput,
+    parse_scenario,
+    run_scenario,
+    write_csv,
+    write_json,
+)
 
 DEVICES = [
     {"id": "a", "compute_rate": 1e9, "memory_capacity": 1e9,
@@ -288,6 +295,18 @@ class TestCli:
         assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf")],
+                         ids=["inf", "-inf", "nan", "numpy-inf"])
+def test_writers_refuse_non_finite_values(tmp_path, value):
+    """Nothing is written, and the error names the file."""
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "s.json"
+    with pytest.raises(NonFiniteOutput, match="t.csv"):
+        write_csv(csv_path, ["a", "b"], [[1, 2.0], ["x", value]])
+    with pytest.raises(NonFiniteOutput, match="s.json"):
+        write_json(json_path, {"a": [1.0, {"b": value}]})
+    assert list(tmp_path.iterdir()) == []
+
+
 def shipped_cfg(name):
     path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
     return json.loads(path.read_text(encoding="utf-8"))
@@ -457,6 +476,26 @@ class TestCliExitCodes:
         assert self.run_cli(tmp_path, cfg) == 0
         summary = json.loads((tmp_path / "out" / "moe_summary.json").read_text())
         assert 1e300 < summary["time_avg_cost"] < math.inf
+
+    @pytest.mark.parametrize("v", [1.0, 0.0])
+    def test_moe_band_starving_every_upload_exits_3(self, tmp_path, capsys, v):
+        # the rate stays finite (about 3e-303 bit/s), but a 1e6-bit upload
+        # takes inf s, so every slot cost is inf; at v = 0 the scores were
+        # 0 * inf = nan.  Neither the CSV nor strict JSON carries inf or nan.
+        cfg = shipped_cfg("moe_tradeoff")
+        cfg["channel"]["total_bandwidth"] = 1e-305
+        cfg["moe"]["v"] = v
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "moe_trace.csv" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_cot_beyond_exact_guard_exits_3(self, tmp_path, capsys):
+        cfg = cot_cfg()
+        cfg["devices"] = [dict(DEVICES[0], id=f"d{i}") for i in range(6)]
+        cfg["cot"]["steps"] = [{"workload": 1e9, "handoff_size": 1e5}] * 8  # 6^8 > 10^6
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "use solve_local_search" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_casestudy_budget_beyond_calibrated_chain_exits_3(self, tmp_path, capsys):
         cfg = shipped_cfg("casestudy_tokens")
