@@ -44,26 +44,18 @@ def placement_scan(comp, comm, mem, cap):
 
 
 def _cost_to_go(comp, comm):
-    """Capacity-relaxed cheapest completion, and the devices worth visiting.
+    """Capacity-relaxed cheapest completion of a partial placement.
 
     ``togo[s][d]`` is the least handoff-plus-compute cost of steps s+1..S-1
     once step s sits on device d, ignoring capacity (a lower bound on any
-    feasible completion).  ``live[s]`` lists, ascending, the devices d for
-    which step s on d has a completion without an infinite term; the test
-    is on the terms, so a sum that merely overflows never hides a device.
+    feasible completion).
     """
     n_steps, n_dev = len(comp), len(comp[0])
     togo = [[0.0] * n_dev for _ in range(n_steps)]
-    dead = [[c == math.inf for c in comp[s]] for s in range(n_steps)]
     for s in range(n_steps - 2, -1, -1):
         after = [comp[s + 1][e] + togo[s + 1][e] for e in range(n_dev)]
         togo[s] = [min(map(float.__add__, comm[s][d], after)) for d in range(n_dev)]
-        for d in range(n_dev):
-            dead[s][d] = dead[s][d] or all(
-                h == math.inf or dead[s + 1][e] for e, h in enumerate(comm[s][d])
-            )
-    live = [[d for d in range(n_dev) if not dead[s][d]] for s in range(n_steps)]
-    return togo, live
+    return togo
 
 
 def _cheapest(comp, comm, mem, cap):
@@ -71,21 +63,22 @@ def _cheapest(comp, comm, mem, cap):
 
     A device whose load would exceed its capacity is skipped (loads only
     grow, since mem >= 0).  A partial placement is pruned when its cost plus
-    the relaxed cost-to-go exceeds the incumbent by more than ``_MARGIN``,
-    or when its cost is already infinite.  A leaf replaces the incumbent
-    only on a strict ``<``, so ties keep the lexicographically first
-    placement.  Returns (assignment, cost), or None.
+    the relaxed cost-to-go exceeds the incumbent by more than ``_MARGIN``.
+    A leaf replaces the incumbent only on a strict ``<``, so ties keep the
+    lexicographically first placement, and an infinite cost never does.
+    Returns (assignment, cost), or None.
     """
     n_steps, n_dev = len(comp), len(cap)
     last = n_steps - 1
-    togo, live = _cost_to_go(comp, comm)
+    togo = _cost_to_go(comp, comm)
+    devices = range(n_dev)
     loads = [0.0] * n_dev
     path = [0] * n_steps
     best_path, best, limit = None, math.inf, math.inf
     # per step on the current path: devices left to try, handoff row into
     # the step, cost of the steps before it, the load its device had; step 0
     # gets a zero row, and 0.0 + 0.0 + comp[0][d] is comp[0][d] bit for bit
-    todo = [iter(live[0])] + [None] * last
+    todo = [iter(devices)] + [None] * last
     into = [[0.0] * n_dev] + [None] * last
     before = [0.0] * n_steps
     saved = [0.0] * n_steps
@@ -103,11 +96,11 @@ def _cheapest(comp, comm, mem, cap):
                     path[s] = d
                     best_path, best, limit = path.copy(), cost, cost * _MARGIN
                 continue
-            if cost == math.inf or cost + bound[d] > limit:
+            if cost + bound[d] > limit:
                 continue
             saved[s], loads[d], path[s] = old, old + m, d
             s += 1
-            todo[s], into[s], before[s] = iter(live[s]), comm[s - 1][d], cost
+            todo[s], into[s], before[s] = iter(devices), comm[s - 1][d], cost
             break
         else:
             s -= 1

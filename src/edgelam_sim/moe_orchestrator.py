@@ -201,7 +201,7 @@ def orchestrate(
             chosen = options[np.arange(len(calls)), np.argmin(scores, axis=1)]
             for c, j in enumerate(chosen):
                 arrivals[j] += loads[c]
-                slot_cost += call_cost[c, j]
+                slot_cost += float(call_cost[c, j])  # sums overflow to inf quietly
             assignment = tuple(
                 (expert_ids[calls[c]], order[j].id) for c, j in enumerate(chosen)
             )

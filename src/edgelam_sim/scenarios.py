@@ -194,7 +194,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown kind {kind!r}, expected one of {tuple(_KINDS)}", "$.kind")
     seed = _check_seed(_integer(cfg, "seed", "$"), "$.seed")
-    parse, _ = _KINDS[kind]
+    parse, _, _ = _KINDS[kind]
     return Scenario(kind, seed, parse(cfg))
 
 
@@ -446,8 +446,8 @@ def fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write every row; at a float cell that is inf or nan, remove the file
-    and raise.  Rows stream out, so no second copy of the table is held."""
+    """Stream the rows out; raise at a float cell that is inf or nan, leaving
+    the part already written for ``run_scenario`` to remove."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             writer = csv.writer(f, lineterminator="\n")
@@ -455,7 +455,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             for row in rows:
                 writer.writerow([fmt(v) for v in row])
     except NonFiniteOutput as exc:
-        path.unlink()
         raise NonFiniteOutput(f"{path}: {exc}") from None
 
 
@@ -718,18 +717,24 @@ def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
     write_json(out_dir / "casestudy_summary.json", summary)
 
 
-# kind -> (parser, runner)
+# kind -> (parser, runner, the files the runner writes)
 _KINDS = {
-    "fedft": (_parse_fedft, _run_fedft),
-    "unlearn": (_parse_unlearn, _run_unlearn),
-    "moe": (_parse_moe, _run_moe),
-    "cot": (_parse_cot, _run_cot),
-    "casestudy": (_parse_casestudy, _run_casestudy),
+    "fedft": (_parse_fedft, _run_fedft, ("fedft_rounds.csv", "fedft_summary.json")),
+    "unlearn": (_parse_unlearn, _run_unlearn, ("unlearn_rounds.csv", "unlearn_summary.json")),
+    "moe": (_parse_moe, _run_moe, ("moe_trace.csv", "moe_summary.json")),
+    "cot": (_parse_cot, _run_cot, ("cot_result.json",)),
+    "casestudy": (
+        _parse_casestudy, _run_casestudy, ("casestudy_sweep.csv", "casestudy_summary.json")
+    ),
 }
 
 
 def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None) -> int:
-    """Run one scenario file; returns the process exit status (0/2/3)."""
+    """Run one scenario file; returns the process exit status (0/2/3).
+
+    A run that exits 3 removes its kind's output files, so a result in
+    ``out_dir`` is never partial (nor left over from an earlier run).
+    """
     try:
         scenario = load_scenario(path)
         if seed is not None:
@@ -739,13 +744,15 @@ def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None)
         return EXIT_CONFIG
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, run = _KINDS[scenario.kind]
+    _, run, outputs = _KINDS[scenario.kind]
     try:
         run(scenario.spec, scenario.seed, out)
     except (InfeasibleScenario, PlacementError, SchedulingError, SizeLimitError) as exc:
         print(f"infeasible scenario: {exc}")
-        return EXIT_INFEASIBLE
     except NonFiniteOutput as exc:
         print(f"non-finite output: {exc}")
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    else:
+        return EXIT_OK
+    for name in outputs:
+        (out / name).unlink(missing_ok=True)
+    return EXIT_INFEASIBLE

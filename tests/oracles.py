@@ -136,18 +136,6 @@ def brute_force_placement(chain, devices, links, shard):
     return best, best_cost
 
 
-def feasible_count(chain, devices, shard):
-    """Number of capacity-feasible placements, by checking all D^S."""
-    n_feasible = 0
-    for assignment in itertools.product(range(len(devices)), repeat=len(chain)):
-        try:
-            validate_placement(chain, Placement(assignment, len(devices)), devices, shard)
-        except PlacementError:
-            continue  # over capacity
-        n_feasible += 1
-    return n_feasible
-
-
 def scan_placements(comp, comm, mem, cap):
     """(best_index, best_cost, n_feasible) by scoring all D^S placements in turn.
 

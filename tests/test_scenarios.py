@@ -298,13 +298,13 @@ class TestCli:
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf")],
                          ids=["inf", "-inf", "nan", "numpy-inf"])
 def test_writers_refuse_non_finite_values(tmp_path, value):
-    """Nothing is written, and the error names the file."""
+    """The error names the file; the JSON is checked before it is opened."""
     csv_path, json_path = tmp_path / "t.csv", tmp_path / "s.json"
     with pytest.raises(NonFiniteOutput, match="t.csv"):
         write_csv(csv_path, ["a", "b"], [[1, 2.0], ["x", value]])
     with pytest.raises(NonFiniteOutput, match="s.json"):
         write_json(json_path, {"a": [1.0, {"b": value}]})
-    assert list(tmp_path.iterdir()) == []
+    assert not json_path.exists()
 
 
 def shipped_cfg(name):
@@ -487,6 +487,18 @@ class TestCliExitCodes:
         cfg["moe"]["v"] = v
         assert self.run_cli(tmp_path, cfg) == 3
         assert "moe_trace.csv" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_moe_slot_costs_finite_but_their_sum_overflows_exits_3(self, tmp_path, capsys):
+        # each upload takes about 1.5e306 s, so every slot cost, every score
+        # up to V = 100 and the trace are finite, but the 200-slot sum is inf.
+        # The trace is written before the summary fails; it is removed, and
+        # so are the outputs an earlier run left in the same directory.
+        cfg = shipped_cfg("moe_tradeoff")
+        assert self.run_cli(tmp_path, cfg) == 0
+        cfg["channel"]["total_bandwidth"] = 2e-303
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "moe_summary.json" in capsys.readouterr().out
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_cot_beyond_exact_guard_exits_3(self, tmp_path, capsys):
