@@ -171,7 +171,7 @@ def assignment_scores(options, queue, call_load, call_cost, v):
     pad = options < 0
     # score padding as the row's first replica, then overwrite it
     real = np.where(pad, options[:, :1], options)
-    penalty = np.take_along_axis(call_cost, real, axis=1)
+    penalty = call_cost[np.arange(len(real))[:, None], real]
     if v == 0.0:  # 0 * inf is nan; 0 * a finite cost adds +0.0
         penalty = np.where(np.isinf(penalty), np.inf, 0.0)
     else:

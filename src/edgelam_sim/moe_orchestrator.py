@@ -11,6 +11,18 @@ Every call of a slot sees the same queues, so the objective separates per
 call: each call goes to the replica minimizing ``Q[d]*load + V*cost[d]``,
 ties to the lowest device id.  One array of those scores per slot is the
 exact minimizer; no assignment is enumerated.
+
+The run has two phases.  No random draw depends on a scheduling decision,
+so everything but the queues is made up front, one block each: the
+arrivals, the gate scores of every arrived slot and layer (top-k taken for
+all rows at once), the load jitter, and the call costs (rebuilt per arrived
+slot only when the channel fades).  A block draw from a stream yields the
+same doubles as the scalar draws it replaces, in the same order.  Only the
+queue recursion stays sequential: per slot one score array, its row argmin,
+and the queue update.  The arrivals of a slot are added per device in call
+order, slot costs are summed in call order and the run's sums over slots
+sequentially, so every value equals the one a slot-by-slot loop computes,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -22,14 +34,7 @@ import numpy as np
 
 from ._accel import assignment_scores
 from .errors import SchedulingError
-from .netsim import (
-    DeviceProfile,
-    comm_latency,
-    energy,
-    fading_sequence,
-    shannon_rate,
-)
-from .numerics import as_vector
+from .netsim import DeviceProfile, fading_sequence, shannon_rate
 from .rng import stream
 
 
@@ -51,30 +56,40 @@ class ExpertMicroservice:
             raise ValueError(f"expert {self.id}: replica set must be nonempty")
 
 
-def gate_select(scores, k: int) -> tuple[int, ...]:
-    """Indices of the top-k scores, ties broken toward the lower index."""
-    s = as_vector(scores)
-    if not 1 <= k <= s.size:
-        raise ValueError(f"k={k} outside [1, {s.size}]")
-    picked = np.argsort(-s, kind="stable")[:k]
-    return tuple(sorted(int(i) for i in picked))
+def gate_select(scores, k: int) -> np.ndarray:
+    """Indices of the top-k scores of each row, ascending; ties go to the lower index.
+
+    ``scores`` is one row of gate scores or a 2-D block of rows; the result
+    has the same leading shape and k columns.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    if not 1 <= k <= s.shape[-1]:
+        raise ValueError(f"k={k} outside [1, {s.shape[-1]}]")
+    return np.sort(np.argsort(-s, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# orchestration loop
+# orchestration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SlotRecord:
-    slot: int
-    assignment: tuple[tuple[str, str], ...]  # (expert id, device id) per call
-    slot_cost: float
-    backlogs: dict[str, float]
-
 
 @dataclass(frozen=True)
 class OrchestrationResult:
-    records: list[SlotRecord]
+    """The trace of a run as arrays, one row per slot or per arrived slot.
+
+    Slot ``arrived.nonzero()[0][i]`` ran the calls of row i of ``calls``
+    (expert indices, in call order) on the devices in row i of ``chosen``
+    (indices into ``device_ids``).  ``backlogs[t]`` holds every device's
+    queue after slot t's update; ``slot_cost[t]`` is 0.0 where no task
+    arrived.
+    """
+
+    device_ids: tuple[str, ...]  # sorted
+    expert_ids: tuple[str, ...]  # in the order given
+    arrived: np.ndarray  # (n_slots,) bool
+    calls: np.ndarray  # (n_arrived, calls per slot) expert index
+    chosen: np.ndarray  # (n_arrived, calls per slot) device index
+    slot_cost: np.ndarray  # (n_slots,)
+    backlogs: np.ndarray  # (n_slots, n_devices)
     time_avg_cost: float
     time_avg_backlog: float
     max_backlog: float
@@ -97,17 +112,18 @@ def orchestrate(
     arrival_prob: float = 1.0,
     fading_sigma: float | None = None,
 ) -> OrchestrationResult:
-    """Run the per-slot gate -> schedule -> queue-update loop.
+    """Run the gate -> schedule -> queue-update loop for ``n_slots`` slots.
 
     A slot lasts one second, so a device serves ``compute_rate`` FLOPs per
-    slot.  Gate scores and per-call load jitter come from named seeded
-    streams, so the whole trace is a pure function of (config, seed).  Cost of a call on
-    a device is ``w_lat * upload latency + w_energy * upload energy``.  The
-    channel is static unless ``fading_sigma`` is set, in which case every
-    device's gain is modulated by its seeded per-slot fading sequence.
-    Replicas on a dead uplink (zero bandwidth, gain or power) are dropped
-    for experts that have output to send; an expert left without replicas
-    raises ``SchedulingError``.
+    slot.  Arrivals, gate scores and per-call load jitter come from named
+    seeded streams, so the whole trace is a pure function of (config, seed).
+    Cost of a call on a device is ``w_lat * upload latency + w_energy *
+    upload energy``.  The channel is static unless ``fading_sigma`` is set,
+    in which case every device's gain is modulated by its seeded per-slot
+    fading sequence.  Replicas on a dead uplink (zero bandwidth, gain or
+    power) are dropped for experts that have output to send; an expert left
+    without replicas raises ``SchedulingError``, and so does a V whose
+    product with a finite call cost overflows.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
@@ -115,7 +131,6 @@ def orchestrate(
         raise ValueError("V must be finite and >= 0")
     order = sorted(devices, key=lambda d: d.id)
     dev_index = {d.id: i for i, d in enumerate(order)}
-    expert_ids = [e.id for e in experts]
     dead_uplink = {
         d.id
         for d in order
@@ -140,88 +155,107 @@ def orchestrate(
     width = max(len(rl) for rl in alive_replicas)
     replica_index = np.array([rl + [-1] * (width - len(rl)) for rl in alive_replicas])
 
+    # --- draw first: nothing below depends on a scheduling decision --------
+    arrived = stream(seed, "moe.arrivals").random(n_slots) <= arrival_prob
+    at = np.flatnonzero(arrived)
+    n_calls = layers_per_task * top_k
+    gate = stream(seed, "moe.gate").random((at.size * layers_per_task, len(experts)))
+    calls = gate_select(gate, top_k).reshape(at.size, n_calls)
+    loads = np.array([e.workload_per_call for e in experts])[calls]
+    if load_jitter > 0.0:
+        jitter = stream(seed, "moe.jitter").random(calls.shape)
+        loads = loads * (1.0 + load_jitter * (2.0 * jitter - 1.0))
+    options = replica_index[calls]  # (n_arrived, calls, R)
     if fading_sigma is None:
-        fading = np.ones((n_slots, len(order)))
+        call_cost = _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy)[calls]
     else:
         fading = np.column_stack(
-            [fading_sequence(seed, d.id, n_slots, fading_sigma) for d in order]
+            [fading_sequence(seed, d.id, n_slots, fading_sigma)[at] for d in order]
         )
+        cost = _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy, fading)
+        call_cost = cost[np.arange(at.size)[:, None], calls]  # (n_arrived, calls, D)
+    if v > 0.0 and at.size:
+        # V*cost overflowing to inf would tie every such replica; padding
+        # reads the row's first replica, as in the scores
+        real = np.where(options < 0, options[:, :, :1], options)
+        scored = np.take_along_axis(call_cost, real, axis=2)
+        finite = scored[np.isfinite(scored)]
+        if finite.size and math.isinf(v * float(finite.max())):
+            raise SchedulingError(
+                f"V = {v:g} times the largest finite call cost {float(finite.max()):g} "
+                "overflows; lower moe.v"
+            )
+
+    # --- the queue recursion, slot by slot --------------------------------
+    n_dev = len(order)
     service = np.array([d.compute_rate for d in order])
-
-    def slot_cost_matrix(slot: int) -> np.ndarray:
-        """Cost of one call of each expert on each device at this slot."""
-        out = np.empty((len(experts), len(order)))
-        for j, d in enumerate(order):
-            rate = shannon_rate(
-                bandwidth.get(d.id, 0.0),
-                d.channel_gain * fading[slot, j],
-                d.tx_power,
-                noise_density,
+    queues = np.zeros(n_dev)
+    backlogs = np.empty((n_slots, n_dev))
+    backlog_sums = np.empty(n_slots)
+    chosen = np.empty(calls.shape, dtype=np.intp)
+    rows = np.arange(n_calls)
+    i = 0
+    for slot, has_task in enumerate(arrived.tolist()):
+        if has_task:
+            opts = options[i]
+            scores = assignment_scores(opts, queues, loads[i], call_cost[i], v)
+            picked = opts[rows, np.argmin(scores, axis=1)]
+            chosen[i] = picked
+            # bincount adds each device's loads in call order
+            queues = np.maximum(
+                queues + np.bincount(picked, loads[i], n_dev) - service, 0.0
             )
-            for ei, e in enumerate(experts):
-                lat = comm_latency(e.output_size, rate)
-                if math.isinf(lat):
-                    out[ei, j] = math.inf  # starved link, regardless of weights
-                else:
-                    out[ei, j] = w_lat * lat + w_energy * energy(d.tx_power, lat)
-        return out
+            i += 1
+        else:
+            queues = np.maximum(queues - service, 0.0)
+        backlogs[slot] = queues
+        backlog_sums[slot] = queues.sum()
 
-    base_cost = slot_cost_matrix(0)
-
-    gate_rng = stream(seed, "moe.gate")
-    jitter_rng = stream(seed, "moe.jitter")
-    arrival_rng = stream(seed, "moe.arrivals")
-
-    queues = np.zeros(len(order))
-    records: list[SlotRecord] = []
-    cost_sum = 0.0
-    backlog_sum = 0.0
-    max_backlog = 0.0
-
-    for slot in range(n_slots):
-        if fading_sigma is not None and slot > 0:
-            base_cost = slot_cost_matrix(slot)
-        calls: list[int] = []  # expert index per call
-        if arrival_rng.random() <= arrival_prob:
-            for _ in range(layers_per_task):
-                calls.extend(gate_select(gate_rng.random(len(experts)), top_k))
-
-        arrivals = np.zeros(len(order))
-        assignment: tuple[tuple[str, str], ...] = ()
-        slot_cost = 0.0
-        if calls:
-            loads = np.array([experts[e].workload_per_call for e in calls])
-            if load_jitter > 0.0:
-                loads = loads * (
-                    1.0 + load_jitter * (2.0 * jitter_rng.random(len(calls)) - 1.0)
-                )
-            call_cost = base_cost[calls, :]
-            options = replica_index[calls]
-            scores = assignment_scores(options, queues, loads, call_cost, v)
-            chosen = options[np.arange(len(calls)), np.argmin(scores, axis=1)]
-            for c, j in enumerate(chosen):
-                arrivals[j] += loads[c]
-                slot_cost += float(call_cost[c, j])  # sums overflow to inf quietly
-            assignment = tuple(
-                (expert_ids[calls[c]], order[j].id) for c, j in enumerate(chosen)
-            )
-
-        queues = np.maximum(queues + arrivals - service, 0.0)
-        cost_sum += slot_cost
-        backlog_sum += float(queues.sum())
-        max_backlog = max(max_backlog, float(queues.max()))
-        records.append(
-            SlotRecord(
-                slot,
-                assignment,
-                slot_cost,
-                {d.id: float(queues[j]) for j, d in enumerate(order)},
-            )
-        )
-
+    # cumsum adds in order, as a running float sum does; sums overflow to inf quietly
+    slot_cost = np.zeros(n_slots)
+    with np.errstate(over="ignore"):
+        taken = np.take_along_axis(call_cost, chosen[:, :, None], axis=2)[:, :, 0]
+        slot_cost[at] = np.cumsum(taken, axis=1)[:, -1]
+        cost_sum = float(np.cumsum(slot_cost)[-1])
+        backlog_sum = float(np.cumsum(backlog_sums)[-1])
     return OrchestrationResult(
-        records,
-        cost_sum / n_slots,
-        backlog_sum / n_slots,
-        max_backlog,
+        device_ids=tuple(d.id for d in order),
+        expert_ids=tuple(e.id for e in experts),
+        arrived=arrived,
+        calls=calls,
+        chosen=chosen,
+        slot_cost=slot_cost,
+        backlogs=backlogs,
+        time_avg_cost=cost_sum / n_slots,
+        time_avg_backlog=backlog_sum / n_slots,
+        max_backlog=float(backlogs.max()),
     )
+
+
+def _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy, fading=None):
+    """Cost of one call of each expert on each device: (E, D), or (slots, E, D)
+    under a ``fading`` (slots, D) gain sequence.
+
+    The latency is bits / rate, 0 for no bits, and +inf on a starved link
+    whatever the weights.  The arithmetic is that of Python floats: an
+    overflow is inf, without a warning.
+    """
+    gains = np.array([[d.channel_gain for d in order]])
+    if fading is not None:
+        gains = gains * fading
+    rate = np.array(
+        [
+            [
+                shannon_rate(bandwidth.get(d.id, 0.0), g, d.tx_power, noise_density)
+                for d, g in zip(order, row)
+            ]
+            for row in gains.tolist()
+        ]
+    ).reshape(gains.shape)[:, None, :]
+    bits = np.array([e.output_size for e in experts])[:, None]
+    power = np.array([d.tx_power for d in order])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lat = np.where(bits == 0.0, 0.0, bits / rate)
+        cost = w_lat * lat + w_energy * (power * lat)
+    cost = np.where(np.isinf(lat), math.inf, cost)
+    return cost[0] if fading is None else cost

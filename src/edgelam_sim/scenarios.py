@@ -564,20 +564,10 @@ def _run_unlearn(spec: dict, seed: int, out_dir: Path) -> None:
 def _run_moe(spec: dict, seed: int, out_dir: Path) -> None:
     kwargs = spec["orchestrate"]
     result = moe.orchestrate(v=spec["v"], seed=seed, **kwargs)
-    dev_ids = sorted(d.id for d in kwargs["devices"])
-    rows = [
-        [
-            r.slot,
-            ";".join(f"{e}={d}" for e, d in r.assignment),
-            r.slot_cost,
-            *[r.backlogs[dev] for dev in dev_ids],
-        ]
-        for r in result.records
-    ]
     write_csv(
         out_dir / "moe_trace.csv",
-        ["slot", "assignment", "slot_cost", *[f"backlog_{dev}" for dev in dev_ids]],
-        rows,
+        ["slot", "assignment", "slot_cost", *[f"backlog_{dev}" for dev in result.device_ids]],
+        _moe_trace_rows(result),
     )
     summary = {
         "kind": "moe",
@@ -604,6 +594,21 @@ def _run_moe(spec: dict, seed: int, out_dir: Path) -> None:
             )
         summary["v_sweep"] = entries
     write_json(out_dir / "moe_summary.json", summary)
+
+
+def _moe_trace_rows(result: moe.OrchestrationResult) -> list[list]:
+    """One row per slot: slot, the calls as ``expert=device`` joined by ``;``
+    (empty where no task arrived), slot cost and every device's backlog."""
+    pairs = np.array(
+        [[f"{e}={d}" for d in result.device_ids] for e in result.expert_ids], dtype=object
+    )
+    placed = iter(";".join(row) for row in pairs[result.calls, result.chosen].tolist())
+    return [
+        [slot, next(placed) if arrived else "", cost, *backlogs]
+        for slot, (arrived, cost, backlogs) in enumerate(
+            zip(result.arrived.tolist(), result.slot_cost.tolist(), result.backlogs.tolist())
+        )
+    ]
 
 
 def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:

@@ -25,22 +25,14 @@ from .rng import stream, stream_word
 
 @dataclass(frozen=True)
 class UnlearnRequest:
-    """Opt-out declaration: which devices leave, and what they want forgotten.
-
-    ``forget_batches`` optionally narrows the forget data per device; a
-    device without an entry unlearns its whole local dataset.
-    """
+    """Opt-out declaration: the devices that leave; each unlearns its whole
+    local dataset."""
 
     opt_out_ids: frozenset[str]
-    forget_batches: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if not self.opt_out_ids:
             raise ValueError("opt-out set must be nonempty")
-        if self.forget_batches is not None:
-            extra = set(self.forget_batches) - self.opt_out_ids
-            if extra:
-                raise ValueError(f"forget batches for non-opt-out devices: {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +254,7 @@ def unlearning_round(
             for rid in retained_ids
         ]
         subspace = retained_subspace(retained_grads)
-        forget_x, forget_y = forget_data(state, request, dev)
+        forget_x, forget_y = state.datasets[dev]
         forget_grad = bce_dataset_grad(w_u, forget_x, forget_y, delta).ravel()
         projected = orthogonal_project(forget_grad, subspace)
         if subspace.n_basis:
@@ -289,21 +281,12 @@ def unlearning_round(
     )
 
 
-def forget_data(
-    state: UnlearnState, request: UnlearnRequest, dev: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The data device ``dev`` asked to forget (its dataset by default)."""
-    if request.forget_batches is not None and dev in request.forget_batches:
-        return request.forget_batches[dev]
-    return state.datasets[dev]
-
-
 def forget_loss(state: UnlearnState, request: UnlearnRequest, delta: float) -> float:
     """Mean bounded CE of each opt-out model on its own forget data."""
     losses = []
     for dev in sorted(request.opt_out_ids):
         w = state.unlearned.get(dev, state.global_weights)
-        x, labels = forget_data(state, request, dev)
+        x, labels = state.datasets[dev]
         losses.append(bce_dataset_loss(w, x, labels, delta))
     return float(np.mean(losses))
 

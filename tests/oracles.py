@@ -19,7 +19,13 @@ from edgelam_sim.cot_placement import (
     step_memory,
 )
 from edgelam_sim.errors import PlacementError, SchedulingError, ShapeError
-from edgelam_sim.netsim import DeviceProfile
+from edgelam_sim.netsim import (
+    DeviceProfile,
+    comm_latency,
+    energy,
+    fading_sequence,
+    shannon_rate,
+)
 from edgelam_sim.numerics import as_vector
 from edgelam_sim.rng import stream
 
@@ -252,3 +258,123 @@ def drift_plus_penalty_decision(queues, candidates, call_loads, v, cost_fn):
             best_score = score
             best = cand
     return best
+
+
+@dataclass(frozen=True)
+class SlotRecord:
+    """One slot of an MoE run: each call's (expert id, device id), the
+    slot's cost and every device's backlog after the update."""
+
+    slot: int
+    assignment: tuple[tuple[str, str], ...]
+    slot_cost: float
+    backlogs: dict[str, float]
+
+
+@dataclass(frozen=True)
+class ReferenceRun:
+    records: list[SlotRecord]
+    time_avg_cost: float
+    time_avg_backlog: float
+    max_backlog: float
+
+
+def slot_records(result) -> list[SlotRecord]:
+    """Per-slot view of the arrays of an ``OrchestrationResult``."""
+    calls = iter(zip(result.calls.tolist(), result.chosen.tolist()))
+    out = []
+    for slot, arrived in enumerate(result.arrived.tolist()):
+        assignment = ()
+        if arrived:
+            experts, devices = next(calls)
+            assignment = tuple(
+                (result.expert_ids[e], result.device_ids[d]) for e, d in zip(experts, devices)
+            )
+        backlogs = dict(zip(result.device_ids, result.backlogs[slot].tolist()))
+        out.append(SlotRecord(slot, assignment, float(result.slot_cost[slot]), backlogs))
+    return out
+
+
+def gate_rule(scores, k: int) -> tuple[int, ...]:
+    """Top-k indices of one score row, ascending; ties go to the lower index."""
+    return tuple(sorted(sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]))
+
+
+def orchestrate_per_slot(
+    devices, experts, n_slots, v, top_k, seed, bandwidth, noise_density,
+    layers_per_task=1, load_jitter=0.0, w_lat=1.0, w_energy=0.0,
+    failed_devices=frozenset(), arrival_prob=1.0, fading_sigma=None,
+) -> ReferenceRun:
+    """Drift-plus-penalty scheduling one slot at a time, one draw at a time.
+
+    Every slot draws its arrival, then its gate rows and jitter, from the
+    same named streams as the scheduler, builds its cost matrix from the
+    scalar channel model, and places each call on the live replica with the
+    least ``Q[d]*load + V*cost[d]`` (the lowest device id on ties), scoring
+    one replica at a time.
+    """
+    order = sorted(devices, key=lambda d: d.id)
+    ids = [d.id for d in order]
+    dead = {
+        d.id for d in order
+        if bandwidth.get(d.id, 0.0) == 0.0 or d.channel_gain == 0.0 or d.tx_power == 0.0
+    }
+    live = []
+    for e in experts:
+        alive = sorted(r for r in e.replicas if r not in failed_devices)
+        if not alive:
+            raise SchedulingError(f"expert {e.id} has no live replicas")
+        if any(r not in ids for r in alive):
+            raise SchedulingError(f"expert {e.id} has a replica that is not a device")
+        if e.output_size > 0:
+            alive = [r for r in alive if r not in dead]
+            if not alive:
+                raise SchedulingError(f"expert {e.id} has no replica with a live uplink")
+        live.append([ids.index(r) for r in alive])
+    fading = (
+        np.ones((n_slots, len(order))) if fading_sigma is None
+        else np.column_stack([fading_sequence(seed, i, n_slots, fading_sigma) for i in ids])
+    )
+
+    def cost(slot, e, j):
+        d = order[j]
+        rate = shannon_rate(bandwidth.get(d.id, 0.0), d.channel_gain * fading[slot, j],
+                            d.tx_power, noise_density)
+        lat = comm_latency(e.output_size, rate)
+        return math.inf if math.isinf(lat) else w_lat * lat + w_energy * energy(d.tx_power, lat)
+
+    gate_rng = stream(seed, "moe.gate")
+    jitter_rng = stream(seed, "moe.jitter")
+    arrival_rng = stream(seed, "moe.arrivals")
+    service = np.array([d.compute_rate for d in order])
+    queues = np.zeros(len(order))
+    records, cost_sum, backlog_sum, max_backlog = [], 0.0, 0.0, 0.0
+    for slot in range(n_slots):
+        calls = []
+        if arrival_rng.random() <= arrival_prob:
+            for _ in range(layers_per_task):
+                calls.extend(gate_rule(gate_rng.random(len(experts)).tolist(), top_k))
+        loads = [experts[e].workload_per_call for e in calls]
+        if calls and load_jitter > 0.0:
+            draws = jitter_rng.random(len(calls)).tolist()
+            loads = [w * (1.0 + load_jitter * (2.0 * r - 1.0)) for w, r in zip(loads, draws)]
+        arrivals = np.zeros(len(order))
+        assignment, slot_cost = [], 0.0
+        for e, load in zip(calls, loads):
+            best, best_score = None, math.inf
+            for j in live[e]:
+                c = cost(slot, experts[e], j)
+                penalty = (math.inf if math.isinf(c) else 0.0) if v == 0.0 else v * c
+                score = float(queues[j]) * load + penalty
+                if best is None or score < best_score:
+                    best, best_score = j, score
+            arrivals[best] += load
+            slot_cost += cost(slot, experts[e], best)
+            assignment.append((experts[e].id, ids[best]))
+        queues = np.maximum(queues + arrivals - service, 0.0)
+        cost_sum += slot_cost
+        backlog_sum += float(queues.sum())
+        max_backlog = max(max_backlog, float(queues.max()))
+        records.append(SlotRecord(slot, tuple(assignment), slot_cost,
+                                  dict(zip(ids, queues.tolist()))))
+    return ReferenceRun(records, cost_sum / n_slots, backlog_sum / n_slots, max_backlog)

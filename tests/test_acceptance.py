@@ -25,6 +25,7 @@ from oracles import (
     bounded_cross_entropy,
     brute_force_placement,
     make_random_instance,
+    slot_records,
     validate_placement,
 )
 from test_scenarios import ALL_CONFIGS, read_outputs, write_cfg
@@ -185,8 +186,8 @@ def _stability_slope() -> tuple[float, float]:
         devices, experts, 2000, v=1.0, top_k=4, seed=11, bandwidth=bw,
         noise_density=1e-9, layers_per_task=2, load_jitter=0.4,
     )
-    total = np.array([sum(r.backlogs.values()) for r in res.records])
-    peak = np.array([max(r.backlogs.values()) for r in res.records])
+    total = np.array([sum(r.backlogs.values()) for r in slot_records(res)])
+    peak = np.array([max(r.backlogs.values()) for r in slot_records(res)])
     t = np.arange(500.0)
     return (
         float(np.polyfit(t, total[-500:], 1)[0]),
@@ -226,7 +227,7 @@ def test_criterion_5_scheduler_optimality_and_stability():
     wl = {e.id: e.workload_per_call for e in experts}
     ids = sorted(d.id for d in devices)
     queues = {d: 0.0 for d in ids}
-    for rec in res.records:
+    for rec in slot_records(res):
         calls = [e for e, _ in rec.assignment]
         oracle = min(
             itertools.product(ids, repeat=len(calls)),

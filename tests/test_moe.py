@@ -1,6 +1,7 @@
 """Gate selection, virtual queues, and drift-plus-penalty scheduling."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -9,15 +10,22 @@ from edgelam_sim.errors import SchedulingError
 from edgelam_sim.moe_orchestrator import ExpertMicroservice, gate_select, orchestrate
 from edgelam_sim.netsim import DeviceProfile, comm_latency, shannon_rate
 
-from oracles import VirtualQueue, drift_plus_penalty_decision, queue_update
+from oracles import (
+    VirtualQueue,
+    drift_plus_penalty_decision,
+    gate_rule,
+    orchestrate_per_slot,
+    queue_update,
+    slot_records,
+)
 
 
 class TestGateSelect:
     def test_top_one(self):
-        assert gate_select([0.9, 0.1], 1) == (0,)
+        assert gate_select([0.9, 0.1], 1).tolist() == [0]
 
     def test_tie_goes_to_lower_index(self):
-        assert gate_select([0.5, 0.5], 1) == (0,)
+        assert gate_select([0.5, 0.5], 1).tolist() == [0]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -27,7 +35,17 @@ class TestGateSelect:
             oracle = sorted(
                 sorted(range(8), key=lambda i: (-scores[i], i))[:3]
             )
-            assert got == tuple(oracle)
+            assert got.tolist() == oracle
+
+    def test_block_matches_per_row_rule(self):
+        rng = np.random.default_rng(3)
+        for n_experts in range(1, 10):
+            # rounded scores tie often; ties go to the lower index
+            block = np.round(rng.random((50, n_experts)), 1)
+            for k in range(1, n_experts + 1):
+                got = gate_select(block, k)
+                assert got.shape == (50, k)
+                assert got.tolist() == [list(gate_rule(row, k)) for row in block.tolist()]
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -121,7 +139,7 @@ class TestOrchestrate:
             bandwidth={"only": 1e6}, noise_density=1e-9,
         )
         backlog = 0.0
-        for record in res.records:
+        for record in slot_records(res):
             backlog = max(backlog + 1.3 - 1.0, 0.0)
             assert record.backlogs["only"] == pytest.approx(backlog, abs=1e-12)
             assert record.assignment[0][1] == "only"
@@ -142,7 +160,7 @@ class TestOrchestrate:
             devices, experts, 300, v=1.0, top_k=2, seed=6,
             bandwidth=bw, noise_density=1e-9, layers_per_task=2, load_jitter=0.4,
         )
-        for record in res.records:
+        for record in slot_records(res):
             assert all(b >= 0.0 for b in record.backlogs.values())
 
     def test_deterministic_per_seed(self):
@@ -154,9 +172,10 @@ class TestOrchestrate:
         a = orchestrate(devices, experts, seed=42, **kwargs)
         b = orchestrate(devices, experts, seed=42, **kwargs)
         assert a.time_avg_cost == b.time_avg_cost
-        assert [r.assignment for r in a.records] == [r.assignment for r in b.records]
+        assignments = lambda res: [r.assignment for r in slot_records(res)]  # noqa: E731
+        assert assignments(a) == assignments(b)
         c = orchestrate(devices, experts, seed=43, **kwargs)
-        assert [r.assignment for r in a.records] != [r.assignment for r in c.records]
+        assert assignments(a) != assignments(c)
 
     def test_failed_device_excluded(self):
         devices, experts, bw = simple_setup()
@@ -164,7 +183,7 @@ class TestOrchestrate:
             devices, experts, 100, v=1.0, top_k=2, seed=7,
             bandwidth=bw, noise_density=1e-9, failed_devices=frozenset({"d0"}),
         )
-        for record in res.records:
+        for record in slot_records(res):
             assert all(dev != "d0" for _, dev in record.assignment)
 
     def test_no_live_replica_raises(self):
@@ -186,7 +205,7 @@ class TestOrchestrate:
         faded_b = orchestrate(devices, experts, fading_sigma=0.5, **kwargs)
         assert faded_a.time_avg_cost == faded_b.time_avg_cost
         assert faded_a.time_avg_cost != static.time_avg_cost
-        costs = [r.slot_cost for r in faded_a.records if r.slot_cost > 0]
+        costs = [r.slot_cost for r in slot_records(faded_a) if r.slot_cost > 0]
         assert len(set(round(c, 12) for c in costs)) > 1  # per-slot variation
 
     def test_energy_weighted_cost_prefers_low_power(self):
@@ -203,7 +222,7 @@ class TestOrchestrate:
             w_lat=0.0, w_energy=1.0,
         )
         # cool radiates less joules per bit even though its rate is lower
-        assert all(dev == "cool" for r in res.records for _, dev in r.assignment)
+        assert all(dev == "cool" for r in slot_records(res) for _, dev in r.assignment)
 
     def test_decision_matches_oracle_along_run(self):
         # replay a short run and check every slot against brute force
@@ -222,7 +241,7 @@ class TestOrchestrate:
             for d in devices
         }
         queues = {d.id: VirtualQueue(d.id) for d in devices}
-        for record in res.records:
+        for record in slot_records(res):
             calls = [e for e, _ in record.assignment]
             loads = [0.5] * len(calls)
             candidates = list(
@@ -257,7 +276,7 @@ def assert_per_call_argmin(res, devices, experts, bandwidth, v, w_energy):
         return lat + w_energy * power[dev] * lat
 
     queues = {d.id: VirtualQueue(d.id) for d in devices}
-    for record in res.records:
+    for record in slot_records(res):
         for e, dev in record.assignment:
             load = by_id[e].workload_per_call
             scores = {r: queues[r].backlog * load + v * cost(e, r)
@@ -292,6 +311,80 @@ def test_per_call_rule_on_near_tie():
         devices, experts, n_slots=113, v=0.0, top_k=4, seed=31, bandwidth=bw,
         noise_density=1e-9, layers_per_task=3, w_energy=1.0,
     )
-    assert res.records[102].backlogs == {"d0": 284.80000000000007, "d1": 284.79999999999995}
+    assert slot_records(res)[102].backlogs == {"d0": 284.80000000000007, "d1": 284.79999999999995}
     assert_per_call_argmin(res, devices, experts, bw, v=0.0, w_energy=1.0)
 
+
+
+def random_moe_case(rng: random.Random, n_devices=None, n_calls=None) -> dict:
+    """orchestrate keywords for a random small run: dead uplinks, failed
+    devices, padded replica rows, zero-output experts, V = 0, jitter, energy
+    weight, fading and random arrivals all occur."""
+    n_dev = n_devices or rng.randint(1, 6)
+    devices = [
+        DeviceProfile(
+            f"d{i}",
+            rng.uniform(0.5, 3.0),
+            1e9,
+            rng.choice([0.0] + [rng.uniform(0.1, 4.0)] * 9),
+            rng.choice([0.0] + [rng.uniform(0.05, 1.0)] * 9),
+        )
+        for i in range(n_dev)
+    ]
+    ids = [d.id for d in devices]
+    if n_calls is None:
+        top_k, layers = rng.randint(1, 4), rng.randint(1, 3)
+    else:
+        top_k, layers = n_calls // 2, 2
+    n_experts = rng.randint(top_k, top_k + 4)
+    experts = [
+        ExpertMicroservice(
+            f"e{j}",
+            rng.uniform(0.05, 2.0) / top_k,
+            rng.choice([0.0, rng.uniform(1e4, 3e5), rng.uniform(1e4, 3e5)]),
+            tuple(rng.sample(ids, rng.randint(1, n_dev))),
+        )
+        for j in range(n_experts)
+    ]
+    return dict(
+        devices=devices,
+        experts=experts,
+        n_slots=rng.randint(1, 60),
+        v=rng.choice([0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 1e3)]),
+        top_k=top_k,
+        seed=rng.randrange(2**32),
+        bandwidth={i: rng.choice([0.0] + [3e5] * 9) for i in ids},
+        noise_density=1e-9,
+        layers_per_task=layers,
+        load_jitter=rng.choice([0.0, rng.uniform(0.0, 0.5)]),
+        w_lat=rng.choice([1.0, 1.0, 0.0, rng.uniform(0.0, 2.0)]),
+        w_energy=rng.choice([0.0, rng.uniform(0.0, 2.0)]),
+        failed_devices=frozenset(rng.sample(ids, rng.choice([0, 0, 0, 1]))),
+        arrival_prob=rng.choice([1.0, 1.0, rng.random(), 0.0]),
+        fading_sigma=rng.choice([None, None, rng.uniform(0.0, 0.5)]),
+    )
+
+
+def test_orchestrate_matches_per_slot_reference():
+    """The array program equals the slot-by-slot loop bit for bit: every
+    assignment, slot cost and backlog, and the three run averages."""
+    rng = random.Random(2024)
+    cases = [random_moe_case(rng) for _ in range(200)]
+    # 8 and more devices and calls per slot: numpy sums pairwise from 8 terms
+    cases += [random_moe_case(rng, n_devices=n, n_calls=n) for n in (8, 9, 12)]
+    checked = big = 0
+    for kwargs in cases:
+        try:
+            ref = orchestrate_per_slot(**kwargs)
+        except SchedulingError:
+            with pytest.raises(SchedulingError):
+                orchestrate(**kwargs)
+            continue
+        res = orchestrate(**kwargs)
+        assert slot_records(res) == ref.records
+        assert res.time_avg_cost == ref.time_avg_cost
+        assert res.time_avg_backlog == ref.time_avg_backlog
+        assert res.max_backlog == ref.max_backlog
+        checked += 1
+        big += len(res.device_ids) >= 8 and res.calls.shape[1] >= 8
+    assert checked >= 150 and big >= 1

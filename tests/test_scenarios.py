@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,22 @@ class TestCliExitCodes:
         assert self.run_cli(tmp_path, cfg) == 3
         assert "moe_summary.json" in capsys.readouterr().out
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_moe_v_times_call_cost_overflow_exits_3(self, tmp_path, capsys):
+        # each upload takes about 2.9e306 s: the costs and their 3-slot sum
+        # are finite, but V = 100 times a cost is not.  Every replica would
+        # score inf and the argmin would take the first whatever the backlogs.
+        cfg = shipped_cfg("moe_tradeoff")
+        cfg["channel"]["total_bandwidth"] = 1e-303
+        cfg["moe"].update(slots=3, v=100.0)
+        del cfg["moe"]["v_sweep"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli(tmp_path, cfg) == 3
+        assert "moe.v" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
+        cfg["moe"]["v"] = 10.0  # 2.9e307 still fits
+        assert self.run_cli(tmp_path, cfg) == 0
 
     def test_cot_beyond_exact_guard_exits_3(self, tmp_path, capsys):
         cfg = cot_cfg()

@@ -259,20 +259,3 @@ class TestUnlearningRound:
         state, _ = self.make_state()
         with pytest.raises(ValueError):
             unlearning_round(state, UnlearnRequest(frozenset({"zz"})), 0.1, 0.05)
-
-    def test_forget_batches_narrow_the_ascent(self):
-        state, _ = self.make_state()
-        x, y = state.datasets["d3"]
-        narrow = UnlearnRequest(frozenset({"d3"}), {"d3": (x[:5], y[:5])})
-        full = UnlearnRequest(frozenset({"d3"}))
-        state_narrow, _ = self.make_state()
-        unlearning_round(state_narrow, narrow, 0.5, 0.05)
-        state_full, _ = self.make_state()
-        unlearning_round(state_full, full, 0.5, 0.05)
-        assert not np.array_equal(
-            state_narrow.unlearned["d3"], state_full.unlearned["d3"]
-        )
-
-    def test_forget_batches_for_non_opt_out_rejected(self):
-        with pytest.raises(ValueError):
-            UnlearnRequest(frozenset({"a"}), {"b": (np.zeros((1, 2)), np.zeros(1, dtype=int))})
