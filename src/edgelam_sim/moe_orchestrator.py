@@ -159,32 +159,38 @@ def orchestrate(
     arrived = stream(seed, "moe.arrivals").random(n_slots) <= arrival_prob
     at = np.flatnonzero(arrived)
     n_calls = layers_per_task * top_k
-    gate = stream(seed, "moe.gate").random((at.size * layers_per_task, len(experts)))
-    calls = gate_select(gate, top_k).reshape(at.size, n_calls)
+    calls = gate_select(
+        stream(seed, "moe.gate").random((at.size * layers_per_task, len(experts))), top_k
+    ).reshape(at.size, n_calls)
     loads = np.array([e.workload_per_call for e in experts])[calls]
     if load_jitter > 0.0:
-        jitter = stream(seed, "moe.jitter").random(calls.shape)
-        loads = loads * (1.0 + load_jitter * (2.0 * jitter - 1.0))
-    options = replica_index[calls]  # (n_arrived, calls, R)
-    if fading_sigma is None:
-        call_cost = _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy)[calls]
-    else:
+        loads *= 1.0 + load_jitter * (2.0 * stream(seed, "moe.jitter").random(calls.shape) - 1.0)
+    fading = None
+    if fading_sigma is not None:
         fading = np.column_stack(
             [fading_sequence(seed, d.id, n_slots, fading_sigma)[at] for d in order]
         )
-        cost = _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy, fading)
-        call_cost = cost[np.arange(at.size)[:, None], calls]  # (n_arrived, calls, D)
-    if v > 0.0 and at.size:
-        # V*cost overflowing to inf would tie every such replica; padding
-        # reads the row's first replica, as in the scores
-        real = np.where(options < 0, options[:, :, :1], options)
-        scored = np.take_along_axis(call_cost, real, axis=2)
-        finite = scored[np.isfinite(scored)]
-        if finite.size and math.isinf(v * float(finite.max())):
+    # (1, E, D) on a static channel, else one (E, D) matrix per arrived slot
+    cost = _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy, fading)
+    if v > 0.0:
+        # V*cost overflowing to inf would tie every such replica: check the
+        # largest finite cost a score multiplies, that of a called expert on
+        # one of its live replicas
+        called = np.zeros((at.size, len(experts)), dtype=bool)
+        called[np.arange(at.size)[:, None], calls] = True
+        if fading is None:
+            called = called.any(axis=0, keepdims=True)
+        live = np.zeros((len(experts), len(order)), dtype=bool)
+        for e, rl in enumerate(alive_replicas):
+            live[e, rl] = True
+        scored = called[:, :, None] & live & np.isfinite(cost)
+        worst = float(np.max(cost, where=scored, initial=0.0))
+        if math.isinf(v * worst):
             raise SchedulingError(
-                f"V = {v:g} times the largest finite call cost {float(finite.max()):g} "
-                "overflows; lower moe.v"
+                f"V = {v:g} times the largest finite call cost {worst:g} overflows; lower moe.v"
             )
+    # the cost matrix of arrived slot i is cost[i], or cost[0] on a static channel
+    cost_of = np.arange(at.size) if fading is not None else np.zeros(at.size, dtype=np.intp)
 
     # --- the queue recursion, slot by slot --------------------------------
     n_dev = len(order)
@@ -197,8 +203,9 @@ def orchestrate(
     i = 0
     for slot, has_task in enumerate(arrived.tolist()):
         if has_task:
-            opts = options[i]
-            scores = assignment_scores(opts, queues, loads[i], call_cost[i], v)
+            slot_calls = calls[i]
+            opts = replica_index[slot_calls]
+            scores = assignment_scores(opts, queues, loads[i], cost[cost_of[i], slot_calls], v)
             picked = opts[rows, np.argmin(scores, axis=1)]
             chosen[i] = picked
             # bincount adds each device's loads in call order
@@ -214,7 +221,7 @@ def orchestrate(
     # cumsum adds in order, as a running float sum does; sums overflow to inf quietly
     slot_cost = np.zeros(n_slots)
     with np.errstate(over="ignore"):
-        taken = np.take_along_axis(call_cost, chosen[:, :, None], axis=2)[:, :, 0]
+        taken = cost[cost_of[:, None], calls, chosen]
         slot_cost[at] = np.cumsum(taken, axis=1)[:, -1]
         cost_sum = float(np.cumsum(slot_cost)[-1])
         backlog_sum = float(np.cumsum(backlog_sums)[-1])
@@ -233,8 +240,8 @@ def orchestrate(
 
 
 def _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy, fading=None):
-    """Cost of one call of each expert on each device: (E, D), or (slots, E, D)
-    under a ``fading`` (slots, D) gain sequence.
+    """Cost of one call of each expert on each device, (1, E, D), or
+    (slots, E, D) under a ``fading`` (slots, D) gain sequence.
 
     The latency is bits / rate, 0 for no bits, and +inf on a starved link
     whatever the weights.  The arithmetic is that of Python floats: an
@@ -257,5 +264,4 @@ def _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy, fadi
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lat = np.where(bits == 0.0, 0.0, bits / rate)
         cost = w_lat * lat + w_energy * (power * lat)
-    cost = np.where(np.isinf(lat), math.inf, cost)
-    return cost[0] if fading is None else cost
+    return np.where(np.isinf(lat), math.inf, cost)
