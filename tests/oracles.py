@@ -2,7 +2,9 @@
 
 Each one restates a model quantity directly from its definition (per-step
 placement cost, the bounded loss, one drift-plus-penalty decision, the
-Lindley queue recursion), sharing no code with the solver it checks.
+Lindley queue recursion, a whole MoE run one slot and one draw at a time),
+sharing no code with the solver it checks beyond the channel model and the
+named random streams.
 """
 
 import itertools

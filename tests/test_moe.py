@@ -172,10 +172,9 @@ class TestOrchestrate:
         a = orchestrate(devices, experts, seed=42, **kwargs)
         b = orchestrate(devices, experts, seed=42, **kwargs)
         assert a.time_avg_cost == b.time_avg_cost
-        assignments = lambda res: [r.assignment for r in slot_records(res)]  # noqa: E731
-        assert assignments(a) == assignments(b)
+        assert slot_records(a) == slot_records(b)
         c = orchestrate(devices, experts, seed=43, **kwargs)
-        assert assignments(a) != assignments(c)
+        assert slot_records(a) != slot_records(c)
 
     def test_failed_device_excluded(self):
         devices, experts, bw = simple_setup()
