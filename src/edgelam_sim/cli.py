@@ -5,18 +5,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 from . import casestudy as cs
-from .errors import ConfigError
+from .errors import ConfigError, SizeLimitError
 from .scenarios import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    InfeasibleScenario,
+    _run_casestudy,
     load_scenario,
     run_scenario,
-    write_csv,
-    write_json,
 )
 
 SWEEP_N_TOTAL = 608  # chain length of the uncalibrated sweep
@@ -79,60 +80,42 @@ def _cmd_casestudy(args) -> int:
         limit = "" if args.calibrate else f" up to n_total {top}"
         print(f"config error: --budgets: must be positive integers{limit}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        if args.calibrate:
-            result = cs.calibrate_casestudy((mem_t, lat_t))
-            if result.model is None:
-                print(f"infeasible: {result.message}", file=sys.stderr)
-                return EXIT_INFEASIBLE
-            model = result.model
-            print(
-                f"calibrated: N={model.n_total} gamma_handoff={model.gamma_handoff:.6g}s "
-                f"base_mem={model.base_mem:.6g}B "
-                f"(mem_reduction={result.achieved_mem_reduction:.3f}, "
-                f"lat_reduction={result.achieved_lat_reduction:.3f}) {result.message}"
-            )
-        else:
-            model = cs.TokenBudgetModel(
+    if args.calibrate:
+        spec = {"budgets": budgets, "targets": (mem_t, lat_t), "model": None}
+    else:
+        spec = {
+            "budgets": budgets,
+            "targets": None,
+            "model": dict(
                 n_total=SWEEP_N_TOTAL, t_budget=min(budgets),
                 alpha_mem=cs.DEFAULT_ALPHA_MEM, beta_comp=cs.DEFAULT_BETA_COMP,
-                gamma_handoff=0.03, base_mem=1e4,
-            )
-        rows = cs.casestudy_sweep(model, budgets)
-    except ValueError as exc:  # the device limit, or a budget beyond the calibrated chain
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+                gamma_handoff=0.03, base_mem=1e4, compute_rate=cs.DEFAULT_COMPUTE_RATE,
+            ),
+        }
+    # the runner always writes its outputs; without --out they go to a
+    # directory that is removed after the run
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(args.out or scratch)
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            summary, rows = _run_casestudy(spec, 0, out)  # the model draws no random numbers
+        except (InfeasibleScenario, SizeLimitError) as exc:
+            print(f"infeasible: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+    if args.calibrate:
+        model, cal = summary["model"], summary["calibration"]
+        print(
+            f"calibrated: N={model['n_total']} gamma_handoff={model['gamma_handoff']:.6g}s "
+            f"base_mem={model['base_mem']:.6g}B "
+            f"(mem_reduction={cal['achieved']['mem_reduction']:.3f}, "
+            f"lat_reduction={cal['achieved']['lat_reduction']:.3f}) {cal['message']}"
+        )
     header = f"{'T':>6} {'devices':>8} {'mem_red':>9} {'lat_red':>9} {'norm_cost':>10}"
     print(header)
     for r in rows:
         print(
             f"{r.t_budget:>6} {r.device_count:>8} {r.mem_reduction:>9.3f} "
             f"{r.lat_reduction:>9.3f} {r.combined_normalized_cost:>10.4f}"
-        )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            out / "casestudy_sweep.csv",
-            ["max_tokens", "device_count", "mem_reduction", "lat_reduction",
-             "combined_normalized_cost"],
-            [
-                [r.t_budget, r.device_count, r.mem_reduction, r.lat_reduction,
-                 r.combined_normalized_cost]
-                for r in rows
-            ],
-        )
-        write_json(
-            out / "casestudy_model.json",
-            {
-                "n_total": model.n_total,
-                "t_budget": model.t_budget,
-                "alpha_mem": model.alpha_mem,
-                "beta_comp": model.beta_comp,
-                "gamma_handoff": model.gamma_handoff,
-                "base_mem": model.base_mem,
-                "compute_rate": model.compute_rate,
-            },
         )
     return EXIT_OK
 

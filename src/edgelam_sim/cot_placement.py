@@ -83,11 +83,12 @@ def link_rates_from_gains(
     if gains.shape != (n, n):
         raise PlacementError(f"gain matrix must be {n}x{n}, got {gains.shape}")
     rates = np.zeros((n, n))
+    gains = gains.tolist()  # Python floats: an SNR that overflows is inf, not an error
     for a in range(n):
         for b in range(n):
             if a != b:
                 rates[a, b] = shannon_rate(
-                    link_bandwidth, gains[a, b], devices[a].tx_power, noise_density
+                    link_bandwidth, gains[a][b], devices[a].tx_power, noise_density
                 )
     return rates
 
@@ -105,14 +106,15 @@ def _cost_arrays(chain, devices, link_rates, shard_bytes):
         for d, dev in enumerate(devices):
             comp[s, d] = step.workload / dev.compute_rate
     comm = np.zeros((max(n_steps - 1, 0), n_dev, n_dev))
+    rates = link_rates.tolist()  # Python floats: a rate too small to carry the bits costs inf
     for s in range(n_steps - 1):
         bits = chain.steps[s].handoff_size
         for a in range(n_dev):
             for b in range(n_dev):
                 if a == b or bits == 0.0:
                     continue
-                rate = link_rates[a, b]
-                comm[s, a, b] = bits / rate if rate > 0 else np.inf
+                rate = rates[a][b]
+                comm[s, a, b] = bits / rate if rate > 0 else math.inf
     mem = step_memory(chain, shard_bytes)
     cap = np.array([d.memory_capacity for d in devices])
     return comp, comm, mem, cap

@@ -14,6 +14,11 @@ a joint two-way optimum is left unexplored.
 The desk-scale learning task is synthetic linear regression
 ``y = (W0 + A* B*) x + noise`` with a known ground-truth adapter, so
 convergence is checkable without real models.
+
+The kernels take the float64 arrays the run built (W0 is a plain array
+that no step writes) and check shapes and ranks only.  They do not scan
+for inf or nan: ``scenarios.run_scenario`` makes numpy raise at the
+operation that would produce one.
 """
 
 from __future__ import annotations
@@ -31,14 +36,7 @@ from .netsim import (
     comp_latency,
     shannon_rate,
 )
-from .numerics import as_matrix, as_vector
 from .rng import stream
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,10 @@ class LoraAdapter:
     B: np.ndarray  # r x k
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _read_only(as_matrix(self.A)))
-        object.__setattr__(self, "B", _read_only(as_matrix(self.B)))
+        # contiguous: a truncated factor is a strided view, which BLAS
+        # multiplies on another path with other rounding
+        object.__setattr__(self, "A", np.ascontiguousarray(self.A, dtype=np.float64))
+        object.__setattr__(self, "B", np.ascontiguousarray(self.B, dtype=np.float64))
         if self.A.shape[1] != self.B.shape[0]:
             raise ShapeError(
                 f"factor ranks disagree: A is {self.A.shape}, B is {self.B.shape}"
@@ -78,16 +78,6 @@ class LoraAdapter:
 
     def param_count(self) -> int:
         return self.A.size + self.B.size
-
-
-@dataclass(frozen=True)
-class FrozenBase:
-    """Base weights W0, immutable across all rounds of a run."""
-
-    W0: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "W0", _read_only(as_matrix(self.W0)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +130,7 @@ def aggregate_hetero(adapters: list[LoraAdapter], weights: list[float]) -> LoraA
         raise ValueError("cannot aggregate an empty adapter list")
     if len(weights) != len(adapters):
         raise ShapeError(f"{len(adapters)} adapters but {len(weights)} weights")
-    w = as_vector(weights)
+    w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
         raise ValueError("aggregation weights must be nonnegative")
     if abs(float(w.sum()) - 1.0) > 1e-9:
@@ -163,11 +153,9 @@ def aggregate_hetero(adapters: list[LoraAdapter], weights: list[float]) -> LoraA
 # local training step and losses
 # ---------------------------------------------------------------------------
 
-def mse_loss(base: FrozenBase, adapter: LoraAdapter, features, targets) -> float:
+def mse_loss(w0: np.ndarray, adapter: LoraAdapter, x: np.ndarray, y: np.ndarray) -> float:
     """Mean over the batch of the squared prediction error norm."""
-    x = as_matrix(features)
-    y = as_matrix(targets)
-    w = base.W0 + adapter.delta()
+    w = w0 + adapter.delta()
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"features have dim {x.shape[1]}, model expects {w.shape[1]}")
     if y.shape != (x.shape[0], w.shape[0]):
@@ -177,7 +165,7 @@ def mse_loss(base: FrozenBase, adapter: LoraAdapter, features, targets) -> float
 
 
 def lora_sgd_step(
-    base: FrozenBase, adapter: LoraAdapter, features, targets, lr: float
+    w0: np.ndarray, adapter: LoraAdapter, x: np.ndarray, y: np.ndarray, lr: float
 ) -> LoraAdapter:
     """One full-batch gradient step on the factors A and B; W0 untouched.
 
@@ -186,11 +174,9 @@ def lora_sgd_step(
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    x = as_matrix(features)
-    y = as_matrix(targets)
     if x.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    w = base.W0 + adapter.delta()
+    w = w0 + adapter.delta()
     if x.shape[1] != w.shape[1] or y.shape != (x.shape[0], w.shape[0]):
         raise ShapeError(
             f"batch shapes {x.shape}/{y.shape} do not fit model {w.shape}"
@@ -408,7 +394,7 @@ class FedFtState:
     """Mutable per-run training state."""
 
     round_index: int
-    base: FrozenBase
+    base: np.ndarray  # W0, never written during a run
     global_adapter: LoraAdapter
     device_adapters: dict[str, LoraAdapter]
     datasets: dict[str, tuple[np.ndarray, np.ndarray]]  # id -> (X, Y)
@@ -441,13 +427,13 @@ def make_synthetic_task(
     if true_rank < 1 or true_rank > min(output_dim, feature_dim):
         raise RankError(f"true_rank {true_rank} invalid for {output_dim}x{feature_dim}")
     base_rng = stream(seed, "fedft.base")
-    w0 = FrozenBase(0.1 * base_rng.standard_normal((output_dim, feature_dim)))
+    w0 = 0.1 * base_rng.standard_normal((output_dim, feature_dim))
     truth_rng = stream(seed, "fedft.truth")
     truth = LoraAdapter(
         truth_rng.standard_normal((output_dim, true_rank)) / math.sqrt(true_rank),
         truth_rng.standard_normal((true_rank, feature_dim)),
     )
-    w_true = w0.W0 + truth.delta()
+    w_true = w0 + truth.delta()
     datasets = {}
     adapters = {}
     for p in profiles:
@@ -482,14 +468,12 @@ def global_loss(state: FedFtState) -> float:
 def fedft_round(
     state: FedFtState,
     profiles: list[DeviceProfile],
-    total_bandwidth: float,
-    deadline: float,
+    selection: SelectionResult,
     lr: float,
     noise_density: float,
     bits_per_param: float = 64.0,
-    selection: SelectionResult | None = None,
 ) -> tuple[FedFtState, RoundRecord]:
-    """One federated round: select, local step, aggregate, redistribute.
+    """One federated round on a solved selection: local step, aggregate, redistribute.
 
     Selected devices take one local SGD step and upload their factors; the
     server aggregates with dataset-size-proportional weights and unicasts a
@@ -497,28 +481,23 @@ def fedft_round(
     modeled symmetrically on the uplink allocation.  Aggregation order is
     ascending device id, so parallel local steps stay bit-reproducible.
 
-    ``selection`` lets the caller reuse a solved allocation when the
-    selection inputs (profiles, sizes, ranks) are round-invariant.
+    ``selection`` is the participant set and allocation from
+    ``solve_round_selection``; its inputs (profiles, sizes, ranks) do not
+    change between rounds.
     """
     sizes = state.dataset_sizes()
-    if selection is None:
-        selection = solve_round_selection(
-            state, profiles, total_bandwidth, deadline, noise_density,
-            bits_per_param=bits_per_param,
-        )
-    sel = selection
-    if not sel.feasible:
+    if not selection.feasible:
         record = RoundRecord(state.round_index + 1, global_loss(state), math.inf, (), {})
         state.round_index += 1
         return state, record
 
     stepped: dict[str, LoraAdapter] = {}
-    for dev in sorted(sel.selected):
+    for dev in sorted(selection.selected):
         x, y = state.datasets[dev]
         stepped[dev] = lora_sgd_step(state.base, state.device_adapters[dev], x, y, lr)
 
-    total = float(sum(sizes[dev] for dev in sel.selected))
-    order = sorted(sel.selected)
+    total = float(sum(sizes[dev] for dev in selection.selected))
+    order = sorted(selection.selected)
     weights = [sizes[dev] / total for dev in order]
     new_global = aggregate_hetero([stepped[dev] for dev in order], weights)
 
@@ -528,9 +507,9 @@ def fedft_round(
     for p in profiles:
         received = project_rank(new_global, p.local_rank)
         state.device_adapters[p.id] = received
-        if p.id in sel.selected:
+        if p.id in selection.selected:
             rate = shannon_rate(
-                sel.allocation.bandwidth[p.id],
+                selection.allocation.bandwidth[p.id],
                 p.channel_gain,
                 p.tx_power,
                 noise_density,
@@ -544,9 +523,9 @@ def fedft_round(
     record = RoundRecord(
         state.round_index + 1,
         global_loss(state),
-        sel.round_latency + down_latency,
-        sel.selected,
-        dict(sel.allocation.bandwidth),
+        selection.round_latency + down_latency,
+        selection.selected,
+        dict(selection.allocation.bandwidth),
     )
     state.round_index += 1
     return state, record
@@ -565,7 +544,7 @@ def solve_round_selection(
         p.id: bits_per_param * state.device_adapters[p.id].param_count()
         for p in profiles
     }
-    d, k = state.base.W0.shape
+    d, k = state.base.shape
     sizes = state.dataset_sizes()
     local_flops = {
         p.id: default_step_flops(d, k, state.device_adapters[p.id].rank, sizes[p.id])
@@ -601,8 +580,7 @@ def run_fedft(
     records = []
     for _ in range(rounds):
         state, record = fedft_round(
-            state, profiles, total_bandwidth, deadline, lr, noise_density,
-            bits_per_param=bits_per_param, selection=selection,
+            state, profiles, selection, lr, noise_density, bits_per_param=bits_per_param
         )
         records.append(record)
     return records

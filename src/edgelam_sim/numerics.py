@@ -1,7 +1,8 @@
-"""Input validation and Gram-Schmidt.
+"""Gram-Schmidt orthonormalization of float64 vectors.
 
-Matrices are 2-D float64 C-order arrays and vectors are 1-D float64
-arrays.  All functions are pure and never mutate their inputs.
+The caller passes 1-D float64 arrays built inside the run; a non-finite
+entry cannot arrive, because the run raises at the operation that would
+make one.  The function is pure and never mutates its inputs.
 """
 
 from __future__ import annotations
@@ -11,32 +12,6 @@ import numpy as np
 from .errors import ShapeError
 
 DROP_TOL = 1e-8  # dependent-vector drop tolerance, relative to input norm
-
-
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate ``data`` as a finite float64 matrix, optionally of fixed shape."""
-    m = np.ascontiguousarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"expected {cols} cols, got {m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def as_vector(data, size: int | None = None) -> np.ndarray:
-    """Validate ``data`` as a finite float64 vector."""
-    v = np.ascontiguousarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={v.ndim}")
-    if size is not None and v.size != size:
-        raise ShapeError(f"expected length {size}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
 
 
 def gram_schmidt(vectors, tol: float = DROP_TOL) -> list[np.ndarray]:
@@ -54,7 +29,6 @@ def gram_schmidt(vectors, tol: float = DROP_TOL) -> list[np.ndarray]:
     basis: list[np.ndarray] = []
     dim = None
     for v in vectors:
-        v = as_vector(v)
         if dim is None:
             dim = v.size
         elif v.size != dim:
@@ -62,7 +36,7 @@ def gram_schmidt(vectors, tol: float = DROP_TOL) -> list[np.ndarray]:
         v_norm = float(np.linalg.norm(v))
         if v_norm == 0.0:
             continue
-        residual = v.copy()
+        residual = v
         for _ in range(2):
             for u in basis:
                 residual = residual - np.dot(residual, u) * u

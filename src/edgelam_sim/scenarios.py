@@ -474,19 +474,17 @@ def write_json(path: Path, payload) -> None:
 
 def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
     devices, task, train = spec["devices"], spec["task"], spec["train"]
-    # an overflow is the first sign of an ill-scaled task or of divergence:
-    # raise it before a non-finite sample, adapter or loss exists
+    # an overflow is the first sign of an ill-scaled task or of divergence;
+    # name the field to lower and, for divergence, the round
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            state = fedft.make_synthetic_task(seed, devices, **task)
-            initial = fedft.global_loss(state)
+        state = fedft.make_synthetic_task(seed, devices, **task)
+        initial = fedft.global_loss(state)
     except FloatingPointError as exc:
         raise InfeasibleScenario(
             f"synthetic task overflows ({exc}); lower fedft.noise_std (now {task['noise_std']:g})"
         ) from None
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            records = fedft.run_fedft(state, devices, **train)
+        records = fedft.run_fedft(state, devices, **train)
     except FloatingPointError as exc:
         raise InfeasibleScenario(
             f"training diverged in round {state.round_index + 1} ({exc}); "
@@ -655,7 +653,8 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
     write_json(out_dir / "cot_result.json", payload)
 
 
-def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
+def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> tuple[dict, list[cs.SweepRow]]:
+    """Write the sweep and summary; return both for the ``casestudy`` subcommand."""
     budgets = spec["budgets"]
     summary: dict = {"kind": "casestudy", "seed": seed, "budgets": budgets}
     if spec["model"] is None:
@@ -720,6 +719,7 @@ def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
     best = min(rows, key=lambda r: r.combined_normalized_cost)
     summary["best_budget"] = best.t_budget
     write_json(out_dir / "casestudy_summary.json", summary)
+    return summary, rows
 
 
 # kind -> (parser, runner, the files the runner writes)
@@ -737,6 +737,10 @@ _KINDS = {
 def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None) -> int:
     """Run one scenario file; returns the process exit status (0/2/3).
 
+    The runner executes with numpy's overflow, divide-by-zero and invalid
+    operations raising, so no inf or nan that an operation produces goes
+    unseen: it exits 3 as a numeric overflow.  The parser has already
+    rejected non-finite config numbers, and the kernels do not check again.
     A run that exits 3 removes its kind's output files, so a result in
     ``out_dir`` is never partial (nor left over from an earlier run).
     """
@@ -751,9 +755,12 @@ def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None)
     out.mkdir(parents=True, exist_ok=True)
     _, run, outputs = _KINDS[scenario.kind]
     try:
-        run(scenario.spec, scenario.seed, out)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            run(scenario.spec, scenario.seed, out)
     except (InfeasibleScenario, PlacementError, SchedulingError, SizeLimitError) as exc:
         print(f"infeasible scenario: {exc}")
+    except FloatingPointError as exc:
+        print(f"infeasible scenario: numeric overflow ({exc})")
     except NonFiniteOutput as exc:
         print(f"non-finite output: {exc}")
     else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import DROP_TOL, as_matrix, as_vector, gram_schmidt
+from .numerics import DROP_TOL, gram_schmidt
 from .rng import stream, stream_word
 
 
@@ -52,7 +52,7 @@ class RetainedSubspace:
 
 def retained_subspace(retained_gradients, tol: float = DROP_TOL) -> RetainedSubspace:
     """Gram-Schmidt basis of the retained gradients (dependents dropped)."""
-    grads = [as_vector(g) for g in retained_gradients]
+    grads = list(retained_gradients)
     if not grads:
         return RetainedSubspace(np.zeros((0, 0)))
     basis = gram_schmidt(grads, tol=tol)
@@ -67,7 +67,6 @@ def orthogonal_project(g, subspace: RetainedSubspace) -> np.ndarray:
     Projects twice; the second pass scrubs the float residue of the first,
     keeping dots with the basis at the 1e-10 contract even for large ||g||.
     """
-    g = as_vector(g)
     if subspace.n_basis == 0:
         return g.copy()
     if subspace.dim != g.size:
@@ -80,7 +79,6 @@ def orthogonal_project(g, subspace: RetainedSubspace) -> np.ndarray:
 
 def add_dp_noise(g, clip_norm: float, sigma: float, rng_seed: int) -> np.ndarray:
     """Clip ``g`` to norm <= clip_norm, then add N(0, sigma^2 clip_norm^2) per coordinate."""
-    g = as_vector(g)
     if clip_norm <= 0:
         raise ValueError("clip_norm must be > 0")
     if sigma < 0:
@@ -98,11 +96,8 @@ def add_dp_noise(g, clip_norm: float, sigma: float, rng_seed: int) -> np.ndarray
 # softmax-linear classification model
 # ---------------------------------------------------------------------------
 
-def bce_dataset_loss(weights, features, labels, delta: float) -> float:
+def bce_dataset_loss(w: np.ndarray, x: np.ndarray, labels: np.ndarray, delta: float) -> float:
     """Mean bounded cross-entropy of the classifier over a dataset."""
-    w = as_matrix(weights)
-    x = as_matrix(features)
-    labels = np.asarray(labels, dtype=np.int64)
     logits = x @ w.T
     logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
@@ -111,15 +106,12 @@ def bce_dataset_loss(weights, features, labels, delta: float) -> float:
     return float(np.mean(-np.log((p_label + delta) / (1.0 + delta))))
 
 
-def bce_dataset_grad(weights, features, labels, delta: float) -> np.ndarray:
+def bce_dataset_grad(w: np.ndarray, x: np.ndarray, labels: np.ndarray, delta: float) -> np.ndarray:
     """Gradient of :func:`bce_dataset_loss` w.r.t. the weight matrix.
 
     Per example the logit gradient is p_y (p_c - 1[c=y]) / (p_y + delta),
     which reduces to the usual softmax-CE gradient as delta -> 0.
     """
-    w = as_matrix(weights)
-    x = as_matrix(features)
-    labels = np.asarray(labels, dtype=np.int64)
     m = x.shape[0]
     logits = x @ w.T
     logits -= logits.max(axis=1, keepdims=True)

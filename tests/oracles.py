@@ -28,7 +28,6 @@ from edgelam_sim.netsim import (
     fading_sequence,
     shannon_rate,
 )
-from edgelam_sim.numerics import as_vector
 from edgelam_sim.rng import stream
 
 # ---------------------------------------------------------------------------
@@ -36,9 +35,19 @@ from edgelam_sim.rng import stream
 # ---------------------------------------------------------------------------
 
 
+def finite_vector(data) -> np.ndarray:
+    """``data`` as a 1-D float64 array of finite numbers."""
+    v = np.asarray(data, dtype=np.float64)
+    if v.ndim != 1:
+        raise ShapeError(f"expected a 1-D vector, got ndim={v.ndim}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    return v
+
+
 def as_prob_vector(data) -> np.ndarray:
     """Validate ``data`` as a probability vector (entries in [0,1], sum 1)."""
-    p = as_vector(data)
+    p = finite_vector(data)
     if p.size == 0:
         raise ShapeError("probability vector must be nonempty")
     if np.any(p < 0.0) or np.any(p > 1.0):
@@ -50,7 +59,7 @@ def as_prob_vector(data) -> np.ndarray:
 
 def softmax(z) -> np.ndarray:
     """Numerically stable softmax (max-subtracted)."""
-    z = as_vector(z)
+    z = finite_vector(z)
     e = np.exp(z - z.max())
     return e / e.sum()
 

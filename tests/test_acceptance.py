@@ -75,7 +75,7 @@ def test_criterion_2_gradient_checks():
     for _ in range(100):
         d, k = (int(x) for x in rng.integers(2, 5, size=2))
         r = int(rng.integers(1, min(d, k) + 1))
-        base = fedft.FrozenBase(rng.standard_normal((d, k)))
+        base = rng.standard_normal((d, k))
         adapter = fedft.LoraAdapter(
             rng.standard_normal((d, r)), rng.standard_normal((r, k))
         )

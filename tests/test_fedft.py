@@ -8,7 +8,6 @@ import pytest
 
 from edgelam_sim.errors import RankError, ShapeError
 from edgelam_sim.fedft import (
-    FrozenBase,
     LoraAdapter,
     aggregate_hetero,
     fedft_round,
@@ -141,7 +140,7 @@ class TestAggregate:
 class TestLoraSgdStep:
     def test_lr_zero_unchanged(self):
         rng = np.random.default_rng(11)
-        base = FrozenBase(rng.standard_normal((3, 4)))
+        base = rng.standard_normal((3, 4))
         a = random_adapter(rng, 3, 4, 2)
         x = rng.standard_normal((5, 4))
         y = rng.standard_normal((5, 3))
@@ -151,19 +150,19 @@ class TestLoraSgdStep:
 
     def test_stationary_at_perfect_fit(self):
         rng = np.random.default_rng(12)
-        base = FrozenBase(rng.standard_normal((3, 4)))
+        base = rng.standard_normal((3, 4))
         a = random_adapter(rng, 3, 4, 2)
         x = rng.standard_normal((6, 4))
-        y = x @ (base.W0 + a.delta()).T
+        y = x @ (base + a.delta()).T
         out = lora_sgd_step(base, a, x, y, 0.5)
         assert np.max(np.abs(out.A - a.A)) <= 1e-12
         assert np.max(np.abs(out.B - a.B)) <= 1e-12
 
     def test_one_dimensional_analytic_case(self):
         # W0=0, A=B=[[1]], x=1, y=0, lr=0.1: dA = dB = 2 -> both become 0.8
-        base = FrozenBase([[0.0]])
+        base = np.zeros((1, 1))
         a = LoraAdapter([[1.0]], [[1.0]])
-        out = lora_sgd_step(base, a, [[1.0]], [[0.0]], 0.1)
+        out = lora_sgd_step(base, a, np.ones((1, 1)), np.zeros((1, 1)), 0.1)
         assert out.A[0, 0] == pytest.approx(0.8, abs=1e-15)
         assert out.B[0, 0] == pytest.approx(0.8, abs=1e-15)
 
@@ -173,7 +172,7 @@ class TestLoraSgdStep:
         for _ in range(20):
             d, k = rng.integers(2, 5, size=2)
             r = int(rng.integers(1, min(d, k) + 1))
-            base = FrozenBase(rng.standard_normal((d, k)))
+            base = rng.standard_normal((d, k))
             adapter = random_adapter(rng, d, k, r)
             x = rng.standard_normal((4, k))
             y = rng.standard_normal((4, d))
@@ -468,7 +467,8 @@ class TestFedFtRound:
         before = state.device_adapters["a"]
         x, y = state.datasets["a"]
         expected = lora_sgd_step(state.base, before, x, y, 0.1)
-        state, record = fedft_round(state, [dev], 1e6, 100.0, 0.1, 1e-9)
+        sel = solve_round_selection(state, [dev], 1e6, 100.0, 1e-9)
+        state, record = fedft_round(state, [dev], sel, 0.1, 1e-9)
         assert record.selected == ("a",)
         assert np.max(np.abs(state.global_adapter.A - expected.A)) <= 1e-12
         assert np.max(np.abs(state.global_adapter.B - expected.B)) <= 1e-12
@@ -488,19 +488,20 @@ class TestFedFtRound:
             state.device_adapters[dev] = shared_adapter
         single = lora_sgd_step(state.base, shared_adapter, shared_x, shared_y, 0.1)
         central = mse_loss(state.base, single, shared_x, shared_y)
-        state, record = fedft_round(state, devices, 1e6, 100.0, 0.1, 1e-9)
+        sel = solve_round_selection(state, devices, 1e6, 100.0, 1e-9)
+        state, record = fedft_round(state, devices, sel, 0.1, 1e-9)
         assert record.selected == ("d0", "d1", "d2")
         assert abs(record.global_loss - central) <= 1e-9
 
     def test_cached_selection_matches_per_round_solve(self):
+        # run_fedft solves the selection once: a round must not change it
         devices, state = hetero_state(seed=3)
         sel = solve_round_selection(state, devices, 1e6, 30.0, 1e-9)
-        state2 = hetero_state(seed=3)[1]
-        s1, r1 = fedft_round(state, devices, 1e6, 30.0, 0.05, 1e-9, selection=sel)
-        s2, r2 = fedft_round(state2, devices, 1e6, 30.0, 0.05, 1e-9)
-        assert r1.global_loss == r2.global_loss
-        assert r1.round_latency == r2.round_latency
-        assert r1.bandwidth == r2.bandwidth
+        for _ in range(3):
+            state, record = fedft_round(state, devices, sel, 0.05, 1e-9)
+            assert solve_round_selection(state, devices, 1e6, 30.0, 1e-9) == sel
+        assert record.selected == sel.selected
+        assert record.bandwidth == sel.allocation.bandwidth
 
     def test_run_converges_on_hetero_ranks(self):
         devices, state = hetero_state()

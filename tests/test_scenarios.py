@@ -250,6 +250,7 @@ class TestCli:
         assert (out / "casestudy_sweep.csv").exists()
 
     def test_casestudy_subcommand(self, tmp_path, capsys):
+        # the subcommand writes what `run` writes for the same calibration
         out = tmp_path / "cs"
         assert main([
             "casestudy", "--budgets", "64,128,256", "--calibrate",
@@ -257,7 +258,13 @@ class TestCli:
         ]) == 0
         printed = capsys.readouterr().out
         assert "calibrated" in printed
-        assert (out / "casestudy_sweep.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "casestudy_summary.json", "casestudy_sweep.csv"
+        ]
+        path = write_cfg(tmp_path, casestudy_cfg())
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        sweep = (tmp_path / "run" / "casestudy_sweep.csv").read_bytes()
+        assert (out / "casestudy_sweep.csv").read_bytes() == sweep
 
     def test_casestudy_bad_budgets(self, capsys):
         assert main(["casestudy", "--budgets", "abc"]) == 2
@@ -478,6 +485,18 @@ class TestCliExitCodes:
         summary = json.loads((tmp_path / "out" / "moe_summary.json").read_text())
         assert 1e300 < summary["time_avg_cost"] < math.inf
 
+    def test_cot_link_snr_overflow_stays_finite(self, tmp_path):
+        # gain times power overflows on link d0->d1; shannon_rate then takes
+        # the rate in logs, as it does for an MoE band, and the run exits 0
+        cfg = shipped_cfg("cot_place")
+        cfg["cot"]["gains"][0][1] = 1e300
+        cfg["devices"][0]["tx_power"] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli(tmp_path, cfg) == 0
+        result = json.loads((tmp_path / "out" / "cot_result.json").read_text())
+        assert math.isfinite(result["exact"]["cost_s"])
+
     @pytest.mark.parametrize("v", [1.0, 0.0])
     def test_moe_band_starving_every_upload_exits_3(self, tmp_path, capsys, v):
         # the rate stays finite (about 3e-303 bit/s), but a 1e6-bit upload
@@ -517,6 +536,20 @@ class TestCliExitCodes:
         assert list((tmp_path / "out").iterdir()) == []
         cfg["moe"]["v"] = 10.0  # 2.9e307 still fits
         assert self.run_cli(tmp_path, cfg) == 0
+
+    def test_moe_backlog_times_load_overflow_exits_3(self, tmp_path, capsys):
+        # every call adds 1e300 FLOPs: after the first slot every backlog
+        # times a load overflows, which no check before the loop can see
+        cfg = shipped_cfg("moe_tradeoff")
+        for expert in cfg["moe"]["experts"]:
+            expert["workload"] = 1e300
+        cfg["moe"]["slots"] = 3
+        del cfg["moe"]["v_sweep"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli(tmp_path, cfg) == 3
+        assert "numeric overflow" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_cot_beyond_exact_guard_exits_3(self, tmp_path, capsys):
         cfg = cot_cfg()
@@ -578,3 +611,73 @@ class TestParseProperty:
             parse_scenario(json.dumps(cfg))
         except ConfigError:
             pass
+
+
+# numeric replacements: zero, a subnormal, the bottom and the top of the
+# normal range; an integer field also gets its two neighbours
+EDGE_NUMBERS = [0, 1e-320, 1e-305, 1e300]
+# the shipped configs cut to a size that runs in milliseconds
+RUN_CAPS = {"slots": 50, "rounds": 5, "pretrain_rounds": 5, "unlearn_rounds": 5}
+
+
+def small_shipped_cfg(name):
+    cfg = shipped_cfg(name)
+    block = cfg[cfg["kind"]]
+    for key, cap in RUN_CAPS.items():
+        if key in block:
+            block[key] = min(block[key], cap)
+    if "steps" in block:
+        block["steps"] = block["steps"][:5]
+    return cfg
+
+
+def value_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def assert_outputs_finite(out: Path):
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=reject_constant)
+            continue
+        for row in text.splitlines()[1:]:
+            for cell in row.split(","):
+                for token in cell.replace("=", ";").split(";"):
+                    try:
+                        number = float(token)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), f"{path.name}: {row}"
+
+
+class TestRunProperty:
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_mutated_small_config_exits_cleanly(self, tmp_path_factory, data):
+        """A run ends in exit 0 with finite outputs, 2, or 3 with none; no
+        exception and no warning."""
+        cfg = small_shipped_cfg(data.draw(st.sampled_from(SHIPPED_NAMES)))
+        numbers = [p for p in json_paths(cfg) if type(value_at(cfg, p)) in (int, float)]
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(numbers))
+            parent = value_at(cfg, path[:-1])
+            old = parent[path[-1]]
+            near = [old - 1, old + 1] if isinstance(old, int) else []
+            parent[path[-1]] = data.draw(st.sampled_from(EDGE_NUMBERS + near))
+        tmp = tmp_path_factory.mktemp("run")
+        out = tmp / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(write_cfg(tmp, cfg)), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert_outputs_finite(out)
+        else:
+            assert not out.exists() or list(out.iterdir()) == []
