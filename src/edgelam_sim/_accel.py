@@ -127,8 +127,10 @@ def _count_feasible(mem, cap):
             total += m
         return int(total <= cap[0])
     load = np.zeros(1 << n_steps)
-    for s in range(n_steps):
-        load[1 << s : 2 << s] = load[: 1 << s] + mem[s]
+    # an overflowing load is inf, which the capacity test below rejects
+    with np.errstate(over="ignore"):
+        for s in range(n_steps):
+            load[1 << s : 2 << s] = load[: 1 << s] + mem[s]
     ways = (load <= cap[0]).astype(np.int64)
     if n_dev > 2:
         low = min(n_steps, _BLOCK_STEPS)

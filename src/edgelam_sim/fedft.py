@@ -4,10 +4,10 @@ Devices train low-rank factor pairs (A, B) of varying rank on top of a
 frozen base matrix.  The server zero-pads uploads to the max participating
 rank, averages the A- and B-factors separately, and unicasts a truncated
 copy back to each device.  Device selection and bandwidth allocation are
-solved jointly and exactly: devices are ranked by the minimal bandwidth
-each needs to meet the round latency, the round latency is bisected, and
-per-device minimal-bandwidth inner solves price each device, with no
-enumeration of subsets and no limit on the device count.  The solve
+solved jointly and exactly by one bisection of the round latency: at each
+candidate latency devices are ranked by the minimal bandwidth each needs
+to meet it, and the bandwidths at the final latency are the split, with
+no enumeration of subsets and no limit on the device count.  The solve
 targets uplink only; downlink rides the same allocation symmetrically, and
 a joint two-way optimum is left unexplored.
 
@@ -24,6 +24,7 @@ operation that would produce one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,114 +203,31 @@ class SelectionResult:
     feasible: bool
 
 
-def _min_bandwidth(bits: float, gain: float, power: float, n0: float,
-                   comm_budget: float, b_cap: float) -> float:
-    """Minimal bandwidth so that ``bits`` upload within ``comm_budget`` s.
+def _min_bandwidth(profile: DeviceProfile, bits: float, comp: float, tau: float,
+                   noise_density: float, b_cap: float) -> float:
+    """Minimal bandwidth for one device to finish compute and upload by ``tau``.
 
-    Returns inf when even ``b_cap`` Hz cannot achieve the required rate.
+    0 when there is nothing to upload and the compute fits.  inf when the
+    device cannot make it at any bandwidth up to ``b_cap``: its compute
+    alone overruns ``tau``, it has bits to send over a dead channel, or even
+    ``b_cap`` Hz is too slow.
     """
     if bits == 0.0:
-        return 0.0
-    if comm_budget <= 0.0:
+        return 0.0 if comp <= tau else math.inf
+    gain, power = profile.channel_gain, profile.tx_power
+    if comp >= tau or gain * power == 0.0:
         return math.inf
-    required = bits / comm_budget
-    if shannon_rate(b_cap, gain, power, n0) < required:
+    required = bits / (tau - comp)
+    if shannon_rate(b_cap, gain, power, noise_density) < required:
         return math.inf
     lo, hi = 0.0, b_cap
     for _ in range(52):
         mid = 0.5 * (lo + hi)
-        if shannon_rate(mid, gain, power, n0) >= required:
+        if shannon_rate(mid, gain, power, noise_density) >= required:
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def _subset_min_latency(
-    profiles: list[DeviceProfile],
-    total_bandwidth: float,
-    upload_bits: dict[str, float],
-    local_flops: dict[str, float],
-    noise_density: float,
-) -> tuple[float, dict[str, float]]:
-    """Minimal achievable max per-device latency for one subset.
-
-    Bisection on the target latency tau; at each tau every device needs the
-    minimal bandwidth putting its upload inside tau minus its compute time,
-    and tau is feasible iff those bandwidths fit in the total.  Returns
-    (latency, allocation); (inf, {}) when the subset can never finish.
-    """
-    comp = {p.id: comp_latency(local_flops[p.id], p.compute_rate) for p in profiles}
-    for p in profiles:
-        if upload_bits[p.id] > 0 and p.channel_gain * p.tx_power == 0.0:
-            return math.inf, {}
-
-    def need(tau: float) -> dict[str, float]:
-        out = {}
-        for p in profiles:
-            out[p.id] = _min_bandwidth(
-                upload_bits[p.id], p.channel_gain, p.tx_power, noise_density,
-                tau - comp[p.id], total_bandwidth,
-            )
-        return out
-
-    def feasible(alloc: dict[str, float]) -> bool:
-        s = 0.0
-        for b in alloc.values():
-            if math.isinf(b):
-                return False
-            s += b
-        return s <= total_bandwidth
-
-    lo = max(comp.values())
-    if all(upload_bits[p.id] == 0.0 for p in profiles):
-        return lo, {p.id: 0.0 for p in profiles}
-    hi = lo + 1.0
-    for _ in range(100):
-        if feasible(need(hi)):
-            break
-        hi = lo + 2.0 * (hi - lo)
-    else:
-        return math.inf, {}
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if feasible(need(mid)):
-            hi = mid
-        else:
-            lo = mid
-    alloc = need(hi)
-    # hand out the slack: scaling every B_i up never hurts any device
-    used = sum(alloc.values())
-    if used > 0.0:
-        factor = total_bandwidth / used
-        alloc = {dev: b * factor for dev, b in alloc.items()}
-        while sum(alloc.values()) > total_bandwidth:
-            worst = max(alloc, key=alloc.get)
-            alloc[worst] = np.nextafter(alloc[worst], 0.0)
-    latency = max(
-        comp[p.id]
-        + comm_latency(
-            upload_bits[p.id],
-            shannon_rate(alloc[p.id], p.channel_gain, p.tx_power, noise_density),
-        )
-        for p in profiles
-    )
-    return latency, alloc
-
-
-def _device_bandwidth(profile: DeviceProfile, bits: float, comp: float,
-                      tau: float, noise_density: float, b_cap: float) -> float:
-    """Minimal bandwidth for one device to finish compute and upload by ``tau``.
-
-    inf when the device cannot make it at any bandwidth up to ``b_cap``:
-    its compute alone overruns ``tau`` (checked first, because
-    ``_min_bandwidth`` returns 0 for a zero-bit upload whatever the budget),
-    or it has bits to send over a dead channel.
-    """
-    if comp > tau or (bits > 0.0 and profile.channel_gain * profile.tx_power == 0.0):
-        return math.inf
-    return _min_bandwidth(bits, profile.channel_gain, profile.tx_power,
-                          noise_density, tau - comp, b_cap)
 
 
 def select_devices_and_bandwidth(
@@ -329,9 +247,9 @@ def select_devices_and_bandwidth(
     So the largest feasible size k is the longest prefix of the devices
     ranked by (b_i(deadline), id) that fits, and the fastest size-k subset
     is the k cheapest devices at the smallest tau where those k fit, found
-    by bisecting tau.  That costs O(N log N) per bisection step instead of
-    one bisection per subset.  The reported latency and allocation come
-    from ``_subset_min_latency`` on the chosen subset.
+    by bisecting tau down to adjacent floats.  Those devices get their
+    b_i(tau), scaled up to fill the band, and the round latency is the
+    slowest one's compute plus upload time on that split.
     """
     if not profiles:
         raise ValueError("need at least one device profile")
@@ -345,42 +263,48 @@ def select_devices_and_bandwidth(
             raise ValueError(f"missing upload_bits/local_flops for device {p.id}")
 
     comp = {p.id: comp_latency(local_flops[p.id], p.compute_rate) for p in profiles}
+    by_id = {p.id: p for p in profiles}
 
-    def ranked(tau: float) -> list[tuple[float, str, DeviceProfile]]:
+    def ranked(tau: float) -> list[tuple[float, str]]:
         return sorted(
-            (
-                (_device_bandwidth(p, upload_bits[p.id], comp[p.id], tau,
-                                   noise_density, total_bandwidth), p.id, p)
-                for p in profiles
-            ),
-            key=lambda t: t[:2],
+            (_min_bandwidth(p, upload_bits[p.id], comp[p.id], tau, noise_density,
+                            total_bandwidth), p.id)
+            for p in profiles
         )
 
     k = 0
     used = 0.0
-    for b, _, _ in ranked(deadline):
+    for b, _ in ranked(deadline):
         used += b
         if used > total_bandwidth:
             break
         k += 1
     while k > 0:
-        if k == len(profiles):
-            candidate = sorted(profiles, key=lambda p: p.id)
-        else:
-            lo, hi = min(comp.values()), deadline
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                if sum(b for b, _, _ in ranked(mid)[:k]) <= total_bandwidth:
-                    hi = mid
-                else:
-                    lo = mid
-            candidate = sorted((p for _, _, p in ranked(hi)[:k]), key=lambda p: p.id)
-        latency, alloc = _subset_min_latency(
-            candidate, total_bandwidth, upload_bits, local_flops, noise_density,
+        # an infinite deadline bisects from the largest float instead
+        lo, hi = min(comp.values()), min(deadline, sys.float_info.max)
+        # halves first: lo + hi may overflow
+        while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+            if sum(b for b, _ in ranked(mid)[:k]) <= total_bandwidth:
+                hi = mid
+            else:
+                lo = mid
+        alloc = dict(sorted((dev, b) for b, dev in ranked(hi)[:k]))
+        # hand out the slack: scaling every b_i up never hurts any device
+        used = sum(alloc.values())
+        if used > 0.0:
+            factor = total_bandwidth / used
+            alloc = {dev: b * factor for dev, b in alloc.items()}
+            while sum(alloc.values()) > total_bandwidth:
+                worst = max(alloc, key=alloc.get)
+                alloc[worst] = math.nextafter(alloc[worst], 0.0)
+        latency = max(
+            comp[dev] + comm_latency(upload_bits[dev], shannon_rate(
+                b, by_id[dev].channel_gain, by_id[dev].tx_power, noise_density))
+            for dev, b in alloc.items()
         )
         if latency <= deadline:
             allocation = ChannelAllocation(alloc, noise_density, total_bandwidth)
-            return SelectionResult(tuple(p.id for p in candidate), allocation, latency, True)
+            return SelectionResult(tuple(alloc), allocation, latency, True)
         k -= 1  # a borderline subset that the bisection's rounding put past the deadline
     return SelectionResult((), None, math.inf, False)
 

@@ -1,5 +1,5 @@
 """Wireless edge-network model: devices, Shannon-rate channels, and latency
-and energy accounting.
+accounting.
 
 The channel is a standard FDMA link budget: a device allocated bandwidth B
 sees noise power N0*B, so its uplink rate is B*log2(1 + g*p/(N0*B)); this
@@ -105,13 +105,6 @@ def comp_latency(flops: float, compute_rate: float) -> float:
     if compute_rate <= 0:
         raise DomainError("compute_rate must be > 0")
     return flops / compute_rate
-
-
-def energy(power: float, duration: float) -> float:
-    """Energy in joules spent radiating/computing at ``power`` for ``duration``."""
-    if power < 0 or duration < 0:
-        raise DomainError("power and duration must be >= 0")
-    return power * duration
 
 
 def fading_sequence(seed: int, device_id: str, n_slots: int, sigma: float = 0.2) -> np.ndarray:

@@ -24,7 +24,6 @@ from edgelam_sim.errors import PlacementError, SchedulingError, ShapeError
 from edgelam_sim.netsim import (
     DeviceProfile,
     comm_latency,
-    energy,
     fading_sequence,
     shannon_rate,
 )
@@ -218,6 +217,113 @@ def make_random_instance(
 
 
 # ---------------------------------------------------------------------------
+# device selection and bandwidth allocation
+# ---------------------------------------------------------------------------
+
+
+def min_bandwidth(bits, gain, power, n0, comm_budget, b_cap):
+    """Minimal bandwidth so that ``bits`` upload within ``comm_budget`` s.
+
+    inf when even ``b_cap`` Hz cannot achieve the required rate.
+    """
+    if bits == 0.0:
+        return 0.0
+    if comm_budget <= 0.0:
+        return math.inf
+    required = bits / comm_budget
+    if shannon_rate(b_cap, gain, power, n0) < required:
+        return math.inf
+    lo, hi = 0.0, b_cap
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        if shannon_rate(mid, gain, power, n0) >= required:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def subset_min_latency(profiles, total_bandwidth, upload_bits, local_flops, noise_density):
+    """Minimal achievable max per-device latency of one subset, by its own bisection.
+
+    At each target latency tau every device needs the minimal bandwidth
+    putting its upload inside tau minus its compute time; tau is feasible
+    iff those fit in the band.  tau is doubled until feasible, then bisected
+    64 times, and the slack is spread by scaling every share up.  Returns
+    (latency, allocation); (inf, {}) when the subset can never finish.
+    """
+    comp = {p.id: local_flops[p.id] / p.compute_rate for p in profiles}
+    if any(upload_bits[p.id] > 0 and p.channel_gain * p.tx_power == 0.0 for p in profiles):
+        return math.inf, {}
+
+    def need(tau):
+        return {
+            p.id: min_bandwidth(upload_bits[p.id], p.channel_gain, p.tx_power,
+                                noise_density, tau - comp[p.id], total_bandwidth)
+            for p in profiles
+        }
+
+    def feasible(alloc):
+        return sum(alloc.values()) <= total_bandwidth  # an inf share never fits
+
+    lo = max(comp.values())
+    if all(upload_bits[p.id] == 0.0 for p in profiles):
+        return lo, {p.id: 0.0 for p in profiles}
+    hi = lo + 1.0
+    for _ in range(100):
+        if feasible(need(hi)):
+            break
+        hi = lo + 2.0 * (hi - lo)
+    else:
+        return math.inf, {}
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if feasible(need(mid)):
+            hi = mid
+        else:
+            lo = mid
+    alloc = need(hi)
+    used = sum(alloc.values())
+    if used > 0.0:
+        factor = total_bandwidth / used
+        alloc = {dev: b * factor for dev, b in alloc.items()}
+        while sum(alloc.values()) > total_bandwidth:
+            worst = max(alloc, key=alloc.get)
+            alloc[worst] = math.nextafter(alloc[worst], 0.0)
+    latency = max(
+        comp[p.id] + comm_latency(
+            upload_bits[p.id],
+            shannon_rate(alloc[p.id], p.channel_gain, p.tx_power, noise_density))
+        for p in profiles
+    )
+    return latency, alloc
+
+
+def exhaustive_selection(profiles, total_bandwidth, upload_bits, local_flops,
+                         deadline, noise_density):
+    """Solve every subset, largest size first, keyed on (-size, latency, ids).
+
+    Returns (ids, latency, bandwidth) of the winner, or None when no subset
+    meets the deadline.
+    """
+    best = None
+    order = sorted(profiles, key=lambda p: p.id)
+    for size in range(len(order), 0, -1):
+        for combo in itertools.combinations(order, size):
+            latency, alloc = subset_min_latency(
+                list(combo), total_bandwidth, upload_bits, local_flops, noise_density
+            )
+            if latency > deadline:
+                continue
+            key = (-size, latency, tuple(p.id for p in combo))
+            if best is None or key < best[0]:
+                best = (key, alloc)
+        if best is not None:
+            return best[0][2], best[0][1], best[1]
+    return None
+
+
+# ---------------------------------------------------------------------------
 # drift-plus-penalty scheduling
 # ---------------------------------------------------------------------------
 
@@ -352,7 +458,7 @@ def orchestrate_per_slot(
         rate = shannon_rate(bandwidth.get(d.id, 0.0), d.channel_gain * fading[slot, j],
                             d.tx_power, noise_density)
         lat = comm_latency(e.output_size, rate)
-        return math.inf if math.isinf(lat) else w_lat * lat + w_energy * energy(d.tx_power, lat)
+        return math.inf if math.isinf(lat) else w_lat * lat + w_energy * (d.tx_power * lat)
 
     gate_rng = stream(seed, "moe.gate")
     jitter_rng = stream(seed, "moe.jitter")

@@ -1,4 +1,4 @@
-"""Channel, latency and energy accounting."""
+"""Channel and latency accounting."""
 
 import math
 
@@ -11,7 +11,6 @@ from edgelam_sim.netsim import (
     DeviceProfile,
     comm_latency,
     comp_latency,
-    energy,
     fading_sequence,
     shannon_rate,
 )
@@ -78,14 +77,6 @@ class TestLatencyEnergy:
         assert comp_latency(0.0, 1e9) == 0.0
         assert comp_latency(1e9, 1e9) == 1.0
         assert comp_latency(3e8, 1.5e8) == 2.0
-
-    def test_energy_cases(self):
-        assert energy(0.0, 5.0) == 0.0
-        assert energy(2.0, 3.0) == 6.0
-
-    def test_energy_of_upload(self):
-        # 1e6 bits at 1e6 bit/s with 0.5 W -> 0.5 J
-        assert energy(0.5, comm_latency(1e6, 1e6)) == 0.5
 
     def test_latency_additivity(self):
         comp = comp_latency(3e9, 2e9)

@@ -551,6 +551,14 @@ class TestCliExitCodes:
         assert "numeric overflow" in capsys.readouterr().out
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_cot_memory_overflow_is_infeasible_not_numeric(self, tmp_path, capsys):
+        # summed step memories overflow to inf, which no capacity admits
+        cfg = shipped_cfg("cot_place")
+        cfg["cot"]["shard_bytes"] = 1e308
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "no capacity-feasible placement exists" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_cot_beyond_exact_guard_exits_3(self, tmp_path, capsys):
         cfg = cot_cfg()
         cfg["devices"] = [dict(DEVICES[0], id=f"d{i}") for i in range(6)]
