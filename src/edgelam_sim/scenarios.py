@@ -739,7 +739,8 @@ def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None)
 
     The runner executes with numpy's overflow, divide-by-zero and invalid
     operations raising, so no inf or nan that an operation produces goes
-    unseen: it exits 3 as a numeric overflow.  The parser has already
+    unseen: it exits 3 as a numeric overflow.  An array too large to
+    allocate exits 3 as out of memory.  The parser has already
     rejected non-finite config numbers, and the kernels do not check again.
     A run that exits 3 removes its kind's output files, so a result in
     ``out_dir`` is never partial (nor left over from an earlier run).
@@ -761,6 +762,8 @@ def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None)
         print(f"infeasible scenario: {exc}")
     except FloatingPointError as exc:
         print(f"infeasible scenario: numeric overflow ({exc})")
+    except MemoryError as exc:
+        print(f"infeasible scenario: out of memory ({exc})")
     except NonFiniteOutput as exc:
         print(f"non-finite output: {exc}")
     else:

@@ -14,7 +14,9 @@ its influence on the model is distinguishable and removable.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -111,27 +113,64 @@ def bce_dataset_grad(w: np.ndarray, x: np.ndarray, labels: np.ndarray, delta: fl
 
     Per example the logit gradient is p_y (p_c - 1[c=y]) / (p_y + delta),
     which reduces to the usual softmax-CE gradient as delta -> 0.
+
+    Takes stacks: the leading axes of ``w (..., C, f)``, ``x (..., m, f)``
+    and ``labels (..., m)`` broadcast, and the result is ``(..., C, f)``,
+    one gradient per dataset.  A 2-D ``w`` and ``x`` is the one-dataset
+    case; each slice of a stacked call equals its 2-D call bit for bit.
     """
-    m = x.shape[0]
-    logits = x @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
+    m = x.shape[-2]
+    logits = x @ np.swapaxes(w, -1, -2)
+    logits -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    rows = np.arange(m)
-    p_label = probs[rows, labels]
-    coeff = probs * (p_label / (p_label + delta))[:, None]
-    coeff[rows, labels] -= p_label / (p_label + delta)
-    return (coeff.T @ x) / m
+    probs /= probs.sum(axis=-1, keepdims=True)
+    at_label = labels[..., None]
+    p_label = np.take_along_axis(probs, at_label, axis=-1)
+    ratio = p_label / (p_label + delta)
+    coeff = probs * ratio
+    at_coeff = np.take_along_axis(coeff, at_label, axis=-1)
+    np.put_along_axis(coeff, at_label, at_coeff - ratio, axis=-1)
+    return (np.swapaxes(coeff, -1, -2) @ x) / m
 
 
 @dataclass
 class UnlearnState:
-    """Classifier, per-device data, and per-opt-out unlearned models."""
+    """Classifier, per-device data, and per-opt-out unlearned models.
+
+    The datasets, which must all have the same shape, are stacked once in
+    id order into ``x (D, m, f)`` and ``labels (D, m)``; ``datasets`` then
+    becomes a read-only mapping of each id to its slices of the stacks.
+    """
 
     global_weights: np.ndarray  # n_classes x feature_dim
-    datasets: dict[str, tuple[np.ndarray, np.ndarray]]  # id -> (X, labels)
+    datasets: Mapping[str, tuple[np.ndarray, np.ndarray]]  # id -> (X, labels)
     unlearned: dict[str, np.ndarray] = field(default_factory=dict)
     round_index: int = 0
+    device_ids: tuple[str, ...] = field(init=False)
+    x: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
+    _retained: dict[frozenset, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, default_factory=dict, repr=False
+    )
+
+    def __post_init__(self):
+        self.device_ids = tuple(sorted(self.datasets))
+        self.x = np.stack([self.datasets[dev][0] for dev in self.device_ids])
+        self.labels = np.stack([self.datasets[dev][1] for dev in self.device_ids])
+        self.datasets = MappingProxyType(
+            {dev: (self.x[i], self.labels[i]) for i, dev in enumerate(self.device_ids)}
+        )
+
+    def retained(self, opt_out_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked data of the devices outside ``opt_out_ids``, in id order.
+
+        Copied out of the stacks once per opt-out set and kept.
+        """
+        key = frozenset(opt_out_ids)
+        if key not in self._retained:
+            keep = [i for i, dev in enumerate(self.device_ids) if dev not in key]
+            self._retained[key] = (self.x[keep], self.labels[keep])
+        return self._retained[key]
 
 
 @dataclass(frozen=True)
@@ -202,16 +241,18 @@ def make_classification_task(
 
 
 def pretrain(state: UnlearnState, lr: float, rounds: int, delta: float) -> None:
-    """Plain federated descent over all devices (size-weighted full batch)."""
-    sizes = {dev: x.shape[0] for dev, (x, _) in state.datasets.items()}
-    total = float(sum(sizes.values()))
+    """Plain federated descent over all devices (size-weighted full batch).
+
+    One stacked gradient call per round; the weighted gradients are still
+    added one device at a time in id order.
+    """
+    n_devices, m = state.labels.shape
+    share = m / float(n_devices * m)  # one device's size over the total
     for _ in range(rounds):
+        grads = bce_dataset_grad(state.global_weights, state.x, state.labels, delta)
         grad = np.zeros_like(state.global_weights)
-        for dev in sorted(state.datasets):
-            x, labels = state.datasets[dev]
-            grad += (sizes[dev] / total) * bce_dataset_grad(
-                state.global_weights, x, labels, delta
-            )
+        for g in grads:
+            grad += share * g
         state.global_weights = state.global_weights - lr * grad
 
 
@@ -231,7 +272,7 @@ def unlearning_round(
     unknown = request.opt_out_ids - set(state.datasets)
     if unknown:
         raise ValueError(f"opt-out ids not participating: {sorted(unknown)}")
-    retained_ids = sorted(set(state.datasets) - request.opt_out_ids)
+    retained_x, retained_labels = state.retained(request.opt_out_ids)
     for dev in request.opt_out_ids:
         if dev not in state.unlearned:
             state.unlearned[dev] = state.global_weights.copy()
@@ -241,11 +282,8 @@ def unlearning_round(
     max_basis_dot = 0.0
     for dev in sorted(request.opt_out_ids):
         w_u = state.unlearned[dev]
-        retained_grads = [
-            bce_dataset_grad(w_u, *state.datasets[rid], delta).ravel()
-            for rid in retained_ids
-        ]
-        subspace = retained_subspace(retained_grads)
+        retained_grads = bce_dataset_grad(w_u, retained_x, retained_labels, delta)
+        subspace = retained_subspace(retained_grads.reshape(len(retained_grads), w_u.size))
         forget_x, forget_y = state.datasets[dev]
         forget_grad = bce_dataset_grad(w_u, forget_x, forget_y, delta).ravel()
         projected = orthogonal_project(forget_grad, subspace)
@@ -285,11 +323,11 @@ def forget_loss(state: UnlearnState, request: UnlearnRequest, delta: float) -> f
 
 def retained_loss(state: UnlearnState, request: UnlearnRequest, delta: float) -> float:
     """Bounded CE of the unlearned model(s) on the union of retained data."""
-    retained_ids = sorted(set(state.datasets) - request.opt_out_ids)
-    if not retained_ids:
+    x, labels = state.retained(request.opt_out_ids)
+    if not len(x):
         return 0.0
-    x = np.concatenate([state.datasets[rid][0] for rid in retained_ids])
-    labels = np.concatenate([state.datasets[rid][1] for rid in retained_ids])
+    x = x.reshape(-1, x.shape[-1])
+    labels = labels.reshape(-1)
     losses = []
     for dev in sorted(request.opt_out_ids):
         w = state.unlearned.get(dev, state.global_weights)

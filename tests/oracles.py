@@ -4,7 +4,9 @@ Each one restates a model quantity directly from its definition (per-step
 placement cost, the bounded loss, one drift-plus-penalty decision, the
 Lindley queue recursion, a whole MoE run one slot and one draw at a time),
 sharing no code with the solver it checks beyond the channel model and the
-named random streams.
+named random streams.  The per-device unlearning loops check only how the
+gradients are batched, so they reuse the library's loss, subspace,
+projection and noise, and restate the gradient and the retained data.
 """
 
 import itertools
@@ -27,7 +29,15 @@ from edgelam_sim.netsim import (
     fading_sequence,
     shannon_rate,
 )
-from edgelam_sim.rng import stream
+from edgelam_sim.rng import stream, stream_word
+from edgelam_sim.unlearn import (
+    UnlearnRoundRecord,
+    add_dp_noise,
+    bce_dataset_loss,
+    forget_loss,
+    orthogonal_project,
+    retained_subspace,
+)
 
 # ---------------------------------------------------------------------------
 # probabilities
@@ -495,3 +505,94 @@ def orchestrate_per_slot(
         records.append(SlotRecord(slot, tuple(assignment), slot_cost,
                                   dict(zip(ids, queues.tolist()))))
     return ReferenceRun(records, cost_sum / n_slots, backlog_sum / n_slots, max_backlog)
+
+
+# ---------------------------------------------------------------------------
+# federated unlearning, one device at a time
+# ---------------------------------------------------------------------------
+
+
+def bce_grad_one_dataset(w, x, labels, delta):
+    """Bounded-CE gradient over one 2-D dataset, by row/label indexing."""
+    m = x.shape[0]
+    logits = x @ w.T
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    rows = np.arange(m)
+    p_label = probs[rows, labels]
+    coeff = probs * (p_label / (p_label + delta))[:, None]
+    coeff[rows, labels] -= p_label / (p_label + delta)
+    return (coeff.T @ x) / m
+
+
+def _own_arrays(state):
+    """Each device's data as its own arrays, as the per-device loops kept it."""
+    return {dev: (x.copy(), y.copy()) for dev, (x, y) in state.datasets.items()}
+
+
+def pretrain_per_device(state, lr, rounds, delta):
+    """Federated descent with one gradient call per device per round."""
+    datasets = _own_arrays(state)
+    sizes = {dev: x.shape[0] for dev, (x, _) in datasets.items()}
+    total = float(sum(sizes.values()))
+    for _ in range(rounds):
+        grad = np.zeros_like(state.global_weights)
+        for dev in sorted(datasets):
+            x, labels = datasets[dev]
+            grad += (sizes[dev] / total) * bce_grad_one_dataset(
+                state.global_weights, x, labels, delta
+            )
+        state.global_weights = state.global_weights - lr * grad
+
+
+def retained_loss_concatenated(state, request, delta):
+    """Bounded CE of each unlearned model on the concatenated retained data."""
+    datasets = _own_arrays(state)
+    retained_ids = sorted(set(datasets) - request.opt_out_ids)
+    if not retained_ids:
+        return 0.0
+    x = np.concatenate([datasets[rid][0] for rid in retained_ids])
+    labels = np.concatenate([datasets[rid][1] for rid in retained_ids])
+    losses = []
+    for dev in sorted(request.opt_out_ids):
+        w = state.unlearned.get(dev, state.global_weights)
+        losses.append(bce_dataset_loss(w, x, labels, delta))
+    return float(np.mean(losses))
+
+
+def unlearning_round_per_device(state, request, lr, delta, dp=None):
+    """One unlearning round with one gradient call per retained device."""
+    datasets = _own_arrays(state)
+    retained_ids = sorted(set(datasets) - request.opt_out_ids)
+    for dev in request.opt_out_ids:
+        if dev not in state.unlearned:
+            state.unlearned[dev] = state.global_weights.copy()
+    shape = state.global_weights.shape
+    residual_norm = 0.0
+    max_basis_dot = 0.0
+    for dev in sorted(request.opt_out_ids):
+        w_u = state.unlearned[dev]
+        retained_grads = [
+            bce_grad_one_dataset(w_u, *datasets[rid], delta).ravel() for rid in retained_ids
+        ]
+        subspace = retained_subspace(retained_grads)
+        forget_grad = bce_grad_one_dataset(w_u, *datasets[dev], delta).ravel()
+        projected = orthogonal_project(forget_grad, subspace)
+        if subspace.n_basis:
+            max_basis_dot = max(max_basis_dot, float(np.abs(subspace.basis @ projected).max()))
+        residual_norm = max(residual_norm, float(np.linalg.norm(projected)))
+        update = projected
+        if dp is not None:
+            draw_seed = dp.seed ^ stream_word(f"unlearn.round{state.round_index}.{dev}")
+            update = add_dp_noise(projected, dp.clip_norm, dp.sigma, draw_seed)
+        state.unlearned[dev] = w_u + lr * update.reshape(shape)
+    state.round_index += 1
+    return UnlearnRoundRecord(
+        state.round_index,
+        forget_loss(state, request, delta),
+        retained_loss_concatenated(state, request, delta),
+        residual_norm,
+        dp.sigma if dp is not None else 0.0,
+        max_basis_dot,
+    )

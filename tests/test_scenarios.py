@@ -559,6 +559,17 @@ class TestCliExitCodes:
         assert "no capacity-feasible placement exists" in capsys.readouterr().out
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("classes", 10**12), ("feature_dim", 10**12), ("samples_per_device", 10**13),
+    ])
+    def test_unallocatable_unlearn_task_exits_3(self, tmp_path, capsys, key, value):
+        # each first array needs at least a TiB, which numpy refuses outright
+        cfg = shipped_cfg("unlearn_optout")
+        cfg["unlearn"][key] = value
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "out of memory (Unable to allocate" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_cot_beyond_exact_guard_exits_3(self, tmp_path, capsys):
         cfg = cot_cfg()
         cfg["devices"] = [dict(DEVICES[0], id=f"d{i}") for i in range(6)]

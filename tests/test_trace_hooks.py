@@ -68,3 +68,23 @@ def test_moe_run_gives_every_note(installed, tracer, tmp_path):
     assert spans["moe_orchestrator.gate_select"]["calls"] >= runs
     summary = json.loads((tmp_path / "out" / "moe_summary.json").read_text())
     assert len(summary["v_sweep"]) == len(cfg["moe"]["v_sweep"])
+
+
+def test_unlearn_run_gives_every_span(installed, tracer, tmp_path):
+    cfg = shipped_cfg("unlearn_optout")
+    rounds, opt_out = 3, ["d1", "d3"]
+    cfg["unlearn"].update(opt_out=opt_out, pretrain_rounds=4, unlearn_rounds=rounds)
+    path = write_cfg(tmp_path, cfg)
+    assert run_scenario(path, tmp_path / "out") == 0
+    spans = tracer.aggregate(installed.spans, {})
+    for name in ("unlearn.pretrain", "unlearn.unlearning_round", "unlearn.bce_dataset_grad",
+                 "unlearn.orthogonal_project", "numerics.gram_schmidt"):
+        assert name in spans, name
+    # one subspace per opt-out model per round, over the retained devices' gradients
+    subspace = spans["unlearn.retained_subspace"]
+    n_spans = len(opt_out) * rounds
+    retained = len(cfg["devices"]) - len(opt_out)
+    assert subspace["calls"] == n_spans
+    assert subspace["notes"]["given"] == [retained] * n_spans
+    kept = subspace["notes"]["kept"]
+    assert len(kept) == n_spans and all(1 <= k <= retained for k in kept)

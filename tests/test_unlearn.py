@@ -1,6 +1,8 @@
 """Gradient projection, bounded loss, DP noise, and the unlearning loop."""
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from edgelam_sim.errors import ShapeError
 from edgelam_sim.unlearn import (
     DpConfig,
     UnlearnRequest,
+    UnlearnState,
     add_dp_noise,
     bce_dataset_grad,
     bce_dataset_loss,
@@ -22,7 +25,20 @@ from edgelam_sim.unlearn import (
     unlearning_round,
 )
 
-from oracles import bounded_ce_plabel_grad, bounded_cross_entropy, softmax
+from oracles import (
+    bce_grad_one_dataset,
+    bounded_ce_plabel_grad,
+    bounded_cross_entropy,
+    pretrain_per_device,
+    retained_loss_concatenated,
+    softmax,
+    unlearning_round_per_device,
+)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestRetainedSubspace:
@@ -218,12 +234,8 @@ class TestUnlearningRound:
     def test_parallel_gradients_give_zero_update(self):
         # identical retained and forget datasets: forget gradient sits in
         # the retained span, so the projected update must vanish
-        ids = ["r", "f"]
-        state = make_classification_task(9, ids, set(), 2, 4, 30)
-        state.datasets["f"] = (
-            state.datasets["r"][0].copy(),
-            state.datasets["r"][1].copy(),
-        )
+        x, labels = make_classification_task(9, ["r"], set(), 2, 4, 30).datasets["r"]
+        state = UnlearnState(np.zeros((2, 4)), {"r": (x, labels), "f": (x, labels)})
         pretrain(state, 0.5, 100, 0.05)
         w0 = state.global_weights.copy()
         request = UnlearnRequest(frozenset({"f"}))
@@ -259,3 +271,90 @@ class TestUnlearningRound:
         state, _ = self.make_state()
         with pytest.raises(ValueError):
             unlearning_round(state, UnlearnRequest(frozenset({"zz"})), 0.1, 0.05)
+
+
+class TestStackedGradient:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_each_slice_equals_the_2d_call(self, seed):
+        rng = np.random.default_rng(seed)
+        d, c = int(rng.integers(1, 8)), int(rng.integers(2, 13))
+        f, m = int(rng.integers(3, 15)), int(rng.integers(1, 46))
+        x = 3.0 * rng.standard_normal((d, m, f))
+        labels = rng.integers(0, c, size=(d, m))
+        # one weight matrix for every dataset, then one per dataset
+        for w in (rng.standard_normal((c, f)), rng.standard_normal((d, c, f))):
+            stacked = bce_dataset_grad(w, x, labels, 0.05)
+            assert stacked.shape == (d, c, f)
+            for i in range(d):
+                w_i = w if w.ndim == 2 else w[i]
+                alone = bce_dataset_grad(w_i, x[i], labels[i], 0.05)
+                assert same_bits(stacked[i], alone)
+                oracle = bce_grad_one_dataset(w_i, x[i].copy(), labels[i].copy(), 0.05)
+                assert same_bits(stacked[i], oracle)
+
+    def test_unequal_datasets_rejected(self):
+        w = np.zeros((2, 3))
+        with pytest.raises(ValueError):
+            UnlearnState(w, {"a": (np.zeros((4, 3)), np.zeros(4, int)),
+                             "b": (np.zeros((5, 3)), np.zeros(5, int))})
+
+
+def oracle_configs():
+    """Seeded unlearning runs, the edge cases first."""
+    base = dict(seed=11, n_devices=4, n_opt_out=1, classes=3, feature_dim=5, samples=20,
+                pretrain_rounds=5, rounds=3, lr=0.5, delta=0.05, dp=None)
+    configs = [
+        dict(base, n_devices=3, n_opt_out=3),  # no retained device
+        dict(base, n_devices=5, n_opt_out=4, dp=(1.0, 0.2)),  # exactly one retained device
+        dict(base, pretrain_rounds=0),
+        dict(base, n_devices=1, n_opt_out=1, pretrain_rounds=0, dp=(0.5, 0.0)),
+    ]
+    rng = random.Random(20)
+    for _ in range(56):
+        n = rng.randint(1, 12)
+        configs.append(dict(
+            seed=rng.randrange(2**31), n_devices=n, n_opt_out=rng.randint(1, n),
+            classes=rng.randint(2, 11), feature_dim=rng.randint(3, 14),
+            samples=rng.randint(1, 45), pretrain_rounds=rng.randint(0, 8),
+            rounds=rng.randint(1, 4), lr=rng.choice([0.1, 0.5, 2.0]),
+            delta=rng.choice([0.01, 0.05, 0.5]),
+            dp=(rng.uniform(0.1, 2.0), rng.choice([0.0, 0.3])) if rng.random() < 0.5 else None,
+        ))
+    return configs
+
+
+class TestBatchedMatchesPerDevice:
+    """The stacked gradient path against the per-device loops, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg", oracle_configs(), ids=lambda c: f"seed{c['seed']}-n{c['n_devices']}"
+    )
+    def test_weights_models_and_records(self, cfg):
+        rng = random.Random(cfg["seed"])
+        ids = [f"d{i}" for i in range(cfg["n_devices"])]
+        rng.shuffle(ids)  # stacks follow id order, not the order given
+        opt_out = set(rng.sample(ids, cfg["n_opt_out"]))
+
+        def build():
+            return make_classification_task(
+                cfg["seed"], ids, opt_out, cfg["classes"], cfg["feature_dim"], cfg["samples"]
+            )
+
+        ours, ref = build(), build()
+        lr, delta = cfg["lr"], cfg["delta"]
+        pretrain(ours, lr, cfg["pretrain_rounds"], delta)
+        pretrain_per_device(ref, lr, cfg["pretrain_rounds"], delta)
+        assert same_bits(ours.global_weights, ref.global_weights)
+
+        request = UnlearnRequest(frozenset(opt_out))
+        assert same_bits(retained_loss(ours, request, delta),
+                         retained_loss_concatenated(ref, request, delta))
+        dp = None if cfg["dp"] is None else DpConfig(*cfg["dp"], seed=cfg["seed"])
+        for _ in range(cfg["rounds"]):
+            got = unlearning_round(ours, request, lr, delta, dp)
+            want = unlearning_round_per_device(ref, request, lr, delta, dp)
+            assert got.round_index == want.round_index
+            assert same_bits(dataclasses.astuple(got), dataclasses.astuple(want))
+        assert sorted(ours.unlearned) == sorted(ref.unlearned) == sorted(opt_out)
+        for dev in opt_out:
+            assert same_bits(ours.unlearned[dev], ref.unlearned[dev])
