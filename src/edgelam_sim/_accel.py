@@ -4,8 +4,8 @@
 placements: a depth-first branch-and-bound finds the cheapest feasible one,
 accumulating each candidate's cost sequentially over steps, so costs and
 tie decisions are reproducible bit for bit, and a subset DP over devices
-counts the feasible placements.  ``assignment_scores`` scores every expert
-call of an MoE slot on each of its replicas at once.
+counts the feasible placements.  ``assignment_scores`` places each expert
+call of an MoE slot on its best replica, in plain Python floats.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import SchedulingError
 
 _BLOCK_STEPS = 9  # the count's blocks hold the 3^9 (M, T) pairs of the low steps
 # The bound adds its terms in another order than a placement's cost, so it
@@ -160,24 +162,33 @@ def _disjoint_pairs(first, stop):
     return held, taken
 
 
-def assignment_scores(options, queue, call_load, call_cost, v):
-    """Drift-plus-penalty score of each call on each of its replicas.
+def assignment_scores(replicas, queue, call_load, call_cost, v):
+    """The device of each call of an MoE slot, by drift-plus-penalty.
 
-    ``options``: (n_calls, R) device indices of each call's replicas, padded
-    with -1; ``queue``: (D,) backlogs; ``call_load``: (n_calls,) FLOPs added
-    by each call; ``call_cost``: (n_calls, D) penalty of serving call c on
-    device d.  Score = Q[d]*load_c + V*call_cost[c, d]; a padded entry
-    scores +inf, so it never wins an argmin over a row, and so does an
-    infinite call_cost (a starved link) for any V, zero included.
+    ``replicas``: each call's live replica devices, ascending; ``queue``:
+    each device's backlog; ``call_load``: the FLOPs each call adds;
+    ``call_cost``: each call's costs, one per device.  A call goes to the
+    first of its replicas with the least ``queue[d]*load + penalty``: V*cost,
+    or inf on a starved link (cost inf) at any V, so 0*inf never makes a nan.
+    Python floats overflow to inf silently, so an inf score that no starved
+    link explains raises: ``SchedulingError`` when V*cost overflows a finite
+    cost, else ``FloatingPointError``.
     """
-    pad = options < 0
-    # score padding as the row's first replica, then overwrite it
-    real = np.where(pad, options[:, :1], options)
-    penalty = call_cost[np.arange(len(real))[:, None], real]
-    if v == 0.0:  # 0 * inf is nan; 0 * a finite cost adds +0.0
-        penalty = np.where(np.isinf(penalty), np.inf, 0.0)
-    else:
-        penalty = v * penalty
-    scores = queue[real] * call_load[:, None] + penalty
-    scores[pad] = np.inf
-    return scores
+    inf = math.inf
+    picks = []
+    for devices, load, cost in zip(replicas, call_load, call_cost):
+        best, least = devices[0], inf
+        for d in devices:
+            c = cost[d]
+            penalty = c if c == inf else v * c
+            score = queue[d] * load + penalty
+            if score == inf and (c != inf or queue[d] * load == inf):
+                if c != inf and penalty == inf:
+                    raise SchedulingError(
+                        f"V = {v:g} times the call cost {c:g} overflows; lower moe.v"
+                    )
+                raise FloatingPointError("overflow in a drift-plus-penalty score")
+            if score < least:
+                best, least = d, score
+        picks.append(best)
+    return picks

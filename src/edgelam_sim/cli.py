@@ -67,10 +67,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_casestudy(args) -> int:
     try:
+        flag = "--budgets"
         budgets = [int(b) for b in args.budgets.split(",") if b]
+        flag = "--targets"
         mem_t, lat_t = (float(t) for t in args.targets.split(","))
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {flag}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.calibrate and not (0 < mem_t < 1 and 0 < lat_t < 1):
         print("config error: --targets: must be two fractions in (0,1)", file=sys.stderr)

@@ -18,7 +18,8 @@ class SizeLimitError(ValueError):
 
 
 class SchedulingError(ValueError):
-    """Scheduler was given an empty or malformed candidate set."""
+    """A scheduler's candidate set is empty or malformed, or no candidate
+    meets its constraints."""
 
 
 class PlacementError(ValueError):

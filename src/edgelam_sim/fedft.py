@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, ShapeError
+from .errors import RankError, SchedulingError, ShapeError
 from .netsim import (
     ChannelAllocation,
     DeviceProfile,
@@ -405,16 +405,11 @@ def fedft_round(
     modeled symmetrically on the uplink allocation.  Aggregation order is
     ascending device id, so parallel local steps stay bit-reproducible.
 
-    ``selection`` is the participant set and allocation from
+    ``selection`` is a feasible participant set and allocation from
     ``solve_round_selection``; its inputs (profiles, sizes, ranks) do not
     change between rounds.
     """
     sizes = state.dataset_sizes()
-    if not selection.feasible:
-        record = RoundRecord(state.round_index + 1, global_loss(state), math.inf, (), {})
-        state.round_index += 1
-        return state, record
-
     stepped: dict[str, LoraAdapter] = {}
     for dev in sorted(selection.selected):
         x, y = state.datasets[dev]
@@ -495,12 +490,15 @@ def run_fedft(
     The selection inputs (device set, ranks, dataset sizes) are constant
     across a run, so the joint selection/allocation is solved once up front
     and reused every round; dissemination keeps each device's rank, so the
-    cached result stays valid.
+    cached result stays valid.  When no device subset meets the deadline,
+    ``SchedulingError`` is raised before the first round.
     """
     selection = solve_round_selection(
         state, profiles, total_bandwidth, deadline, noise_density,
         bits_per_param=bits_per_param,
     )
+    if not selection.feasible:
+        raise SchedulingError("no device subset meets the deadline; raise deadline or bandwidth")
     records = []
     for _ in range(rounds):
         state, record = fedft_round(

@@ -9,8 +9,8 @@ plus V times the penalty), then updates every device's virtual queue with
 
 Every call of a slot sees the same queues, so the objective separates per
 call: each call goes to the replica minimizing ``Q[d]*load + V*cost[d]``,
-ties to the lowest device id.  One array of those scores per slot is the
-exact minimizer; no assignment is enumerated.
+ties to the lowest device id.  Taking each call's argmin is the exact
+minimizer; no assignment is enumerated.
 
 The run has two phases.  No random draw depends on a scheduling decision,
 so everything but the queues is made up front, one block each: the
@@ -18,11 +18,11 @@ arrivals, the gate scores of every arrived slot and layer (top-k taken for
 all rows at once), the load jitter, and the call costs (rebuilt per arrived
 slot only when the channel fades).  A block draw from a stream yields the
 same doubles as the scalar draws it replaces, in the same order.  Only the
-queue recursion stays sequential: per slot one score array, its row argmin,
-and the queue update.  The arrivals of a slot are added per device in call
-order, slot costs are summed in call order and the run's sums over slots
-sequentially, so every value equals the one a slot-by-slot loop computes,
-bit for bit.
+queue recursion stays sequential, in plain Python floats: per slot each
+call's argmin over its replicas, then the queue update.  The arrivals of a
+slot are added per device in call order, slot costs are summed in call
+order and the run's sums over slots sequentially, so every value equals the
+one a slot-by-slot loop computes, bit for bit.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def orchestrate(
     fading sequence.  Replicas on a dead uplink (zero bandwidth, gain or
     power) are dropped for experts that have output to send; an expert left
     without replicas raises ``SchedulingError``, and so does a V whose
-    product with a finite call cost overflows.
+    product with a finite call cost overflows; a backlog, a backlog times a
+    load, or a score that overflows raises ``FloatingPointError``.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
@@ -151,17 +152,13 @@ def orchestrate(
             if not alive:
                 raise SchedulingError(f"expert {e.id} has no replica with a live uplink")
         alive_replicas.append([dev_index[r] for r in alive])
-    # live replica indices per expert in id order, padded with -1
-    width = max(len(rl) for rl in alive_replicas)
-    replica_index = np.array([rl + [-1] * (width - len(rl)) for rl in alive_replicas])
 
     # --- draw first: nothing below depends on a scheduling decision --------
     arrived = stream(seed, "moe.arrivals").random(n_slots) <= arrival_prob
     at = np.flatnonzero(arrived)
-    n_calls = layers_per_task * top_k
     calls = gate_select(
         stream(seed, "moe.gate").random((at.size * layers_per_task, len(experts))), top_k
-    ).reshape(at.size, n_calls)
+    ).reshape(at.size, layers_per_task * top_k)
     loads = np.array([e.workload_per_call for e in experts])[calls]
     if load_jitter > 0.0:
         loads *= 1.0 + load_jitter * (2.0 * stream(seed, "moe.jitter").random(calls.shape) - 1.0)
@@ -172,53 +169,41 @@ def orchestrate(
         )
     # (1, E, D) on a static channel, else one (E, D) matrix per arrived slot
     cost = _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy, fading)
-    if v > 0.0:
-        # V*cost overflowing to inf would tie every such replica: check the
-        # largest finite cost a score multiplies, that of a called expert on
-        # one of its live replicas
-        called = np.zeros((at.size, len(experts)), dtype=bool)
-        called[np.arange(at.size)[:, None], calls] = True
-        if fading is None:
-            called = called.any(axis=0, keepdims=True)
-        live = np.zeros((len(experts), len(order)), dtype=bool)
-        for e, rl in enumerate(alive_replicas):
-            live[e, rl] = True
-        scored = called[:, :, None] & live & np.isfinite(cost)
-        worst = float(np.max(cost, where=scored, initial=0.0))
-        if math.isinf(v * worst):
-            raise SchedulingError(
-                f"V = {v:g} times the largest finite call cost {worst:g} overflows; lower moe.v"
-            )
     # the cost matrix of arrived slot i is cost[i], or cost[0] on a static channel
     cost_of = np.arange(at.size) if fading is not None else np.zeros(at.size, dtype=np.intp)
 
-    # --- the queue recursion, slot by slot --------------------------------
-    n_dev = len(order)
-    service = np.array([d.compute_rate for d in order])
-    queues = np.zeros(n_dev)
-    backlogs = np.empty((n_slots, n_dev))
-    backlog_sums = np.empty(n_slots)
+    # --- the queue recursion, slot by slot, in Python floats ---------------
+    service = [d.compute_rate for d in order]
+    queues = [0.0] * len(order)
+    backlogs = np.empty((n_slots, len(order)))
     chosen = np.empty(calls.shape, dtype=np.intp)
-    rows = np.arange(n_calls)
+    table = None if fading is not None else cost[0].tolist()
     i = 0
     for slot, has_task in enumerate(arrived.tolist()):
         if has_task:
-            slot_calls = calls[i]
-            opts = replica_index[slot_calls]
-            scores = assignment_scores(opts, queues, loads[i], cost[cost_of[i], slot_calls], v)
-            picked = opts[rows, np.argmin(scores, axis=1)]
-            chosen[i] = picked
-            # bincount adds each device's loads in call order
-            queues = np.maximum(
-                queues + np.bincount(picked, loads[i], n_dev) - service, 0.0
+            slot_calls, slot_loads = calls[i].tolist(), loads[i].tolist()
+            if fading is not None:
+                table = cost[i].tolist()
+            picked = assignment_scores(
+                [alive_replicas[e] for e in slot_calls], queues, slot_loads,
+                [table[e] for e in slot_calls], v,
             )
+            chosen[i] = picked
+            # each device's arrivals, added in call order
+            added = [0.0] * len(order)
+            for d, load in zip(picked, slot_loads):
+                added[d] += load
+            queues = [max(q + a - s, 0.0) for q, a, s in zip(queues, added, service)]
+            if math.inf in queues:
+                raise FloatingPointError("overflow in a device backlog")
             i += 1
         else:
-            queues = np.maximum(queues - service, 0.0)
+            queues = [max(q - s, 0.0) for q, s in zip(queues, service)]
         backlogs[slot] = queues
-        backlog_sums[slot] = queues.sum()
 
-    # cumsum adds in order, as a running float sum does; sums overflow to inf quietly
+    # each row sums as numpy sums one device vector; cumsum adds in order, as
+    # a running float sum does; the sums over slots overflow to inf quietly
+    backlog_sums = backlogs.sum(axis=1)
     slot_cost = np.zeros(n_slots)
     with np.errstate(over="ignore"):
         taken = cost[cost_of[:, None], calls, chosen]

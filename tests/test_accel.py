@@ -7,6 +7,7 @@ import pytest
 
 from edgelam_sim import _accel
 from edgelam_sim._accel import assignment_scores, placement_scan
+from edgelam_sim.errors import SchedulingError
 
 from oracles import scan_placements
 
@@ -89,36 +90,70 @@ def test_placement_scan_count_blocks_match_enumeration(monkeypatch):
         assert_matches_scan(case)
 
 
-def test_assignment_scores_paths_identical():
-    """The score array equals a per-call loop over each call's replicas, bit
-    for bit, and a padded entry never wins its row."""
+def per_replica_scores(devices, queue, load, cost, v):
+    """One call's Q[d]*load + V*cost[d] per replica, one replica at a time; a
+    starved replica (cost inf) scores inf at any V, so 0 * inf never enters."""
+    return [queue[d] * load + (math.inf if math.isinf(cost[d]) else v * cost[d]) for d in devices]
+
+
+def random_slot(rng, n_dev, n_calls, ties):
+    """One slot's kernel arguments: queues with empty devices, costs with
+    starved links, calls with one replica up to all of them; ``ties`` keeps
+    every value a small integer, so equal scores are common."""
+    draw = (lambda lo, hi, size: rng.integers(lo, hi, size).astype(float)) if ties else rng.uniform
+    replicas = [
+        sorted(rng.choice(n_dev, size=int(rng.integers(1, n_dev + 1)), replace=False).tolist())
+        for _ in range(n_calls)
+    ]
+    queue = (draw(0, 4, n_dev) * rng.integers(0, 2, n_dev)).tolist()
+    load = draw(1, 3, n_calls).tolist()
+    cost = draw(0, 3, (n_calls, n_dev))
+    cost[rng.random(cost.shape) < 0.2] = np.inf
+    return replicas, queue, load, cost.tolist()
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["uniform", "integer-ties"])
+@pytest.mark.parametrize("v", [0.0, 1.0, 7.5], ids=["v0", "v1", "v7.5"])
+def test_assignment_scores_matches_per_replica_loop(ties, v):
+    """Every call's device equals the per-replica rule, ties to the first
+    replica, for single-replica calls and starved replicas too."""
     rng = np.random.default_rng(2)
-    for _ in range(60):
-        n_calls = int(rng.integers(1, 13))
-        n_dev = int(rng.integers(1, 6))
-        width = int(rng.integers(1, n_dev + 1))
-        options = np.full((n_calls, width), -1)
-        for c in range(n_calls):
-            live = np.sort(rng.choice(n_dev, size=int(rng.integers(1, width + 1)), replace=False))
-            options[c, : live.size] = live
-        queue = rng.uniform(0, 10, n_dev) * rng.integers(0, 2, n_dev)  # some empty
-        load = rng.uniform(0.1, 2.0, n_calls)
-        cost = rng.uniform(0, 3.0, (n_calls, n_dev))
-        v = float(rng.choice([0.0, rng.uniform(0, 50)]))
-        scores = assignment_scores(options, queue, load, cost, v)
-        assert scores.shape == (n_calls, width)
-        picks = np.argmin(scores, axis=1)
-        for c in range(n_calls):
-            live = [d for d in options[c] if d >= 0]
-            expected = [queue[d] * load[c] + v * cost[c, d] for d in live]
-            assert scores[c, : len(live)].tolist() == expected
-            assert np.all(scores[c, len(live):] == np.inf)
-            assert picks[c] == expected.index(min(expected))  # lowest id on ties
+    single = starved = tied = 0
+    for _ in range(150):
+        replicas, queue, load, cost = random_slot(
+            rng, int(rng.integers(1, 7)), int(rng.integers(1, 13)), ties
+        )
+        picks = assignment_scores(replicas, queue, load, cost, v)
+        assert len(picks) == len(replicas)
+        for devices, w, c, d in zip(replicas, load, cost, picks):
+            scores = per_replica_scores(devices, queue, w, c, v)
+            least = min(scores)
+            assert d == devices[scores.index(least)]
+            single += len(devices) == 1
+            starved += math.inf in scores
+            tied += scores.count(least) > 1
+    assert single and starved and (tied or not ties)
 
 
 def test_starved_replica_never_wins_at_v_zero():
-    """0 * inf would be nan, and argmin returns the first nan."""
-    options = np.array([[0, 1, -1], [1, 0, 2]])
-    cost = np.array([[np.inf, 5.0, 1.0], [np.inf, 2.0, np.inf]])
-    scores = assignment_scores(options, np.array([3.0, 1.0, 0.0]), np.array([1.0, 2.0]), cost, 0.0)
-    assert scores.tolist() == [[np.inf, 1.0, np.inf], [2.0, np.inf, np.inf]]
+    """At V = 0 a starved replica scores inf, not 0 * inf = nan: an empty
+    but starved device loses to a backlogged live one, and a call whose
+    replicas are all starved takes the first."""
+    inf = math.inf
+    replicas = [[0, 1], [0, 1, 2], [0, 2]]
+    cost = [[inf, 5.0, 1.0], [inf, 2.0, inf], [inf, 0.0, inf]]
+    picks = assignment_scores(replicas, [0.0, 1.0, 3.0], [1.0, 2.0, 1.0], cost, 0.0)
+    assert picks == [1, 1, 0]
+
+
+@pytest.mark.parametrize("queue, load, cost, v, error, match", [
+    ([0.0, 0.0], 1.0, [1e300, 1.0], 1e10, SchedulingError, "moe.v"),
+    ([1e300, 0.0], 1e10, [1.0, 1.0], 1.0, FloatingPointError, "drift-plus-penalty"),
+    ([1e300, 0.0], 1e10, [math.inf, 1.0], 0.0, FloatingPointError, "drift-plus-penalty"),
+    ([1e154, 0.0], 1e154, [1.7e308, 1.0], 1.0, FloatingPointError, "drift-plus-penalty"),
+], ids=["v-times-cost", "drift", "drift-on-starved-link-at-v0", "score-sum"])
+def test_assignment_scores_raises_on_overflow(queue, load, cost, v, error, match):
+    """A Python float product or sum that overflows is diagnosed, not
+    scored inf: every such replica would tie and the first would win."""
+    with pytest.raises(error, match=match):
+        assignment_scores([[0, 1]], queue, [load], [cost], v)

@@ -295,7 +295,7 @@ def test_per_call_rule_on_near_tie():
     # fuller one.  With V = 0 every call that d1 can serve belongs on d1, but
     # an enumeration of whole assignments, comparing rounded sums over 12
     # calls, ties them and sends three such calls to d0.  e3 and e5 have one
-    # replica each, so the score rows are padded.
+    # replica each, so a slot's calls have replica lists of unequal length.
     devices = [DeviceProfile("d0", 2.0, 1e9, 0.5, 0.1), DeviceProfile("d1", 2.0, 1e9, 4.0, 0.1)]
     experts = [
         ExpertMicroservice("e0", 1.0, 2e5, ("d0", "d1")),
@@ -317,7 +317,7 @@ def test_per_call_rule_on_near_tie():
 
 def random_moe_case(rng: random.Random, n_devices=None, n_calls=None) -> dict:
     """orchestrate keywords for a random small run: dead uplinks, failed
-    devices, padded replica rows, zero-output experts, V = 0, jitter, energy
+    devices, single-replica experts, zero-output experts, V = 0, jitter, energy
     weight, fading and random arrivals all occur."""
     n_dev = n_devices or rng.randint(1, 6)
     devices = [
@@ -365,7 +365,7 @@ def random_moe_case(rng: random.Random, n_devices=None, n_calls=None) -> dict:
 
 
 def test_orchestrate_matches_per_slot_reference():
-    """The array program equals the slot-by-slot loop bit for bit: every
+    """The scheduler equals the slot-by-slot loop bit for bit: every
     assignment, slot cost and backlog, and the three run averages."""
     rng = random.Random(2024)
     cases = [random_moe_case(rng) for _ in range(200)]

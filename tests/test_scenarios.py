@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgelam_sim
+from edgelam_sim import fedft
 from edgelam_sim.cli import main
 from edgelam_sim.errors import ConfigError
 from edgelam_sim.scenarios import (
@@ -147,11 +148,24 @@ class TestRunScenario:
     def test_missing_file(self, tmp_path):
         assert run_scenario(tmp_path / "absent.json", tmp_path / "out") == 2
 
-    def test_infeasible_fedft_deadline(self, tmp_path):
+    def test_infeasible_fedft_deadline(self, tmp_path, monkeypatch, capsys):
+        # the selection is solved once, before the first round: an
+        # infeasible one exits 3 without running any round
+        rounds = []
+        real_round = fedft.fedft_round
+
+        def counted_round(*args, **kwargs):
+            rounds.append(1)
+            return real_round(*args, **kwargs)
+
+        monkeypatch.setattr(fedft, "fedft_round", counted_round)
         cfg = fedft_cfg()
         cfg["fedft"]["deadline_s"] = 1e-9
         path = write_cfg(tmp_path, cfg)
         assert run_scenario(path, tmp_path / "out") == 3
+        assert "no device subset meets the deadline" in capsys.readouterr().out
+        assert rounds == []
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_infeasible_cot_capacity(self, tmp_path):
         cfg = cot_cfg()
@@ -268,6 +282,7 @@ class TestCli:
 
     def test_casestudy_bad_budgets(self, capsys):
         assert main(["casestudy", "--budgets", "abc"]) == 2
+        assert "--budgets" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,code,where", [
         (["--budgets", "1000"], 2, "--budgets"),
@@ -277,8 +292,10 @@ class TestCli:
         (["--budgets", "1"], 3, "needs more than 10 devices"),
         (["--calibrate", "--targets", "0.5,2"], 2, "--targets"),
         (["--calibrate", "--targets", "nan,0.5"], 2, "--targets"),
+        (["--calibrate", "--targets", "0.5"], 2, "--targets"),
+        (["--targets", "x,0.5"], 2, "--targets"),
     ], ids=["above-n-total", "zero", "negative", "one-above-n-total", "device-limit",
-            "target-above-one", "target-nan"])
+            "target-above-one", "target-nan", "one-target", "target-not-a-number"])
     def test_casestudy_out_of_range_exits_2_or_3(self, capsys, argv, code, where):
         # same conventions as run: an argument out of range exits 2 and names
         # it, the device limit exits 3
@@ -544,6 +561,20 @@ class TestCliExitCodes:
         for expert in cfg["moe"]["experts"]:
             expert["workload"] = 1e300
         cfg["moe"]["slots"] = 3
+        del cfg["moe"]["v_sweep"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli(tmp_path, cfg) == 3
+        assert "numeric overflow" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_moe_backlog_update_overflow_exits_3(self, tmp_path, capsys):
+        # one live device takes both calls of the only slot: the scores are
+        # finite (empty queues), but 1e308 + 1e308 FLOPs overflow its backlog
+        cfg = shipped_cfg("moe_tradeoff")
+        for expert in cfg["moe"]["experts"]:
+            expert["workload"] = 1e308
+        cfg["moe"].update(slots=1, top_k=2, load_jitter=0.0, failed_devices=["d1", "d2"])
         del cfg["moe"]["v_sweep"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
