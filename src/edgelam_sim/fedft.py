@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -315,13 +317,25 @@ def select_devices_and_bandwidth(
 
 @dataclass
 class FedFtState:
-    """Mutable per-run training state."""
+    """Mutable per-run training state.
+
+    The datasets are fixed for the state's life: ``datasets`` becomes a
+    read-only mapping, and their concatenation over all devices, in
+    mapping order, is built once into ``pooled_x`` and ``pooled_y``.
+    """
 
     round_index: int
     base: np.ndarray  # W0, never written during a run
     global_adapter: LoraAdapter
     device_adapters: dict[str, LoraAdapter]
-    datasets: dict[str, tuple[np.ndarray, np.ndarray]]  # id -> (X, Y)
+    datasets: Mapping[str, tuple[np.ndarray, np.ndarray]]  # id -> (X, Y)
+    pooled_x: np.ndarray = field(init=False, repr=False)
+    pooled_y: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.datasets = MappingProxyType(dict(self.datasets))
+        self.pooled_x = np.concatenate([x for x, _ in self.datasets.values()])
+        self.pooled_y = np.concatenate([y for _, y in self.datasets.values()])
 
     def dataset_sizes(self) -> dict[str, int]:
         return {dev: x.shape[0] for dev, (x, _) in self.datasets.items()}
@@ -384,9 +398,36 @@ def default_step_flops(d: int, k: int, rank: int, samples: int) -> float:
 
 def global_loss(state: FedFtState) -> float:
     """MSE of the global adapter over the union of all device data."""
-    x = np.concatenate([x for x, _ in state.datasets.values()])
-    y = np.concatenate([y for _, y in state.datasets.values()])
-    return mse_loss(state.base, state.global_adapter, x, y)
+    return mse_loss(state.base, state.global_adapter, state.pooled_x, state.pooled_y)
+
+
+def downlink_latency(
+    state: FedFtState,
+    profiles: list[DeviceProfile],
+    selection: SelectionResult,
+    noise_density: float,
+    bits_per_param: float = 64.0,
+) -> float:
+    """Slowest participant's download of its rank-projected global copy.
+
+    Each participant receives ``local_rank * (d + k)`` parameters by
+    unicast on its own uplink bandwidth (symmetric channel).  That depends
+    only on the allocation, the ranks and the adapter shape, so it is the
+    same in every round of a run.
+    """
+    d, k = state.base.shape
+    latency = 0.0
+    for p in profiles:
+        if p.id in selection.selected:
+            rate = shannon_rate(
+                selection.allocation.bandwidth[p.id],
+                p.channel_gain,
+                p.tx_power,
+                noise_density,
+            )
+            down_bits = bits_per_param * (p.local_rank * (d + k))
+            latency = max(latency, comm_latency(down_bits, rate))
+    return latency
 
 
 def fedft_round(
@@ -394,16 +435,17 @@ def fedft_round(
     profiles: list[DeviceProfile],
     selection: SelectionResult,
     lr: float,
-    noise_density: float,
-    bits_per_param: float = 64.0,
+    down_latency: float,
 ) -> tuple[FedFtState, RoundRecord]:
     """One federated round on a solved selection: local step, aggregate, redistribute.
 
     Selected devices take one local SGD step and upload their factors; the
     server aggregates with dataset-size-proportional weights and unicasts a
-    rank-projected copy back to each participant.  Downlink latency is
-    modeled symmetrically on the uplink allocation.  Aggregation order is
-    ascending device id, so parallel local steps stay bit-reproducible.
+    rank-projected copy back to each device.  The round's latency is the
+    selection's uplink round latency plus ``down_latency``, the
+    participants' download time from :func:`downlink_latency`.  Aggregation
+    order is ascending device id, so parallel local steps stay
+    bit-reproducible.
 
     ``selection`` is a feasible participant set and allocation from
     ``solve_round_selection``; its inputs (profiles, sizes, ranks) do not
@@ -420,21 +462,8 @@ def fedft_round(
     weights = [sizes[dev] / total for dev in order]
     new_global = aggregate_hetero([stepped[dev] for dev in order], weights)
 
-    # every device gets its rank-projected copy by unicast; downlink latency
-    # is accounted on the participants' allocations (symmetric channel)
-    down_latency = 0.0
     for p in profiles:
-        received = project_rank(new_global, p.local_rank)
-        state.device_adapters[p.id] = received
-        if p.id in selection.selected:
-            rate = shannon_rate(
-                selection.allocation.bandwidth[p.id],
-                p.channel_gain,
-                p.tx_power,
-                noise_density,
-            )
-            down_bits = bits_per_param * received.param_count()
-            down_latency = max(down_latency, comm_latency(down_bits, rate))
+        state.device_adapters[p.id] = project_rank(new_global, p.local_rank)
 
     state.global_adapter = new_global
     # count the round only once its record exists, so an error while
@@ -488,10 +517,11 @@ def run_fedft(
     """Run ``rounds`` federated rounds, returning the per-round trace.
 
     The selection inputs (device set, ranks, dataset sizes) are constant
-    across a run, so the joint selection/allocation is solved once up front
-    and reused every round; dissemination keeps each device's rank, so the
-    cached result stays valid.  When no device subset meets the deadline,
-    ``SchedulingError`` is raised before the first round.
+    across a run, so the joint selection/allocation and the downlink
+    latency it implies are computed once up front and reused every round;
+    dissemination keeps each device's rank, so both stay valid.  When no
+    device subset meets the deadline, ``SchedulingError`` is raised before
+    the first round.
     """
     selection = solve_round_selection(
         state, profiles, total_bandwidth, deadline, noise_density,
@@ -499,10 +529,11 @@ def run_fedft(
     )
     if not selection.feasible:
         raise SchedulingError("no device subset meets the deadline; raise deadline or bandwidth")
+    down_latency = downlink_latency(
+        state, profiles, selection, noise_density, bits_per_param=bits_per_param
+    )
     records = []
     for _ in range(rounds):
-        state, record = fedft_round(
-            state, profiles, selection, lr, noise_density, bits_per_param=bits_per_param
-        )
+        state, record = fedft_round(state, profiles, selection, lr, down_latency)
         records.append(record)
     return records

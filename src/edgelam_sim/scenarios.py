@@ -512,9 +512,9 @@ def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
             "seed": seed,
             "rounds": len(records),
             "initial_loss": initial,
-            "final_loss": records[-1].global_loss if records else initial,
-            "round_latency_s": records[-1].round_latency if records else None,
-            "selected_devices": list(records[-1].selected) if records else [],
+            "final_loss": records[-1].global_loss,
+            "round_latency_s": records[-1].round_latency,
+            "selected_devices": list(records[-1].selected),
         },
     )
 

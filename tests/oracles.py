@@ -7,6 +7,8 @@ sharing no code with the solver it checks beyond the channel model and the
 named random streams.  The per-device unlearning loops check only how the
 gradients are batched, so they reuse the library's loss, subspace,
 projection and noise, and restate the gradient and the retained data.
+The Gram-Schmidt without a screen projects every row exactly, so it checks
+that the screen drops only rows the exact keep test would drop.
 """
 
 import itertools
@@ -505,6 +507,36 @@ def orchestrate_per_slot(
         records.append(SlotRecord(slot, tuple(assignment), slot_cost,
                                   dict(zip(ids, queues.tolist()))))
     return ReferenceRun(records, cost_sum / n_slots, backlog_sum / n_slots, max_backlog)
+
+
+# ---------------------------------------------------------------------------
+# Gram-Schmidt, every row projected exactly
+# ---------------------------------------------------------------------------
+
+
+def gram_schmidt_unscreened(vectors, tol):
+    """Two-pass modified Gram-Schmidt with no screen: every row is projected
+    against the basis so far, one basis vector at a time, and kept iff its
+    residual norm is at least ``tol`` times its input norm."""
+    basis = []
+    dim = None
+    for v in vectors:
+        if dim is None:
+            dim = v.size
+        elif v.size != dim:
+            raise ShapeError(f"mixed vector lengths {dim} and {v.size}")
+        v_norm = float(np.linalg.norm(v))
+        if v_norm == 0.0:
+            continue
+        residual = v
+        for _ in range(2):
+            for u in basis:
+                residual = residual - np.dot(residual, u) * u
+        r_norm = float(np.linalg.norm(residual))
+        if r_norm < tol * v_norm:
+            continue
+        basis.append(residual / r_norm)
+    return basis
 
 
 # ---------------------------------------------------------------------------

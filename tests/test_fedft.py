@@ -7,13 +7,16 @@ import pytest
 
 from edgelam_sim.errors import RankError, ShapeError
 from edgelam_sim.fedft import (
+    FedFtState,
     LoraAdapter,
     aggregate_hetero,
+    downlink_latency,
     fedft_round,
     global_loss,
     lora_sgd_step,
     make_synthetic_task,
     mse_loss,
+    project_rank,
     run_fedft,
     select_devices_and_bandwidth,
     solve_round_selection,
@@ -458,7 +461,8 @@ class TestFedFtRound:
         x, y = state.datasets["a"]
         expected = lora_sgd_step(state.base, before, x, y, 0.1)
         sel = solve_round_selection(state, [dev], 1e6, 100.0, 1e-9)
-        state, record = fedft_round(state, [dev], sel, 0.1, 1e-9)
+        down = downlink_latency(state, [dev], sel, 1e-9)
+        state, record = fedft_round(state, [dev], sel, 0.1, down)
         assert record.selected == ("a",)
         assert np.max(np.abs(state.global_adapter.A - expected.A)) <= 1e-12
         assert np.max(np.abs(state.global_adapter.B - expected.B)) <= 1e-12
@@ -473,13 +477,16 @@ class TestFedFtRound:
         )
         shared_x, shared_y = state.datasets["d0"]
         shared_adapter = state.device_adapters["d0"]
-        for dev in state.datasets:
-            state.datasets[dev] = (shared_x.copy(), shared_y.copy())
-            state.device_adapters[dev] = shared_adapter
+        state = FedFtState(
+            0, state.base, state.global_adapter,
+            {dev: shared_adapter for dev in state.datasets},
+            {dev: (shared_x.copy(), shared_y.copy()) for dev in state.datasets},
+        )
         single = lora_sgd_step(state.base, shared_adapter, shared_x, shared_y, 0.1)
         central = mse_loss(state.base, single, shared_x, shared_y)
         sel = solve_round_selection(state, devices, 1e6, 100.0, 1e-9)
-        state, record = fedft_round(state, devices, sel, 0.1, 1e-9)
+        down = downlink_latency(state, devices, sel, 1e-9)
+        state, record = fedft_round(state, devices, sel, 0.1, down)
         assert record.selected == ("d0", "d1", "d2")
         assert abs(record.global_loss - central) <= 1e-9
 
@@ -487,11 +494,36 @@ class TestFedFtRound:
         # run_fedft solves the selection once: a round must not change it
         devices, state = hetero_state(seed=3)
         sel = solve_round_selection(state, devices, 1e6, 30.0, 1e-9)
+        down = downlink_latency(state, devices, sel, 1e-9)
         for _ in range(3):
-            state, record = fedft_round(state, devices, sel, 0.05, 1e-9)
+            state, record = fedft_round(state, devices, sel, 0.05, down)
             assert solve_round_selection(state, devices, 1e6, 30.0, 1e-9) == sel
         assert record.selected == sel.selected
         assert record.bandwidth == sel.allocation.bandwidth
+
+    def test_downlink_latency_matches_projected_copies(self):
+        # the per-run downlink equals the slowest participant's unicast of
+        # its rank-projected global copy, as a round made it, bit for bit
+        devices, state = hetero_state(seed=5)
+        sel = solve_round_selection(state, devices, 1e6, 30.0, 1e-9)
+        copies = {p.id: project_rank(state.global_adapter, p.local_rank) for p in devices}
+        want = max(
+            comm_latency(64.0 * copies[p.id].param_count(), shannon_rate(
+                sel.allocation.bandwidth[p.id], p.channel_gain, p.tx_power, 1e-9))
+            for p in devices if p.id in sel.selected
+        )
+        assert downlink_latency(state, devices, sel, 1e-9) == want > 0.0
+
+    def test_datasets_fixed_and_pooled_once(self):
+        devices, state = hetero_state(seed=6)
+        with pytest.raises(TypeError):
+            state.datasets["d0"] = state.datasets["d1"]
+        xs = [x for x, _ in state.datasets.values()]
+        ys = [y for _, y in state.datasets.values()]
+        assert np.concatenate(xs).tobytes() == state.pooled_x.tobytes()
+        assert np.concatenate(ys).tobytes() == state.pooled_y.tobytes()
+        assert global_loss(state) == mse_loss(
+            state.base, state.global_adapter, np.concatenate(xs), np.concatenate(ys))
 
     def test_run_converges_on_hetero_ranks(self):
         devices, state = hetero_state()

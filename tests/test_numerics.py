@@ -1,12 +1,15 @@
 """Linear algebra and probability helpers against naive oracles."""
 
+import random
+
 import numpy as np
 import pytest
 
+from edgelam_sim import numerics, unlearn
 from edgelam_sim.errors import ShapeError
-from edgelam_sim.numerics import gram_schmidt
+from edgelam_sim.numerics import DROP_TOL, SCREEN_FRACTION, gram_schmidt
 
-from oracles import as_prob_vector, softmax
+from oracles import as_prob_vector, gram_schmidt_unscreened, softmax
 
 
 def span_projector(vectors):
@@ -54,6 +57,115 @@ class TestGramSchmidt:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ShapeError):
             gram_schmidt([np.ones(3), np.ones(4)])
+
+    def test_nonpositive_tol_rejected(self):
+        for tol in (0.0, -1e-8):
+            with pytest.raises(ValueError):
+                gram_schmidt([np.ones(3)], tol=tol)
+
+
+def same_basis(vectors, tol=DROP_TOL):
+    """``gram_schmidt`` on ``vectors``, checked bit for bit against the
+    unscreened two-pass MGS: the same number of rows, each with the same
+    bytes."""
+    basis = gram_schmidt(vectors, tol=tol)
+    oracle = gram_schmidt_unscreened(vectors, tol)
+    assert len(basis) == len(oracle)
+    for got, want in zip(basis, oracle):
+        assert got.tobytes() == want.tobytes()
+    return basis
+
+
+def unlearning_run(seed, n_devices, n_opt_out, pretrain_rounds, rounds=25):
+    """One unlearning run shaped like the benchmark's: 3 classes, 10
+    features, 40 samples per device, lr 0.5, delta 0.05, DP noise."""
+    rng = random.Random(seed)
+    ids = [f"d{i:02d}" for i in range(n_devices)]
+    opt_out = set(rng.sample(ids, n_opt_out))
+    state = unlearn.make_classification_task(rng.randrange(1, 2**31), ids, opt_out, 3, 10, 40)
+    unlearn.pretrain(state, 0.5, pretrain_rounds, 0.05)
+    dp = unlearn.DpConfig(1.0, rng.uniform(0.05, 0.2), seed)
+    unlearn.run_unlearning(state, unlearn.UnlearnRequest(frozenset(opt_out)), 0.5, 0.05,
+                           rounds, dp)
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """The basis size at each exact MGS projection ``gram_schmidt`` runs."""
+    sizes = []
+    real = numerics._mgs_residual
+
+    def counted(v, basis):
+        sizes.append(len(basis))
+        return real(v, basis)
+
+    monkeypatch.setattr(numerics, "_mgs_residual", counted)
+    return sizes
+
+
+class TestScreenedGramSchmidtMatchesUnscreened:
+    """The screen only drops rows the exact keep test would drop, so the
+    basis is the unscreened MGS basis bit for bit."""
+
+    @pytest.mark.parametrize(
+        "seed, n_devices, n_opt_out, pretrain_rounds",
+        [(0, 32, 4, 100), (1, 32, 4, 100), (2, 16, 2, 100), (3, 16, 2, 100),
+         (4, 12, 3, 2000)],
+    )
+    def test_every_unlearning_call(self, monkeypatch, seed, n_devices, n_opt_out,
+                                   pretrain_rounds):
+        calls = []
+
+        def checked(vectors, tol=DROP_TOL):
+            calls.append(len(vectors))
+            return same_basis(vectors, tol)
+
+        monkeypatch.setattr(unlearn, "gram_schmidt", checked)
+        unlearning_run(seed, n_devices, n_opt_out, pretrain_rounds)
+        assert calls == [n_devices - n_opt_out] * (25 * n_opt_out)
+
+    def test_more_vectors_than_dim(self):
+        rng = np.random.default_rng(8)
+        basis = same_basis([rng.standard_normal(30) for _ in range(40)])
+        assert len(basis) == 30
+
+    def test_zero_vectors_mixed_in(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal(6), rng.standard_normal(6)
+        zero = np.zeros(6)
+        basis = same_basis([zero, a, zero, 3.0 * a, b, zero, a - 2.0 * b, zero])
+        assert len(basis) == 2
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.6, 0.9, 1.1, 2.0])
+    def test_residual_ratio_around_both_lines(self, projections, ratio):
+        # three independent rows, then one whose residual off their span is
+        # ratio * tol of its norm: below half the line the screen drops it,
+        # between half and the line the exact test does, above it is kept
+        q, _ = np.linalg.qr(np.random.default_rng(10).standard_normal((8, 8)))
+        rows = [q[:, 0] + q[:, 1], q[:, 1] - 2.0 * q[:, 2], q[:, 0] + 3.0 * q[:, 2]]
+        in_span = 0.7 * rows[0] - 1.3 * rows[1] + 0.4 * rows[2]
+        rows.append(in_span + ratio * DROP_TOL * np.linalg.norm(in_span) * q[:, 5])
+        basis = same_basis(rows)
+        assert len(basis) == 3 + (ratio >= 1.0)
+        assert projections == [0, 1, 2] + [3] * (ratio >= SCREEN_FRACTION)
+
+
+def test_screen_leaves_exact_projection_to_kept_rows(monkeypatch, projections):
+    # a 28-row call of the benchmark's 32-device, 4-opt-out unlearning runs:
+    # the retained gradients span 16 dimensions, and the 12 dependent rows
+    # are dropped by the screen without the exact projection
+    calls = []
+
+    def capture(vectors, tol=DROP_TOL):
+        calls.append(list(vectors))
+        return gram_schmidt(vectors, tol=tol)
+
+    monkeypatch.setattr(unlearn, "gram_schmidt", capture)
+    unlearning_run(0, 32, 4, 100, rounds=1)
+    projections.clear()
+    basis = gram_schmidt(calls[0])
+    assert (len(calls[0]), len(basis)) == (28, 16)
+    assert projections == list(range(16))
 
 
 class TestSoftmax:
