@@ -5,10 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import tempfile
-from pathlib import Path
 
-from . import casestudy as cs
 from .errors import ConfigError, SizeLimitError
 from .scenarios import (
     EXIT_CONFIG,
@@ -17,6 +14,7 @@ from .scenarios import (
     InfeasibleScenario,
     _run_casestudy,
     load_scenario,
+    make_out_dir,
     run_scenario,
 )
 
@@ -66,6 +64,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_casestudy(args) -> int:
+    import tempfile
+
+    from . import casestudy as cs
+
     try:
         flag = "--budgets"
         budgets = [int(b) for b in args.budgets.split(",") if b]
@@ -97,8 +99,11 @@ def _cmd_casestudy(args) -> int:
     # the runner always writes its outputs; without --out they go to a
     # directory that is removed after the run
     with tempfile.TemporaryDirectory() as scratch:
-        out = Path(args.out or scratch)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out = make_out_dir(args.out or scratch)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         try:
             summary, rows = _run_casestudy(spec, 0, out)  # the model draws no random numbers
         except (InfeasibleScenario, SizeLimitError) as exc:

@@ -123,8 +123,10 @@ def project_rank(adapter: LoraAdapter, target_rank: int) -> LoraAdapter:
 
 
 def aggregate_hetero(adapters: list[LoraAdapter], weights: list[float]) -> LoraAdapter:
-    """Zero-pad all adapters to the max rank, then average factors.
+    """Average the factors of all adapters zero-padded to the max rank.
 
+    Each adapter adds into the leading columns of A and rows of B only: a
+    padded zero would add exactly nothing, since the sums start at +0.0.
     A- and B-factors are averaged separately (server storage stays
     O(d * r_max)); the induced bias versus averaging the products A @ B is
     a documented property of the scheme, measured in tests.
@@ -143,12 +145,11 @@ def aggregate_hetero(adapters: list[LoraAdapter], weights: list[float]) -> LoraA
         if (a.d, a.k) != (d, k):
             raise ShapeError(f"adapter dims {(a.d, a.k)} do not match {(d, k)}")
     r_max = max(a.rank for a in adapters)
-    padded = [zero_pad(a, r_max) for a in adapters]
     a_sum = np.zeros((d, r_max))
     b_sum = np.zeros((r_max, k))
-    for wi, ad in zip(w, padded):
-        a_sum += wi * ad.A
-        b_sum += wi * ad.B
+    for wi, ad in zip(w, adapters):
+        a_sum[:, : ad.rank] += wi * ad.A
+        b_sum[: ad.rank] += wi * ad.B
     return LoraAdapter(a_sum, b_sum)
 
 

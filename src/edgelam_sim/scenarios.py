@@ -8,6 +8,11 @@ runner needs (the scenario's ``spec``), so a config passes validation
 exactly when a run can build it.  Every run is a pure function of the
 config bytes and the seed: outputs (UTF-8 CSV with a header row,
 pretty-printed JSON with sorted keys) are byte-identical across re-runs.
+
+Each kind's solver module is imported on first use, by the kind's parser
+(and again, for the name, by its runner), so a run loads only its own
+kind's modules.  The parser runs before ``run_scenario`` enters its raising
+``np.errstate``, so no module body executes under that guard.
 """
 
 from __future__ import annotations
@@ -18,16 +23,16 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import casestudy as cs
-from . import cot_placement as cot
-from . import fedft
-from . import moe_orchestrator as moe
-from . import unlearn
 from .errors import ConfigError, PlacementError, SchedulingError, SizeLimitError
-from .netsim import DeviceProfile
+
+if TYPE_CHECKING:
+    from . import casestudy as cs
+    from . import moe_orchestrator as moe
+    from .netsim import DeviceProfile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,6 +147,8 @@ def _build(cls, where: str, **fields):
 
 
 def parse_devices(cfg: dict, where: str = "devices") -> list[DeviceProfile]:
+    from .netsim import DeviceProfile
+
     out = []
     for i, entry in enumerate(_list(cfg, "devices", where)):
         w = f"{where}[{i}]"
@@ -188,6 +195,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an integer too long
+        raise ConfigError(f"invalid JSON: {exc}", "$") from None
     if not isinstance(cfg, dict):
         raise ConfigError("top level must be an object", "$")
     kind = _require(cfg, "kind", "$")
@@ -203,7 +212,20 @@ def load_scenario(path: str | Path) -> Scenario:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc.reason}", f"byte {exc.start}") from exc
     return parse_scenario(text)
+
+
+def make_out_dir(out_dir: str | Path) -> Path:
+    """``out_dir``, created with its parents if absent; a file in the way is a
+    ConfigError naming ``--out``."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}", "--out") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +233,8 @@ def load_scenario(path: str | Path) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _parse_fedft(cfg: dict) -> dict:
+    from . import fedft  # unused here: loaded for the runner, outside its errstate
+
     devices = parse_devices(cfg)
     ch = _channel(cfg)
     block = _object(cfg, "fedft", "fedft")
@@ -247,6 +271,8 @@ def _parse_fedft(cfg: dict) -> dict:
 
 
 def _parse_unlearn(cfg: dict) -> dict:
+    from . import unlearn
+
     devices = parse_devices(cfg)
     block = _object(cfg, "unlearn", "unlearn")
     delta = _number(block, "delta", "unlearn", positive=True)
@@ -280,6 +306,8 @@ def _parse_unlearn(cfg: dict) -> dict:
 
 
 def _parse_moe(cfg: dict) -> dict:
+    from . import moe_orchestrator as moe
+
     devices = parse_devices(cfg)
     ch = _channel(cfg)
     block = _object(cfg, "moe", "moe")
@@ -337,6 +365,8 @@ def _parse_moe(cfg: dict) -> dict:
 
 
 def _parse_cot(cfg: dict) -> dict:
+    from . import cot_placement as cot
+
     devices = parse_devices(cfg)
     ch = _channel(cfg)
     block = _object(cfg, "cot", "cot")
@@ -383,6 +413,8 @@ def _parse_cot(cfg: dict) -> dict:
 
 
 def _parse_casestudy(cfg: dict) -> dict:
+    from . import casestudy as cs
+
     block = _object(cfg, "casestudy", "casestudy")
     budgets = _list(block, "budgets", "casestudy.budgets")
     for b in budgets:
@@ -434,6 +466,10 @@ def _parse_casestudy(cfg: dict) -> dict:
 
 def fmt(value) -> str:
     """Shortest round-trip decimal text for a cell (stable across runs)."""
+    if type(value) is float:  # most cells; the checks below cover the rest
+        if not math.isfinite(value):
+            raise NonFiniteOutput(f"a cell is {value!r}")
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -473,6 +509,8 @@ def write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
+    from . import fedft
+
     devices, task, train = spec["devices"], spec["task"], spec["train"]
     # an overflow is the first sign of an ill-scaled task or of divergence;
     # name the field to lower and, for divergence, the round
@@ -520,6 +558,8 @@ def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
 
 
 def _run_unlearn(spec: dict, seed: int, out_dir: Path) -> None:
+    from . import unlearn
+
     request, lr, delta = spec["request"], spec["lr"], spec["delta"]
     state = unlearn.make_classification_task(
         seed, spec["device_ids"], set(request.opt_out_ids), **spec["task"]
@@ -556,6 +596,8 @@ def _run_unlearn(spec: dict, seed: int, out_dir: Path) -> None:
 
 
 def _run_moe(spec: dict, seed: int, out_dir: Path) -> None:
+    from . import moe_orchestrator as moe
+
     kwargs = spec["orchestrate"]
     result = moe.orchestrate(v=spec["v"], seed=seed, **kwargs)
     write_csv(
@@ -606,6 +648,8 @@ def _moe_trace_rows(result: moe.OrchestrationResult) -> list[list]:
 
 
 def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
+    from . import cot_placement as cot
+
     devices, chain, shard_bytes = spec["devices"], spec["chain"], spec["shard_bytes"]
     link_rates = cot.link_rates_from_gains(
         devices, spec["gains"], spec["link_bandwidth"], spec["noise_density"]
@@ -650,7 +694,10 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
 
 
 def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> tuple[dict, list[cs.SweepRow]]:
-    """Write the sweep and summary; return both for the ``casestudy`` subcommand."""
+    """Write the sweep and summary; return both for the ``casestudy`` subcommand,
+    which calls this without parsing a config."""
+    from . import casestudy as cs
+
     budgets = spec["budgets"]
     summary: dict = {"kind": "casestudy", "seed": seed, "budgets": budgets}
     if spec["model"] is None:
@@ -745,11 +792,10 @@ def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None)
         scenario = load_scenario(path)
         if seed is not None:
             scenario = dataclasses.replace(scenario, seed=_check_seed(seed, "--seed"))
+        out = make_out_dir(out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _, run, outputs = _KINDS[scenario.kind]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -117,6 +117,21 @@ class TestAggregate:
         assert np.max(np.abs(out.B[1, :] - 0.5 * a2.B[1, :])) <= 1e-12
         assert np.max(np.abs(out.A[:, 0] - 0.5 * (a1.A[:, 0] + a2.A[:, 0]))) <= 1e-12
 
+    def test_matches_average_of_padded_copies_bitwise(self):
+        # the reference pads each adapter to the max rank before adding it;
+        # zero weights and negative entries put -0.0 terms into the sums
+        rng = np.random.default_rng(11)
+        adapters = [random_adapter(rng, 5, 4, r) for r in (3, 1, 2, 3, 1)]
+        for weights in ([0.2] * 5, [0.0, 0.5, 0.0, 0.25, 0.25], [0.0, 0.0, 1.0, 0.0, 0.0]):
+            out = aggregate_hetero(adapters, weights)
+            a_ref, b_ref = np.zeros((5, 3)), np.zeros((3, 4))
+            for wi, ad in zip(np.asarray(weights), adapters):
+                padded = zero_pad(ad, 3)
+                a_ref += wi * padded.A
+                b_ref += wi * padded.B
+            assert out.A.tobytes() == a_ref.tobytes()
+            assert out.B.tobytes() == b_ref.tobytes()
+
     def test_factor_averaging_bias_is_real_and_measured(self):
         # averaging factors is not averaging products; the scheme's bias
         # must show up on generic inputs rather than be hidden

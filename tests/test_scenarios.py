@@ -483,6 +483,37 @@ class TestCliExitCodes:
         assert main(argv) == 2
         assert "--seed:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("raw,where", [
+        (b'\xff\xfe{"kind": "moe", "seed": 1}', "byte 0"),
+        (b"[" * 200000 + b"]" * 200000, "$"),
+        (b'{"kind": "moe", "seed": ' + b"9" * 5000 + b"}", "$"),
+    ], ids=["not-utf8", "nested-past-recursion-limit", "integer-past-digit-limit"])
+    def test_config_bytes_that_do_not_parse_are_config_errors(self, tmp_path, capsys, command,
+                                                              raw, where):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {where}:" in captured.out + captured.err
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["run", "casestudy"])
+    def test_out_blocked_by_a_file_is_config_error(self, tmp_path, capsys, command, under_file):
+        blocker = tmp_path / "afile"
+        blocker.touch()
+        out = blocker / "sub" if under_file else blocker
+        argv = ["casestudy", "--out", str(out)]
+        if command == "run":
+            argv = ["run", "--config", str(write_cfg(tmp_path, shipped_cfg("casestudy_tokens"))),
+                    "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error: --out:" in captured.out + captured.err
+
     @pytest.mark.parametrize("tokens", [10**154, 10**400], ids=["1e154", "1e400"])
     def test_casestudy_model_beyond_float_range_exits_3(self, tmp_path, capsys, tokens):
         # 10**154 squared overflows to inf; 10**400 does not convert to a float
