@@ -23,26 +23,20 @@ _MARGIN = 1.0 + 1e-12
 
 
 def placement_scan(comp, comm, mem, cap):
-    """Exact placement search; return (best_index, best_cost, n_feasible).
+    """Exact placement search; return (assignment, cost, n_feasible).
 
     ``comp``: (S, D) per-step compute latency; ``comm``: (S-1, D, D) handoff
     latency between consecutive steps; ``mem``: (S,) bytes (>= 0) per
     deployed step; ``cap``: (D,) device capacities.  A placement is feasible
     when each device's load, summed in step order from 0.0, is <= its
-    capacity.  best_index encodes the device vector in base D, step 0 most
-    significant; among equal costs the lexicographically smallest vector
-    wins.  best_index is -1 (and best_cost inf) when no feasible placement
-    has a finite cost.  n_feasible counts the feasible placements.
+    capacity.  assignment lists the device of each step of the cheapest
+    feasible placement; among equal costs the lexicographically smallest
+    wins.  assignment is None (and cost inf) when no feasible placement has
+    a finite cost.  n_feasible counts the feasible placements.
     """
     n_feasible = _count_feasible(mem, cap)
-    best = _cheapest(comp.tolist(), comm.tolist(), mem.tolist(), cap.tolist())
-    if best is None:
-        return -1, math.inf, n_feasible
-    assignment, cost = best
-    index = 0
-    for d in assignment:
-        index = index * cap.size + d
-    return index, cost, n_feasible
+    assignment, cost = _cheapest(comp.tolist(), comm.tolist(), mem.tolist(), cap.tolist())
+    return assignment, cost, n_feasible
 
 
 def _cost_to_go(comp, comm):
@@ -68,7 +62,7 @@ def _cheapest(comp, comm, mem, cap):
     the relaxed cost-to-go exceeds the incumbent by more than ``_MARGIN``.
     A leaf replaces the incumbent only on a strict ``<``, so ties keep the
     lexicographically first placement, and an infinite cost never does.
-    Returns (assignment, cost), or None.
+    Returns (assignment, cost), or (None, inf).
     """
     n_steps, n_dev = len(comp), len(cap)
     last = n_steps - 1
@@ -108,7 +102,7 @@ def _cheapest(comp, comm, mem, cap):
             s -= 1
             if s >= 0:
                 loads[path[s]] = saved[s]
-    return None if best_path is None else (best_path, best)
+    return best_path, best
 
 
 def _count_feasible(mem, cap):

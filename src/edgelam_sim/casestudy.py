@@ -130,7 +130,7 @@ def casestudy_sweep(model: TokenBudgetModel, budgets) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    model: TokenBudgetModel | None
+    model: TokenBudgetModel
     achieved_mem_reduction: float
     achieved_lat_reduction: float
     residual_mem: float
@@ -156,7 +156,8 @@ def calibrate_casestudy(
     of the best squared residual) resolve to the largest N, a fixed
     identifiability rule that keeps the returned N stable under small
     target perturbations.  A best residual above ``residual_limit`` per
-    target is reported as a calibration failure, not raised.
+    target is reported as a calibration failure, not raised; when no grid
+    point keeps ``t_star`` the argmin, ``ValueError`` is raised.
     """
     mem_target, lat_target = targets
     if not (0 < mem_target < 1 and 0 < lat_target < 1):
@@ -216,10 +217,7 @@ def calibrate_casestudy(
         )
 
     if not candidates:
-        return CalibrationResult(
-            None, math.nan, math.nan, math.inf, math.inf, False,
-            "no grid point keeps the target budget optimal",
-        )
+        raise ValueError("calibration failed: no grid point keeps the target budget optimal")
     sq_best = min(c[0] for c in candidates)
     tied = [c for c in candidates if c[0] <= 4.0 * sq_best + 1e-18]
     _, n, g, b, mem_red, lat_red = max(tied, key=lambda c: c[1])

@@ -3,22 +3,21 @@
 from __future__ import annotations
 
 import argparse
-import math
+import csv
+import json
 import sys
+from pathlib import Path
 
-from .errors import ConfigError, SizeLimitError
+from .errors import ConfigError
 from .scenarios import (
     EXIT_CONFIG,
-    EXIT_INFEASIBLE,
     EXIT_OK,
-    InfeasibleScenario,
-    _run_casestudy,
+    Scenario,
+    _parse_casestudy,
     load_scenario,
-    make_out_dir,
+    run_guarded,
     run_scenario,
 )
-
-SWEEP_N_TOTAL = 608  # chain length of the uncalibrated sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,47 +67,44 @@ def _cmd_casestudy(args) -> int:
 
     from . import casestudy as cs
 
-    try:
-        flag = "--budgets"
-        budgets = [int(b) for b in args.budgets.split(",") if b]
-        flag = "--targets"
-        mem_t, lat_t = (float(t) for t in args.targets.split(","))
-    except ValueError as exc:
-        print(f"config error: {flag}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.calibrate and not (0 < mem_t < 1 and 0 < lat_t < 1):
-        print("config error: --targets: must be two fractions in (0,1)", file=sys.stderr)
-        return EXIT_CONFIG
-    top = math.inf if args.calibrate else SWEEP_N_TOTAL
-    if not budgets or not all(1 <= b <= top for b in budgets):
-        limit = "" if args.calibrate else f" up to n_total {top}"
-        print(f"config error: --budgets: must be positive integers{limit}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.calibrate:
-        spec = {"budgets": budgets, "targets": (mem_t, lat_t), "model": None}
-    else:
-        spec = {
+    def load() -> Scenario:
+        try:
+            flag = "--budgets"
+            budgets = [int(b) for b in args.budgets.split(",") if b]
+            flag = "--targets"
+            mem_t, lat_t = (float(t) for t in args.targets.split(","))
+        except ValueError as exc:
+            raise ConfigError(str(exc), flag) from None
+        block = {
             "budgets": budgets,
-            "targets": None,
+            "calibrate": args.calibrate,
+            "targets": [mem_t, lat_t],
+            # the uncalibrated sweep's model, read without --calibrate; an
+            # empty budget list is left for the parser to name
             "model": dict(
-                n_total=SWEEP_N_TOTAL, t_budget=min(budgets),
+                n_total=608, t_budget=min(budgets, default=1),
                 alpha_mem=cs.DEFAULT_ALPHA_MEM, beta_comp=cs.DEFAULT_BETA_COMP,
-                gamma_handoff=0.03, base_mem=1e4, compute_rate=cs.DEFAULT_COMPUTE_RATE,
+                gamma_handoff=0.03, base_mem=1e4,
             ),
         }
-    # the runner always writes its outputs; without --out they go to a
-    # directory that is removed after the run
-    with tempfile.TemporaryDirectory() as scratch:
         try:
-            out = make_out_dir(args.out or scratch)
+            spec = _parse_casestudy({"casestudy": block})
         except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            summary, rows = _run_casestudy(spec, 0, out)  # the model draws no random numbers
-        except (InfeasibleScenario, SizeLimitError) as exc:
-            print(f"infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+            flag = "--targets" if exc.where == "casestudy.targets" else "--budgets"
+            raise ConfigError(str(exc).removeprefix(f"{exc.where}: "), flag) from None
+        return Scenario("casestudy", 0, spec)  # the model draws no random numbers
+
+    # the run always writes its outputs, and the table is read back from
+    # them; without --out they go to a directory that is removed afterwards
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(args.out or scratch)
+        code, line = run_guarded(load, out)
+        if code != EXIT_OK:
+            print(line, file=sys.stderr)
+            return code
+        summary = json.loads((out / "casestudy_summary.json").read_text(encoding="utf-8"))
+        with open(out / "casestudy_sweep.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
     if args.calibrate:
         model, cal = summary["model"], summary["calibration"]
         print(
@@ -119,10 +115,10 @@ def _cmd_casestudy(args) -> int:
         )
     header = f"{'T':>6} {'devices':>8} {'mem_red':>9} {'lat_red':>9} {'norm_cost':>10}"
     print(header)
-    for r in rows:
+    for r in rows:  # the cells are shortest round-trip text, so float() gives back each value
         print(
-            f"{r.t_budget:>6} {r.device_count:>8} {r.mem_reduction:>9.3f} "
-            f"{r.lat_reduction:>9.3f} {r.combined_normalized_cost:>10.4f}"
+            f"{r['max_tokens']:>6} {r['device_count']:>8} {float(r['mem_reduction']):>9.3f} "
+            f"{float(r['lat_reduction']):>9.3f} {float(r['combined_normalized_cost']):>10.4f}"
         )
     return EXIT_OK
 

@@ -67,10 +67,8 @@ class Placement:
 
 @dataclass(frozen=True)
 class PlacementResult:
-    placement: Placement | None
+    placement: Placement
     cost: float
-    feasible: bool
-    solver: str
     n_feasible: int | None = None
 
 
@@ -130,8 +128,8 @@ def solve_exact(
 
     Ties resolve to the lexicographically smallest device vector; the cost
     is summed step by step, the same bits as scoring that placement alone.
-    ``n_feasible`` counts every capacity-feasible placement.  Returns an
-    infeasible result when no capacity-feasible placement has finite cost.
+    ``n_feasible`` counts every capacity-feasible placement.  Raises
+    ``PlacementError`` when no capacity-feasible placement has finite cost.
     """
     if shard_bytes < 0:  # the search prunes on partial loads, so memory must not shrink them
         raise ValueError("shard_bytes must be >= 0")
@@ -142,18 +140,10 @@ def solve_exact(
             "use solve_local_search"
         )
     comp, comm, mem, cap = _cost_arrays(chain, devices, link_rates, shard_bytes)
-    best_idx, best_cost, n_feasible = placement_scan(comp, comm, mem, cap)
-    if best_idx < 0:
-        return PlacementResult(None, math.inf, False, "exact", int(n_feasible))
-    digits = []
-    rem = int(best_idx)
-    for _ in range(n_steps):
-        digits.append(rem % n_dev)
-        rem //= n_dev
-    assignment = tuple(reversed(digits))
-    return PlacementResult(
-        Placement(assignment, n_dev), float(best_cost), True, "exact", int(n_feasible)
-    )
+    assignment, cost, n_feasible = placement_scan(comp, comm, mem, cap)
+    if assignment is None:
+        raise PlacementError("no capacity-feasible placement exists")
+    return PlacementResult(Placement(tuple(assignment), n_dev), cost, n_feasible)
 
 
 def solve_local_search(
@@ -169,7 +159,9 @@ def solve_local_search(
     ``iters=1`` returns the greedy placement; each further iteration is one
     improvement pass over the steps in a seeded order, moving a step to its
     best strictly-better feasible device.  Sideways moves are disallowed, so
-    the search terminates; the result is deterministic per seed.
+    the search terminates; the result is deterministic per seed.  Raises
+    ``PlacementError`` when the greedy construction finds no device with
+    room for a step.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -190,7 +182,7 @@ def solve_local_search(
                 best_marginal = marginal
                 best_d = d
         if best_d < 0:
-            return PlacementResult(None, math.inf, False, "local_search")
+            raise PlacementError("local search found no feasible start")
         assignment.append(best_d)
         loads[best_d] += mem[s]
 
@@ -225,4 +217,4 @@ def solve_local_search(
         if not improved:
             break
     placement = Placement(tuple(int(d) for d in assignment), n_dev)
-    return PlacementResult(placement, float(current), True, "local_search")
+    return PlacementResult(placement, float(current))

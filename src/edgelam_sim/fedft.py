@@ -32,13 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import RankError, SchedulingError, ShapeError
-from .netsim import (
-    ChannelAllocation,
-    DeviceProfile,
-    comm_latency,
-    comp_latency,
-    shannon_rate,
-)
+from .netsim import DeviceProfile, comm_latency, comp_latency, shannon_rate
 from .rng import stream
 
 
@@ -201,9 +195,8 @@ class SelectionResult:
     """Outcome of the joint selection/allocation solve."""
 
     selected: tuple[str, ...]
-    allocation: ChannelAllocation | None
+    bandwidth: dict[str, float]  # device id -> Hz of the shared band, ascending ids
     round_latency: float
-    feasible: bool
 
 
 def _min_bandwidth(profile: DeviceProfile, bits: float, comp: float, tau: float,
@@ -252,7 +245,8 @@ def select_devices_and_bandwidth(
     is the k cheapest devices at the smallest tau where those k fit, found
     by bisecting tau down to adjacent floats.  Those devices get their
     b_i(tau), scaled up to fill the band, and the round latency is the
-    slowest one's compute plus upload time on that split.
+    slowest one's compute plus upload time on that split.  Raises
+    ``SchedulingError`` when no device subset meets the deadline.
     """
     if not profiles:
         raise ValueError("need at least one device profile")
@@ -306,10 +300,9 @@ def select_devices_and_bandwidth(
             for dev, b in alloc.items()
         )
         if latency <= deadline:
-            allocation = ChannelAllocation(alloc, noise_density, total_bandwidth)
-            return SelectionResult(tuple(alloc), allocation, latency, True)
+            return SelectionResult(tuple(alloc), alloc, latency)
         k -= 1  # a borderline subset that the bisection's rounding put past the deadline
-    return SelectionResult((), None, math.inf, False)
+    raise SchedulingError("no device subset meets the deadline; raise deadline or bandwidth")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +414,7 @@ def downlink_latency(
     for p in profiles:
         if p.id in selection.selected:
             rate = shannon_rate(
-                selection.allocation.bandwidth[p.id],
+                selection.bandwidth[p.id],
                 p.channel_gain,
                 p.tx_power,
                 noise_density,
@@ -474,7 +467,7 @@ def fedft_round(
         global_loss(state),
         selection.round_latency + down_latency,
         selection.selected,
-        dict(selection.allocation.bandwidth),
+        dict(selection.bandwidth),
     )
     state.round_index += 1
     return state, record
@@ -528,8 +521,6 @@ def run_fedft(
         state, profiles, total_bandwidth, deadline, noise_density,
         bits_per_param=bits_per_param,
     )
-    if not selection.feasible:
-        raise SchedulingError("no device subset meets the deadline; raise deadline or bandwidth")
     down_latency = downlink_latency(
         state, profiles, selection, noise_density, bits_per_param=bits_per_param
     )

@@ -43,28 +43,6 @@ class DeviceProfile:
             raise DomainError(f"device {self.id}: local_rank must be >= 1")
 
 
-@dataclass(frozen=True)
-class ChannelAllocation:
-    """Per-device bandwidth split of a shared FDMA band."""
-
-    bandwidth: dict[str, float]  # device id -> B_i in Hz
-    noise_density: float  # N0 in W/Hz
-    total_bandwidth: float  # B_total in Hz
-
-    def __post_init__(self):
-        if self.noise_density <= 0:
-            raise DomainError("noise_density must be > 0")
-        if self.total_bandwidth <= 0:
-            raise DomainError("total_bandwidth must be > 0")
-        for dev, b in self.bandwidth.items():
-            if b < 0:
-                raise DomainError(f"bandwidth for {dev} must be >= 0")
-        # tiny slack so that allocations computed by bisection never trip on
-        # the last ulp of the budget
-        if sum(self.bandwidth.values()) > self.total_bandwidth * (1 + 1e-12):
-            raise DomainError("sum of allocated bandwidth exceeds the total")
-
-
 def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: float) -> float:
     """Uplink rate in bit/s: B*log2(1 + g*p/(N0*B)).
 

@@ -11,7 +11,7 @@ pretty-printed JSON with sorted keys) are byte-identical across re-runs.
 
 Each kind's solver module is imported on first use, by the kind's parser
 (and again, for the name, by its runner), so a run loads only its own
-kind's modules.  The parser runs before ``run_scenario`` enters its raising
+kind's modules.  The parser runs before ``run_guarded`` enters its raising
 ``np.errstate``, so no module body executes under that guard.
 """
 
@@ -30,7 +30,8 @@ import numpy as np
 from .errors import ConfigError, PlacementError, SchedulingError, SizeLimitError
 
 if TYPE_CHECKING:
-    from . import casestudy as cs
+    from collections.abc import Callable
+
     from . import moe_orchestrator as moe
     from .netsim import DeviceProfile
 
@@ -435,12 +436,12 @@ def _parse_casestudy(cfg: dict) -> dict:
     where = "casestudy.model"
     model = _object(block, "model", where)
     n_total = _integer(model, "n_total", where, minimum=1)
-    t_budget = _integer(model, "t_budget", where, minimum=1)
-    if t_budget > n_total:
-        raise ConfigError(f"exceeds n_total {n_total}", f"{where}.t_budget")
     for j, b in enumerate(budgets):
         if b > n_total:
             raise ConfigError(f"budget {b} exceeds n_total {n_total}", f"casestudy.budgets[{j}]")
+    t_budget = _integer(model, "t_budget", where, minimum=1)
+    if t_budget > n_total:
+        raise ConfigError(f"exceeds n_total {n_total}", f"{where}.t_budget")
     return {
         "budgets": budgets,
         "targets": None,
@@ -465,19 +466,14 @@ def _parse_casestudy(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def fmt(value) -> str:
-    """Shortest round-trip decimal text for a cell (stable across runs)."""
-    if type(value) is float:  # most cells; the checks below cover the rest
-        if not math.isfinite(value):
-            raise NonFiniteOutput(f"a cell is {value!r}")
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    """Shortest round-trip decimal text for a float, int, bool or str cell
+    (stable across runs)."""
+    if isinstance(value, float):
         if not math.isfinite(value):
             raise NonFiniteOutput(f"a cell is {float(value)!r}")
         return repr(float(value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 
@@ -664,8 +660,6 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
     exact_res = None
     if solver in ("exact", "both"):
         exact_res = cot.solve_exact(chain, devices, link_rates, shard_bytes)
-        if not exact_res.feasible:
-            raise InfeasibleScenario("no capacity-feasible placement exists")
         payload["exact"] = {
             "placement": list(exact_res.placement.assignment),
             "cost_s": exact_res.cost,
@@ -676,8 +670,6 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
         ls_res = cot.solve_local_search(
             chain, devices, link_rates, seed, spec["iters"], shard_bytes
         )
-        if not ls_res.feasible:
-            raise InfeasibleScenario("local search found no feasible start")
         entry = {
             "placement": list(ls_res.placement.assignment),
             "cost_s": ls_res.cost,
@@ -693,34 +685,32 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
     write_json(out_dir / "cot_result.json", payload)
 
 
-def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> tuple[dict, list[cs.SweepRow]]:
-    """Write the sweep and summary; return both for the ``casestudy`` subcommand,
-    which calls this without parsing a config."""
+def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
     from . import casestudy as cs
 
     budgets = spec["budgets"]
     summary: dict = {"kind": "casestudy", "seed": seed, "budgets": budgets}
-    if spec["model"] is None:
-        targets = spec["targets"]
-        result = cs.calibrate_casestudy(targets)
-        if result.model is None:
-            raise InfeasibleScenario(f"calibration failed: {result.message}")
-        model = result.model
-        summary["calibration"] = {
-            "targets": {"mem_reduction": targets[0], "lat_reduction": targets[1]},
-            "achieved": {
-                "mem_reduction": result.achieved_mem_reduction,
-                "lat_reduction": result.achieved_lat_reduction,
-            },
-            "residuals": {"mem": result.residual_mem, "lat": result.residual_lat},
-            "success": result.success,
-            "message": result.message,
-        }
-    else:
-        model = cs.TokenBudgetModel(**spec["model"])
+    # failed calibration, a budget beyond the calibrated chain and the
+    # device limit raise ValueError
     try:
+        if spec["model"] is None:
+            targets = spec["targets"]
+            result = cs.calibrate_casestudy(targets)
+            model = result.model
+            summary["calibration"] = {
+                "targets": {"mem_reduction": targets[0], "lat_reduction": targets[1]},
+                "achieved": {
+                    "mem_reduction": result.achieved_mem_reduction,
+                    "lat_reduction": result.achieved_lat_reduction,
+                },
+                "residuals": {"mem": result.residual_mem, "lat": result.residual_lat},
+                "success": result.success,
+                "message": result.message,
+            }
+        else:
+            model = cs.TokenBudgetModel(**spec["model"])
         rows = cs.casestudy_sweep(model, budgets)
-    except ValueError as exc:  # a budget beyond the calibrated chain, or the device limit
+    except ValueError as exc:
         raise InfeasibleScenario(str(exc)) from exc
     write_csv(
         out_dir / "casestudy_sweep.csv",
@@ -762,7 +752,6 @@ def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> tuple[dict, list[cs.
     best = min(rows, key=lambda r: r.combined_normalized_cost)
     summary["best_budget"] = best.t_budget
     write_json(out_dir / "casestudy_summary.json", summary)
-    return summary, rows
 
 
 # kind -> (parser, runner, the files the runner writes)
@@ -777,39 +766,63 @@ _KINDS = {
 }
 
 
-def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None) -> int:
-    """Run one scenario file; returns the process exit status (0/2/3).
+# numpy raises MemoryError for an array the allocator refuses, but ValueError,
+# starting with one of these texts, for one whose size overflows its indices
+_UNALLOCATABLE = ("array is too big", "Maximum allowed dimension exceeded")
 
-    The runner executes with numpy's overflow, divide-by-zero and invalid
+
+def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int, str]:
+    """Load a scenario and run it into ``out_dir``; return the exit status
+    (0/2/3) and the diagnostic line to print ("" on success).
+
+    ``load`` parses the scenario, raising ConfigError, before the run.  The
+    runner executes with numpy's overflow, divide-by-zero and invalid
     operations raising, so no inf or nan that an operation produces goes
     unseen: it exits 3 as a numeric overflow.  An array too large to
-    allocate exits 3 as out of memory.  The parser has already
-    rejected non-finite config numbers, and the kernels do not check again.
-    A run that exits 3 removes its kind's output files, so a result in
+    allocate exits 3 as out of memory.  The parser has already rejected
+    non-finite config numbers, and the kernels do not check again.  A run
+    that exits 3 removes its kind's output files, so a result in
     ``out_dir`` is never partial (nor left over from an earlier run).
     """
     try:
-        scenario = load_scenario(path)
-        if seed is not None:
-            scenario = dataclasses.replace(scenario, seed=_check_seed(seed, "--seed"))
+        scenario = load()
         out = make_out_dir(out_dir)
     except ConfigError as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG
+        return EXIT_CONFIG, f"config error: {exc}"
     _, run, outputs = _KINDS[scenario.kind]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             run(scenario.spec, scenario.seed, out)
     except (InfeasibleScenario, PlacementError, SchedulingError, SizeLimitError) as exc:
-        print(f"infeasible scenario: {exc}")
+        line = f"infeasible scenario: {exc}"
     except FloatingPointError as exc:
-        print(f"infeasible scenario: numeric overflow ({exc})")
+        line = f"infeasible scenario: numeric overflow ({exc})"
     except MemoryError as exc:
-        print(f"infeasible scenario: out of memory ({exc})")
+        line = f"infeasible scenario: out of memory ({exc})"
+    except ValueError as exc:
+        if not str(exc).startswith(_UNALLOCATABLE):
+            raise
+        line = f"infeasible scenario: out of memory ({exc})"
     except NonFiniteOutput as exc:
-        print(f"non-finite output: {exc}")
+        line = f"non-finite output: {exc}"
     else:
-        return EXIT_OK
+        return EXIT_OK, ""
     for name in outputs:
         (out / name).unlink(missing_ok=True)
-    return EXIT_INFEASIBLE
+    return EXIT_INFEASIBLE, line
+
+
+def run_scenario(path: str | Path, out_dir: str | Path, seed: int | None = None) -> int:
+    """Run one scenario file under ``run_guarded``; print its diagnostic and
+    return the process exit status (0/2/3)."""
+
+    def load() -> Scenario:
+        scenario = load_scenario(path)
+        if seed is None:
+            return scenario
+        return dataclasses.replace(scenario, seed=_check_seed(seed, "--seed"))
+
+    code, line = run_guarded(load, out_dir)
+    if line:
+        print(line)
+    return code

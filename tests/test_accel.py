@@ -40,10 +40,17 @@ def tie_arrays(n_steps, n_dev, per_device):
     return comp, comm, np.ones(n_steps), np.full(n_dev, float(per_device))
 
 
+def device_vector(idx, n_steps, n_dev):
+    """The oracle's base-D placement index as a device list, step 0 first; None for -1."""
+    if idx < 0:
+        return None
+    return [idx // n_dev ** (n_steps - 1 - s) % n_dev for s in range(n_steps)]
+
+
 def assert_matches_scan(case):
-    idx, cost, n_feasible = placement_scan(*case)
+    assignment, cost, n_feasible = placement_scan(*case)
     want_idx, want_cost, want_feasible = scan_placements(*case)
-    assert (idx, n_feasible) == (want_idx, want_feasible)
+    assert (assignment, n_feasible) == (device_vector(want_idx, *case[0].shape), want_feasible)
     assert cost == want_cost  # bit-identical, or both inf
 
 
@@ -64,9 +71,8 @@ def test_placement_scan_ties_go_lexicographic(n_steps, n_dev, per_device):
     lexicographic order wins, i.e. fill device 0, then device 1, ..."""
     case = tie_arrays(n_steps, n_dev, per_device)
     assert_matches_scan(case)
-    idx, cost, _ = placement_scan(*case)
-    fill = [min(s // per_device, n_dev - 1) for s in range(n_steps)]
-    assert idx == int("".join(map(str, fill)), n_dev)
+    assignment, cost, _ = placement_scan(*case)
+    assert assignment == [min(s // per_device, n_dev - 1) for s in range(n_steps)]
     assert cost == float(n_steps)
 
 
@@ -76,11 +82,11 @@ def test_placement_scan_all_infinite_is_infeasible():
     comm[:] = np.inf  # every link dead: capacity forces a handoff
     for s in range(3):
         np.fill_diagonal(comm[s], 0.0)
-    assert placement_scan(comp, comm, mem, cap) == (-1, math.inf, 54)
+    assert placement_scan(comp, comm, mem, cap) == (None, math.inf, 54)
     assert_matches_scan((comp, comm, mem, cap))
     comp, comm, mem, cap = tie_arrays(3, 2, 3)
     comp[2] = np.inf  # the last step runs nowhere
-    assert placement_scan(comp, comm, mem, cap) == (-1, math.inf, 8)
+    assert placement_scan(comp, comm, mem, cap) == (None, math.inf, 8)
 
 
 def test_placement_scan_count_blocks_match_enumeration(monkeypatch):

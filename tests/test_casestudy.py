@@ -112,7 +112,13 @@ class TestCalibration:
     def test_unreachable_targets_fail_without_crash(self):
         res = calibrate_casestudy((0.999, 0.001))
         assert not res.success
-        assert "residual" in res.message or res.model is None
+        assert "residual" in res.message
+
+    def test_no_grid_point_keeping_the_budget_optimal_raises(self):
+        # every N of the grid (multiples of 16 up to 2048) splits into as many
+        # 128-token as 129-token shares, and the smaller shares cost less
+        with pytest.raises(ValueError, match="no grid point keeps the target budget optimal"):
+            calibrate_casestudy((0.7, 0.6), t_star=129, budgets=(128, 129))
 
     def test_target_validation(self):
         with pytest.raises(ValueError):

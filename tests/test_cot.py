@@ -101,12 +101,12 @@ class TestSolveExact:
         for seed in range(12):
             tightness = 0.25 if seed % 2 else 0.6
             chain, devices, links, shard = make_random_instance(seed, 5, 4, tightness)
-            res = solve_exact(chain, devices, links, shard)
             best, best_cost = brute_force_placement(chain, devices, links, shard)
             if best is None:
-                assert not res.feasible
+                with pytest.raises(PlacementError, match="no capacity-feasible placement"):
+                    solve_exact(chain, devices, links, shard)
                 continue
-            assert res.feasible
+            res = solve_exact(chain, devices, links, shard)
             assert res.placement == best
             assert abs(res.cost - best_cost) <= 1e-12
 
@@ -117,19 +117,19 @@ class TestSolveExact:
         for seed in range(3):
             chain, devices, links, shard = make_random_instance(seed, n_steps, n_dev, tightness)
             links = links * (np.random.default_rng(seed).random(links.shape) < 0.5)
-            res = solve_exact(chain, devices, links, shard)
             best, best_cost = brute_force_placement(chain, devices, links, shard)
-            assert res.placement == best
             if best is None:
-                assert not res.feasible and res.cost == math.inf
-            else:
-                assert abs(res.cost - best_cost) <= 1e-12 * best_cost
+                with pytest.raises(PlacementError, match="no capacity-feasible placement"):
+                    solve_exact(chain, devices, links, shard)
+                continue
+            res = solve_exact(chain, devices, links, shard)
+            assert res.placement == best
+            assert abs(res.cost - best_cost) <= 1e-12 * best_cost
 
     def test_beats_random_samples(self):
         for seed in range(10):
             chain, devices, links, shard = make_random_instance(seed, 5, 4)
             res = solve_exact(chain, devices, links, shard)
-            assert res.feasible
             validate_placement(chain, res.placement, devices, shard)
             rng = np.random.default_rng(seed)
             costs = []
@@ -161,9 +161,8 @@ class TestSolveExact:
             DeviceProfile(d.id, d.compute_rate, 1.0, d.channel_gain, d.tx_power)
             for d in devices
         ]
-        res = solve_exact(chain, tiny, links)
-        assert not res.feasible
-        assert res.placement is None
+        with pytest.raises(PlacementError, match="no capacity-feasible placement exists"):
+            solve_exact(chain, tiny, links)
 
 
 class TestLocalSearch:
@@ -224,8 +223,8 @@ class TestLocalSearch:
             DeviceProfile(d.id, d.compute_rate, 1.0, d.channel_gain, d.tx_power)
             for d in devices
         ]
-        res = solve_local_search(chain, tiny, links, seed=0, iters=3)
-        assert not res.feasible
+        with pytest.raises(PlacementError, match="local search found no feasible start"):
+            solve_local_search(chain, tiny, links, seed=0, iters=3)
 
 
 class TestMonotonicity:

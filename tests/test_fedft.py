@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from edgelam_sim.errors import RankError, ShapeError
+from edgelam_sim.errors import RankError, SchedulingError, ShapeError
 from edgelam_sim.fedft import (
     FedFtState,
     LoraAdapter,
@@ -280,8 +280,8 @@ class TestSelection:
             devs, 1e6, {"a": 1e6}, {"a": 1e9}, deadline=10.0, noise_density=self.N0
         )
         assert res.selected == ("a",)
-        assert res.allocation.bandwidth["a"] == pytest.approx(1e6, rel=1e-9)
-        rate = shannon_rate(res.allocation.bandwidth["a"], 1.0, 0.5, self.N0)
+        assert res.bandwidth["a"] == pytest.approx(1e6, rel=1e-9)
+        rate = shannon_rate(res.bandwidth["a"], 1.0, 0.5, self.N0)
         assert res.round_latency == pytest.approx(1.0 + comm_latency(1e6, rate), abs=1e-9)
 
     def test_identical_devices_symmetric_split(self):
@@ -290,8 +290,8 @@ class TestSelection:
             devs, 1e6, {"a": 1e6, "b": 1e6}, {"a": 1e9, "b": 1e9}, 10.0, self.N0
         )
         assert res.selected == ("a", "b")
-        ba = res.allocation.bandwidth["a"]
-        bb = res.allocation.bandwidth["b"]
+        ba = res.bandwidth["a"]
+        bb = res.bandwidth["b"]
         assert abs(ba - bb) / ba <= 1e-6
 
     def test_three_devices_match_grid_search_oracle(self):
@@ -337,14 +337,13 @@ class TestSelection:
             flops = {d.id: float(rng.uniform(1e8, 2e9)) for d in devs}
             b_total = float(rng.uniform(5e5, 5e6))
             res = select_devices_and_bandwidth(devs, b_total, bits, flops, 1e4, self.N0)
-            assert res.feasible
-            assert sum(res.allocation.bandwidth.values()) <= b_total
+            assert sum(res.bandwidth.values()) <= b_total
             attained = max(
                 flops[d.id] / d.compute_rate
                 + comm_latency(
                     bits[d.id],
                     shannon_rate(
-                        res.allocation.bandwidth[d.id], d.channel_gain, d.tx_power, self.N0
+                        res.bandwidth[d.id], d.channel_gain, d.tx_power, self.N0
                     ),
                 )
                 for d in devs
@@ -360,14 +359,10 @@ class TestSelection:
         )
         assert res.selected == ("a",)
 
-    def test_infeasible_returns_result_not_error(self):
+    def test_infeasible_raises_scheduling_error(self):
         devs = make_devices([("a", 1e9, 0.0, 0.5, 1)])  # dead channel
-        res = select_devices_and_bandwidth(
-            devs, 1e6, {"a": 1e6}, {"a": 1e9}, 10.0, self.N0
-        )
-        assert not res.feasible
-        assert res.selected == ()
-        assert math.isinf(res.round_latency)
+        with pytest.raises(SchedulingError, match="no device subset meets the deadline"):
+            select_devices_and_bandwidth(devs, 1e6, {"a": 1e6}, {"a": 1e9}, 10.0, self.N0)
 
     def test_dead_channel_never_joins_even_without_deadline(self):
         # with no deadline any device needs only a vanishing bandwidth, save
@@ -390,18 +385,18 @@ class TestSelection:
              "infeasible"], 0)
         for _ in range(100):
             devs, band, bits, flops = random_selection_instance(rng, deadline, self.N0)
-            res = select_devices_and_bandwidth(devs, band, bits, flops, deadline, self.N0)
             oracle = exhaustive_selection(devs, band, bits, flops, deadline, self.N0)
-            assert type(res.round_latency) is float
             if oracle is None:
                 seen["infeasible"] += 1
-                assert not res.feasible and res.selected == ()
+                with pytest.raises(SchedulingError, match="no device subset meets the deadline"):
+                    select_devices_and_bandwidth(devs, band, bits, flops, deadline, self.N0)
                 continue
+            res = select_devices_and_bandwidth(devs, band, bits, flops, deadline, self.N0)
+            assert type(res.round_latency) is float
             ids, latency, alloc = oracle
-            assert res.feasible
             assert res.selected == ids
             assert res.round_latency == pytest.approx(latency, rel=1e-12)
-            split = res.allocation.bandwidth
+            split = res.bandwidth
             assert list(split) == list(alloc)
             for dev, b in alloc.items():
                 assert type(split[dev]) is float
@@ -443,12 +438,11 @@ class TestSelection:
         )
         band = sum(b for b, _ in need[:25]) + 0.5 * need[25][0]
         res = select_devices_and_bandwidth(devs, band, bits, flops, deadline, self.N0)
-        assert res.feasible
         assert res.selected == tuple(sorted(dev_id for _, dev_id in need[:25]))
-        assert sum(res.allocation.bandwidth.values()) <= band
+        assert sum(res.bandwidth.values()) <= band
         assert res.round_latency <= deadline
         attained = max(
-            1.0 + comm_latency(1e6, shannon_rate(res.allocation.bandwidth[d.id],
+            1.0 + comm_latency(1e6, shannon_rate(res.bandwidth[d.id],
                                                  d.channel_gain, d.tx_power, self.N0))
             for d in devs if d.id in res.selected
         )
@@ -514,7 +508,7 @@ class TestFedFtRound:
             state, record = fedft_round(state, devices, sel, 0.05, down)
             assert solve_round_selection(state, devices, 1e6, 30.0, 1e-9) == sel
         assert record.selected == sel.selected
-        assert record.bandwidth == sel.allocation.bandwidth
+        assert record.bandwidth == sel.bandwidth
 
     def test_downlink_latency_matches_projected_copies(self):
         # the per-run downlink equals the slowest participant's unicast of
@@ -524,7 +518,7 @@ class TestFedFtRound:
         copies = {p.id: project_rank(state.global_adapter, p.local_rank) for p in devices}
         want = max(
             comm_latency(64.0 * copies[p.id].param_count(), shannon_rate(
-                sel.allocation.bandwidth[p.id], p.channel_gain, p.tx_power, 1e-9))
+                sel.bandwidth[p.id], p.channel_gain, p.tx_power, 1e-9))
             for p in devices if p.id in sel.selected
         )
         assert downlink_latency(state, devices, sel, 1e-9) == want > 0.0

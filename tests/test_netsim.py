@@ -7,7 +7,6 @@ import pytest
 
 from edgelam_sim.errors import DomainError
 from edgelam_sim.netsim import (
-    ChannelAllocation,
     DeviceProfile,
     comm_latency,
     comp_latency,
@@ -92,11 +91,6 @@ class TestTypes:
             DeviceProfile("x", 1.0, 1.0, -0.1, 1.0, 1)
         with pytest.raises(DomainError):
             DeviceProfile("x", 1.0, 1.0, 1.0, 1.0, 0)
-
-    def test_allocation_budget(self):
-        ChannelAllocation({"a": 0.5e6, "b": 0.5e6}, 1e-9, 1e6)
-        with pytest.raises(DomainError):
-            ChannelAllocation({"a": 0.7e6, "b": 0.5e6}, 1e-9, 1e6)
 
 
 class TestFading:

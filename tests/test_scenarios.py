@@ -280,6 +280,14 @@ class TestCli:
         sweep = (tmp_path / "run" / "casestudy_sweep.csv").read_bytes()
         assert (out / "casestudy_sweep.csv").read_bytes() == sweep
 
+    def test_casestudy_exit_3_empties_out(self, tmp_path, capsys):
+        # the failing run also removes what an earlier run left in --out
+        out = tmp_path / "cs"
+        assert main(["casestudy", "--out", str(out)]) == 0
+        assert main(["casestudy", "--budgets", "1", "--out", str(out)]) == 3
+        assert "needs more than 10 devices" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_casestudy_bad_budgets(self, capsys):
         assert main(["casestudy", "--budgets", "abc"]) == 2
         assert "--budgets" in capsys.readouterr().err
@@ -621,16 +629,53 @@ class TestCliExitCodes:
         assert "no capacity-feasible placement exists" in capsys.readouterr().out
         assert list((tmp_path / "out").iterdir()) == []
 
-    @pytest.mark.parametrize("key, value", [
-        ("classes", 10**12), ("feature_dim", 10**12), ("samples_per_device", 10**13),
+    @pytest.mark.parametrize("name, block, key, value, error", [
+        pytest.param("unlearn_optout", "unlearn", "classes", 10**12, "Unable to allocate",
+                     id="classes-1000000000000"),
+        pytest.param("unlearn_optout", "unlearn", "feature_dim", 10**12, "Unable to allocate",
+                     id="feature_dim-1000000000000"),
+        pytest.param("unlearn_optout", "unlearn", "samples_per_device", 10**13,
+                     "Unable to allocate", id="samples_per_device-10000000000000"),
+        pytest.param("unlearn_optout", "unlearn", "feature_dim", 10**30,
+                     "Maximum allowed dimension exceeded", id="feature_dim-10**30"),
+        pytest.param("unlearn_optout", "unlearn", "samples_per_device", 10**30,
+                     "Maximum allowed dimension exceeded", id="samples_per_device-10**30"),
+        pytest.param("fedft_hetero", "fedft", "feature_dim", 10**30,
+                     "Maximum allowed dimension exceeded", id="fedft-feature_dim-10**30"),
+        pytest.param("moe_schedule", "moe", "slots", 2**61, "array is too big",
+                     id="moe-slots-2**61"),
     ])
-    def test_unallocatable_unlearn_task_exits_3(self, tmp_path, capsys, key, value):
-        # each first array needs at least a TiB, which numpy refuses outright
-        cfg = shipped_cfg("unlearn_optout")
-        cfg["unlearn"][key] = value
+    def test_unallocatable_unlearn_task_exits_3(self, tmp_path, capsys, name, block, key,
+                                                value, error):
+        # each first array needs at least a TiB, which numpy refuses outright:
+        # with a MemoryError, or with a ValueError once the size overflows
+        cfg = shipped_cfg(name)
+        cfg[block][key] = value
         assert self.run_cli(tmp_path, cfg) == 3
-        assert "out of memory (Unable to allocate" in capsys.readouterr().out
+        assert f"infeasible scenario: out of memory ({error}" in capsys.readouterr().out
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_cot_local_search_dead_end_exits_3(self, tmp_path, capsys):
+        # the greedy start fills the fast device d0 with steps 0 and 1, and
+        # then step 2 fits nowhere, though steps 0 and 1 on d1 and d2 and
+        # step 2 on d0 would fit
+        cfg = cot_cfg()
+        cfg["devices"] = [dict(DEVICES[0], id="d0", compute_rate=1e12, memory_capacity=2.0)] + [
+            dict(DEVICES[0], id=f"d{i}", memory_capacity=1.0) for i in (1, 2)
+        ]
+        cfg["cot"] = {
+            "steps": [{"workload": 1e9, "handoff_size": bits} for bits in (8.0, 8.0, 16.0)],
+            "solver": "local_search",
+        }
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert "infeasible scenario: local search found no feasible start" in (
+            capsys.readouterr().out
+        )
+        assert not (tmp_path / "out" / "cot_result.json").exists()
+        cfg["cot"]["solver"] = "exact"
+        assert self.run_cli(tmp_path, cfg) == 0
+        result = json.loads((tmp_path / "out" / "cot_result.json").read_text())
+        assert result["exact"]["placement"] == [1, 2, 0]
 
     def test_cot_beyond_exact_guard_exits_3(self, tmp_path, capsys):
         cfg = cot_cfg()
