@@ -32,7 +32,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import RankError, SchedulingError, ShapeError
-from .netsim import DeviceProfile, comm_latency, comp_latency, shannon_rate
+from .netsim import (
+    DeviceProfile,
+    MinBandwidth,
+    comm_latency,
+    comp_latency,
+    shannon_rate,
+)
 from .rng import stream
 
 
@@ -199,31 +205,47 @@ class SelectionResult:
     round_latency: float
 
 
-def _min_bandwidth(profile: DeviceProfile, bits: float, comp: float, tau: float,
-                   noise_density: float, b_cap: float) -> float:
-    """Minimal bandwidth for one device to finish compute and upload by ``tau``.
+def _fold(values) -> float:
+    """Left-to-right float sum.  From Python 3.12 on ``sum`` compensates
+    its rounding, which would move the selection's bits with the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
-    0 when there is nothing to upload and the compute fits.  inf when the
-    device cannot make it at any bandwidth up to ``b_cap``: its compute
-    alone overruns ``tau``, it has bits to send over a dead channel, or even
-    ``b_cap`` Hz is too slow.
+
+def _ranked_needs(profiles: list[DeviceProfile], upload_bits: dict[str, float],
+                  comp: dict[str, float], noise_density: float, b_cap: float):
+    """The map tau -> [(b_i(tau), id)] ascending, over all devices.
+
+    b_i(tau) is the least bandwidth up to ``b_cap`` for device i to finish
+    compute and upload by tau: 0 when there is nothing to upload and the
+    compute fits, inf when the compute alone overruns tau, when there are
+    bits to send over a dead channel, or when even ``b_cap`` Hz is too slow.
+    Otherwise it is ``MinBandwidth.for_rate`` of the upload rate that tau
+    leaves, one 52-step bisection with the rate arithmetic inline.
     """
-    if bits == 0.0:
-        return 0.0 if comp <= tau else math.inf
-    gain, power = profile.channel_gain, profile.tx_power
-    if comp >= tau or gain * power == 0.0:
-        return math.inf
-    required = bits / (tau - comp)
-    if shannon_rate(b_cap, gain, power, noise_density) < required:
-        return math.inf
-    lo, hi = 0.0, b_cap
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        if shannon_rate(mid, gain, power, noise_density) >= required:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    devices = [
+        (p.id, upload_bits[p.id], comp[p.id],
+         MinBandwidth(b_cap, p.channel_gain, p.tx_power, noise_density)
+         if p.channel_gain * p.tx_power != 0.0 else None)
+        for p in profiles
+    ]
+
+    def ranked(tau: float) -> list[tuple[float, str]]:
+        out = []
+        for dev, bits, c, link in devices:
+            if bits == 0.0:
+                b = 0.0 if c <= tau else math.inf
+            elif c >= tau or link is None:
+                b = math.inf
+            else:
+                b = link.for_rate(bits / (tau - c))
+            out.append((b, dev))
+        out.sort()
+        return out
+
+    return ranked
 
 
 def select_devices_and_bandwidth(
@@ -247,6 +269,13 @@ def select_devices_and_bandwidth(
     b_i(tau), scaled up to fill the band, and the round latency is the
     slowest one's compute plus upload time on that split.  Raises
     ``SchedulingError`` when no device subset meets the deadline.
+
+    Cost: about 60 steps of the tau bisection, each one 52-step bandwidth
+    bisection per device, so about 60 * n * 52 steps of in-loop rate
+    arithmetic, and one ``shannon_rate`` call per live device (its rate at
+    the full band) plus one per participant for the latency.  Every sum
+    over bandwidths is a left fold, so the bits do not depend on the
+    Python version.
     """
     if not profiles:
         raise ValueError("need at least one device profile")
@@ -261,13 +290,7 @@ def select_devices_and_bandwidth(
 
     comp = {p.id: comp_latency(local_flops[p.id], p.compute_rate) for p in profiles}
     by_id = {p.id: p for p in profiles}
-
-    def ranked(tau: float) -> list[tuple[float, str]]:
-        return sorted(
-            (_min_bandwidth(p, upload_bits[p.id], comp[p.id], tau, noise_density,
-                            total_bandwidth), p.id)
-            for p in profiles
-        )
+    ranked = _ranked_needs(profiles, upload_bits, comp, noise_density, total_bandwidth)
 
     k = 0
     used = 0.0
@@ -281,17 +304,17 @@ def select_devices_and_bandwidth(
         lo, hi = min(comp.values()), min(deadline, sys.float_info.max)
         # halves first: lo + hi may overflow
         while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
-            if sum(b for b, _ in ranked(mid)[:k]) <= total_bandwidth:
+            if _fold(b for b, _ in ranked(mid)[:k]) <= total_bandwidth:
                 hi = mid
             else:
                 lo = mid
         alloc = dict(sorted((dev, b) for b, dev in ranked(hi)[:k]))
         # hand out the slack: scaling every b_i up never hurts any device
-        used = sum(alloc.values())
+        used = _fold(alloc.values())
         if used > 0.0:
             factor = total_bandwidth / used
             alloc = {dev: b * factor for dev, b in alloc.items()}
-            while sum(alloc.values()) > total_bandwidth:
+            while _fold(alloc.values()) > total_bandwidth:
                 worst = max(alloc, key=alloc.get)
                 alloc[worst] = math.nextafter(alloc[worst], 0.0)
         latency = max(

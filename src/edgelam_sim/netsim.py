@@ -65,6 +65,56 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
     return bandwidth * math.log2(1.0 + snr)
 
 
+class MinBandwidth:
+    """The least bandwidth up to ``b_cap`` at which one live link meets a rate.
+
+    ``for_rate(required)`` is inf when ``shannon_rate(b_cap, ...)`` is below
+    ``required``; otherwise it halves ``[0, b_cap]`` 52 times on
+    ``shannon_rate(mid, ...) >= required`` and returns the upper end.  The
+    link must be live (``gain * power != 0``): a dead one carries nothing.
+
+    One object serves many rates.  The rate at ``b_cap`` is one
+    ``shannon_rate`` call, made at the first ``for_rate``, so it raises where
+    a direct call would.  The 52 steps repeat ``shannon_rate``'s arithmetic
+    inline, with its float conversions and logs taken once, so every result
+    equals the bisection over ``shannon_rate`` bit for bit at a 52nd of the
+    calls.
+    """
+
+    __slots__ = ("b_cap", "gain", "power", "noise_density", "_full", "_consts")
+
+    def __init__(self, b_cap: float, gain: float, power: float, noise_density: float):
+        self.b_cap, self.gain, self.power = b_cap, gain, power
+        self.noise_density = noise_density
+        self._full = None
+
+    def for_rate(self, required: float) -> float:
+        if self._full is None:
+            gain, power, n0 = self.gain, self.power, self.noise_density
+            self._full = shannon_rate(self.b_cap, gain, power, n0)
+            # shannon_rate has checked the domain; these are its constants
+            self._consts = (float(gain) * float(power), float(n0),
+                            math.log2(gain) + math.log2(power) - math.log2(n0))
+        if self._full < required:
+            return math.inf
+        gp, n0, logs = self._consts
+        inf, log2 = math.inf, math.log2
+        lo, hi = 0.0, self.b_cap
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            if mid == 0.0:
+                rate = 0.0
+            else:
+                noise = n0 * mid
+                snr = gp / noise if noise > 0.0 else inf
+                rate = mid * (logs - log2(mid)) if snr == inf else mid * log2(1.0 + snr)
+            if rate >= required:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+
 def comm_latency(bits: float, rate: float) -> float:
     """Transfer time in seconds; +inf on a starved (zero-rate) link."""
     if bits < 0:

@@ -8,11 +8,14 @@ named random streams.  The per-device unlearning loops check only how the
 gradients are batched, so they reuse the library's loss, subspace,
 projection and noise, and restate the gradient and the retained data.
 The Gram-Schmidt without a screen projects every row exactly, so it checks
-that the screen drops only rows the exact keep test would drop.
+that the screen drops only rows the exact keep test would drop.  The
+nested fedft selection calls ``shannon_rate`` at every bandwidth bisection
+step, so it checks the solver's inline rate arithmetic bit for bit.
 """
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,7 @@ from edgelam_sim.errors import PlacementError, SchedulingError, ShapeError
 from edgelam_sim.netsim import (
     DeviceProfile,
     comm_latency,
+    comp_latency,
     fading_sequence,
     shannon_rate,
 )
@@ -309,6 +313,71 @@ def subset_min_latency(profiles, total_bandwidth, upload_bits, local_flops, nois
         for p in profiles
     )
     return latency, alloc
+
+
+def left_sum(values):
+    """Left-to-right float sum, the fold ``sum`` was up to Python 3.11."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def nested_selection(profiles, total_bandwidth, upload_bits, local_flops, deadline,
+                     noise_density):
+    """The selection as it was solved with ``shannon_rate`` in every bisection step.
+
+    The same round-latency bisection as ``fedft.select_devices_and_bandwidth``,
+    restated with each device's b_i(tau) bisected over ``shannon_rate`` calls
+    (``min_bandwidth``), so the two agree bit for bit.  Returns (ids,
+    bandwidth, latency); raises ``SchedulingError`` when no subset fits.
+    """
+    comp = {p.id: comp_latency(local_flops[p.id], p.compute_rate) for p in profiles}
+    by_id = {p.id: p for p in profiles}
+
+    def need(p, tau):
+        bits = upload_bits[p.id]
+        if bits == 0.0:
+            return 0.0 if comp[p.id] <= tau else math.inf
+        if comp[p.id] >= tau or p.channel_gain * p.tx_power == 0.0:
+            return math.inf
+        return min_bandwidth(bits, p.channel_gain, p.tx_power, noise_density,
+                             tau - comp[p.id], total_bandwidth)
+
+    def ranked(tau):
+        return sorted((need(p, tau), p.id) for p in profiles)
+
+    k = 0
+    used = 0.0
+    for b, _ in ranked(deadline):
+        used += b
+        if used > total_bandwidth:
+            break
+        k += 1
+    while k > 0:
+        lo, hi = min(comp.values()), min(deadline, sys.float_info.max)
+        while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+            if left_sum(b for b, _ in ranked(mid)[:k]) <= total_bandwidth:
+                hi = mid
+            else:
+                lo = mid
+        alloc = dict(sorted((dev, b) for b, dev in ranked(hi)[:k]))
+        used = left_sum(alloc.values())
+        if used > 0.0:
+            factor = total_bandwidth / used
+            alloc = {dev: b * factor for dev, b in alloc.items()}
+            while left_sum(alloc.values()) > total_bandwidth:
+                worst = max(alloc, key=alloc.get)
+                alloc[worst] = math.nextafter(alloc[worst], 0.0)
+        latency = max(
+            comp[dev] + comm_latency(upload_bits[dev], shannon_rate(
+                b, by_id[dev].channel_gain, by_id[dev].tx_power, noise_density))
+            for dev, b in alloc.items()
+        )
+        if latency <= deadline:
+            return tuple(alloc), alloc, latency
+        k -= 1
+    raise SchedulingError("no device subset meets the deadline; raise deadline or bandwidth")
 
 
 def exhaustive_selection(profiles, total_bandwidth, upload_bits, local_flops,

@@ -1,15 +1,18 @@
 """Federated fine-tuning: rank projection, aggregation, gradients, selection."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edgelam_sim import fedft, netsim
 from edgelam_sim.errors import RankError, SchedulingError, ShapeError
 from edgelam_sim.fedft import (
     FedFtState,
     LoraAdapter,
     aggregate_hetero,
+    default_step_flops,
     downlink_latency,
     fedft_round,
     global_loss,
@@ -24,7 +27,10 @@ from edgelam_sim.fedft import (
     zero_pad,
 )
 from edgelam_sim.netsim import DeviceProfile, comm_latency, shannon_rate
-from oracles import exhaustive_selection, min_bandwidth
+from edgelam_sim.scenarios import load_scenario
+from oracles import exhaustive_selection, left_sum, min_bandwidth, nested_selection
+
+HETERO = Path(__file__).resolve().parents[1] / "scenarios" / "fedft_hetero.json"
 
 
 def random_adapter(rng, d, k, r):
@@ -337,7 +343,7 @@ class TestSelection:
             flops = {d.id: float(rng.uniform(1e8, 2e9)) for d in devs}
             b_total = float(rng.uniform(5e5, 5e6))
             res = select_devices_and_bandwidth(devs, b_total, bits, flops, 1e4, self.N0)
-            assert sum(res.bandwidth.values()) <= b_total
+            assert left_sum(res.bandwidth.values()) <= b_total
             attained = max(
                 flops[d.id] / d.compute_rate
                 + comm_latency(
@@ -401,7 +407,7 @@ class TestSelection:
             for dev, b in alloc.items():
                 assert type(split[dev]) is float
                 assert split[dev] == pytest.approx(b, rel=1e-12)
-            assert sum(split.values()) <= band
+            assert left_sum(split.values()) <= band
             finish = [
                 flops[d.id] / d.compute_rate
                 + comm_latency(bits[d.id], shannon_rate(split[d.id], d.channel_gain,
@@ -439,7 +445,7 @@ class TestSelection:
         band = sum(b for b, _ in need[:25]) + 0.5 * need[25][0]
         res = select_devices_and_bandwidth(devs, band, bits, flops, deadline, self.N0)
         assert res.selected == tuple(sorted(dev_id for _, dev_id in need[:25]))
-        assert sum(res.bandwidth.values()) <= band
+        assert left_sum(res.bandwidth.values()) <= band
         assert res.round_latency <= deadline
         attained = max(
             1.0 + comm_latency(1e6, shannon_rate(res.bandwidth[d.id],
@@ -447,6 +453,156 @@ class TestSelection:
             for d in devs if d.id in res.selected
         )
         assert attained == pytest.approx(res.round_latency, abs=1e-9)
+
+
+def hetero_selection_inputs():
+    """The shipped fedft_hetero run's selection inputs, as ``solve_round_selection`` makes them."""
+    scenario = load_scenario(HETERO)
+    devices, task, train = (scenario.spec[key] for key in ("devices", "task", "train"))
+    state = make_synthetic_task(scenario.seed, devices, **task)
+    d, k = state.base.shape
+    sizes = state.dataset_sizes()
+    bits = {p.id: 64.0 * state.device_adapters[p.id].param_count() for p in devices}
+    flops = {p.id: default_step_flops(d, k, state.device_adapters[p.id].rank, sizes[p.id])
+             for p in devices}
+    return (devices, train["total_bandwidth"], bits, flops, train["deadline"],
+            train["noise_density"])
+
+
+def edge_case_instance(rng):
+    """A small selection instance with the inputs the inline rate must get right.
+
+    Regimes: an ordinary band; a band so narrow (1e-300 Hz, bits to match)
+    that every rate is taken in logs; and a subnormal noise density, where
+    the small bisection midpoints overflow the SNR and the large ones do
+    not.  Devices may have integer gains, dead channels, nothing to upload
+    (late or on time) and too much compute; the deadline may be infinite.
+    """
+    regime = int(rng.integers(3))
+    n0, band, bit_scale = [
+        (1e-9, float(rng.uniform(5e5, 5e6)), 1e6),
+        (1e-9, float(rng.uniform(1.0, 10.0)) * 1e-300, 1e-297),
+        (1e-310, float(rng.uniform(1e3, 1e5)), 1e6),
+    ][regime]
+    # an infinite deadline bisects tau from the largest float, ~1,000 steps
+    deadline = [2.0, 10.0, 2.0, 10.0, math.inf][int(rng.integers(5))]
+    n = int(rng.integers(1, 3 if deadline == math.inf else 6))
+    devs, bits, flops = [], {}, {}
+    for i in range(n):
+        rate = float(rng.uniform(5e8, 3e9))
+        gain = int(rng.integers(1, 4)) if rng.random() < 0.3 else float(rng.uniform(0.2, 2.0))
+        b = float(rng.uniform(0.1, 3.0)) * bit_scale
+        f = float(rng.uniform(1e8, 2e9))
+        roll = rng.random()
+        if roll < 0.1:
+            gain = 0.0  # dead channel
+        elif roll < 0.2:
+            b = 0.0  # nothing to send: late or on time
+            f = rate * float(rng.uniform(0.5, 1.5)) * min(deadline, 10.0)
+        elif roll < 0.25:
+            f = rate * 3.0 * min(deadline, 10.0)  # straggler unless no deadline
+        devs.append(DeviceProfile(f"d{i}", rate, 1e9, gain, float(rng.uniform(0.1, 1.0)), 1))
+        bits[f"d{i}"], flops[f"d{i}"] = b, f
+    return devs, band, bits, flops, deadline, n0
+
+
+def selection_bits(ids, bandwidth, latency):
+    return ids, [(dev, type(b), float(b).hex()) for dev, b in bandwidth.items()], \
+        type(latency), float(latency).hex()
+
+
+def neumaier_sum(values, start=0):
+    """``sum`` over floats as Python 3.12 computes it: Neumaier-compensated."""
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+class TestSelectionInlineRates:
+    N0 = 1e-9
+
+    def test_matches_nested_shannon_rate_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(25)
+        seen = dict.fromkeys(
+            ["no_deadline", "zero_upload_late", "zero_upload_on_time", "dead_channel",
+             "int_gain", "log_branch", "infeasible"], 0)
+        for _ in range(120):
+            args = edge_case_instance(rng)
+            devs, band, bits, flops, deadline, n0 = args
+            try:
+                want = selection_bits(*nested_selection(*args))
+            except SchedulingError as exc:
+                seen["infeasible"] += 1
+                with pytest.raises(SchedulingError) as got:
+                    select_devices_and_bandwidth(*args)
+                assert str(got.value) == str(exc)
+                continue
+            res = select_devices_and_bandwidth(*args)
+            assert selection_bits(res.selected, res.bandwidth, res.round_latency) == want
+            comp = {d.id: flops[d.id] / d.compute_rate for d in devs}
+            seen["no_deadline"] += deadline == math.inf
+            seen["zero_upload_late"] += any(
+                bits[i] == 0.0 and comp[i] > deadline for i in bits)
+            seen["zero_upload_on_time"] += any(
+                bits[i] == 0.0 and comp[i] <= deadline for i in bits)
+            seen["dead_channel"] += any(d.channel_gain == 0.0 for d in devs)
+            seen["int_gain"] += any(type(d.channel_gain) is int for d in devs)
+            seen["log_branch"] += any(
+                n0 * b == 0.0 or d.channel_gain * d.tx_power / (n0 * b) == math.inf
+                for d in devs for dev, b in res.bandwidth.items() if dev == d.id and b > 0.0)
+        assert min(seen.values()) >= 3, seen
+
+    def test_sums_are_left_folds(self, monkeypatch):
+        # from Python 3.12 builtin sum is compensated; a selection that
+        # summed with it would change bits with the interpreter version
+        args = hetero_selection_inputs()
+        want = select_devices_and_bandwidth(*args)
+        monkeypatch.setattr(fedft, "sum", neumaier_sum, raising=False)
+        got = select_devices_and_bandwidth(*args)
+        assert selection_bits(got.selected, got.bandwidth, got.round_latency) == \
+            selection_bits(want.selected, want.bandwidth, want.round_latency)
+
+    def test_min_bandwidth_never_grows_with_tau(self):
+        # the tau bisection rests on b_i(tau) and the sum of the k smallest
+        # never growing with tau: check both exactly at random taus, at the
+        # adjacent float above each, and across each device's compute time
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            devs, band, bits, flops = random_selection_instance(rng, 10.0, self.N0)
+            comp = {d.id: flops[d.id] / d.compute_rate for d in devs}
+            ranked = fedft._ranked_needs(devs, bits, comp, self.N0, band)
+            lo, hi = min(comp.values()), 1.2 * max(comp.values()) + 1.0
+            taus = [float(t) for t in rng.uniform(lo, hi, size=10)]
+            taus += list(comp.values())
+            taus += [math.nextafter(t, math.inf) for t in taus]
+            prev_need, prev_sums = None, None
+            for tau in sorted(taus):
+                order = ranked(tau)
+                need = {dev: b for b, dev in order}
+                sums = [left_sum(b for b, _ in order[:k]) for k in range(1, len(order) + 1)]
+                if prev_need is not None:
+                    assert all(need[dev] <= prev_need[dev] for dev in need)
+                    assert all(s <= p for s, p in zip(sums, prev_sums))
+                prev_need, prev_sums = need, sums
+
+    def test_shannon_rate_calls_per_selection(self, monkeypatch):
+        # one full-band rate per live device and one latency rate per
+        # participant; a bandwidth bisection over shannon_rate makes ~10^4
+        args = hetero_selection_inputs()
+        calls = 0
+
+        def counted(*a):
+            nonlocal calls
+            calls += 1
+            return shannon_rate(*a)
+
+        monkeypatch.setattr(fedft, "shannon_rate", counted)
+        monkeypatch.setattr(netsim, "shannon_rate", counted)
+        assert len(select_devices_and_bandwidth(*args).selected) == 6
+        assert 0 < calls <= 2 * len(args[0])
 
 
 def hetero_state(seed=42, noise=0.01):

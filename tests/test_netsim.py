@@ -8,11 +8,13 @@ import pytest
 from edgelam_sim.errors import DomainError
 from edgelam_sim.netsim import (
     DeviceProfile,
+    MinBandwidth,
     comm_latency,
     comp_latency,
     fading_sequence,
     shannon_rate,
 )
+from oracles import min_bandwidth
 
 
 class TestShannonRate:
@@ -60,6 +62,43 @@ class TestShannonRate:
         assert 0.0 < shannon_rate(b, gain, 0.5, 1e-9) < shannon_rate(1e-3, gain, 0.5, 1e-9)
         # a finite SNR keeps the plain formula, bit for bit
         assert shannon_rate(3e5, gain, 0.5, 1e-9) == 3e5 * math.log2(1.0 + 2.0 / (1e-9 * 3e5))
+
+
+class TestMinBandwidth:
+    def test_matches_bisection_over_shannon_rate_bit_for_bit(self):
+        # the oracle calls shannon_rate at every step; the evaluator repeats
+        # its arithmetic inline, so the two must agree exactly, on both of
+        # shannon_rate's branches and at a zero midpoint
+        rng = np.random.default_rng(31)
+        seen = dict.fromkeys(["log_branch", "plain", "zero_mid", "short", "int_gain"], 0)
+        for _ in range(400):
+            gain = [float(rng.uniform(0.1, 3.0)), 2, np.float64(1.5), 1e200][rng.integers(4)]
+            power = [float(rng.uniform(0.1, 1.0)), 1][rng.integers(2)]
+            n0 = [1e-9, 1e-20, 1.0][rng.integers(3)]
+            b_cap = [float(rng.uniform(1e5, 5e6)), 1e-300, 3e-310, 5e-324][rng.integers(4)]
+            link = MinBandwidth(b_cap, gain, power, n0)
+            full = shannon_rate(b_cap, gain, power, n0)
+            for required in (full * float(rng.uniform(0.01, 1.0)), full * 1.5, -1.0):
+                if required == 0.0:
+                    continue
+                got = link.for_rate(required)
+                want = min_bandwidth(required, gain, power, n0, 1.0, b_cap)
+                assert type(got) is type(want)
+                assert float(got).hex() == float(want).hex()
+                seen["short"] += got == math.inf
+            noise = n0 * b_cap
+            snr = float(gain) * float(power) / noise if noise > 0.0 else math.inf
+            seen["log_branch" if snr == math.inf else "plain"] += 1
+            seen["zero_mid"] += 0.5 * b_cap == 0.0
+            seen["int_gain"] += type(gain) is int
+        assert min(seen.values()) >= 10, seen
+
+    def test_domain_error_waits_for_the_first_rate(self):
+        # the full-band rate is taken at the first for_rate, where a direct
+        # shannon_rate call would raise
+        link = MinBandwidth(1e6, 1.0, 0.5, 0.0)
+        with pytest.raises(DomainError):
+            link.for_rate(1e5)
 
 
 class TestLatencyEnergy:
