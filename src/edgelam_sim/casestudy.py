@@ -180,22 +180,20 @@ def calibrate_casestudy(
             continue
         mono_mem = alpha * n**2 + base
         mono_lat = beta * n**2 / rate
-
-        def norm_cost(t, m):
-            mem = m * (alpha * t**2 + base) / mono_mem
-            lat = (m * beta * t**2 / rate + (m - 1) * gamma) / mono_lat
-            return mem + lat
-
-        m_star = counts[budgets.index(t_star)]
-        cost_star = norm_cost(t_star, m_star)
-        star_mem_red = 1.0 - m_star * (alpha * t_star**2 + base) / mono_mem
-        star_lat_red = 1.0 - (
-            m_star * beta * t_star**2 / rate + (m_star - 1) * gamma
-        ) / mono_lat
+        # each budget's (memory, latency), normalized by the monolithic run
+        norm = [
+            (m * (alpha * t**2 + base) / mono_mem,
+             (m * beta * t**2 / rate + (m - 1) * gamma) / mono_lat)
+            for t, m in zip(budgets, counts)
+        ]
+        star_mem, star_lat = norm[budgets.index(t_star)]
+        cost_star = star_mem + star_lat
+        star_mem_red = 1.0 - star_mem
+        star_lat_red = 1.0 - star_lat
         strictly_best = np.ones((gamma_grid.size, base_grid.size), dtype=bool)
-        for t, m in zip(budgets, counts):
+        for t, (mem, lat) in zip(budgets, norm):
             if t != t_star:
-                strictly_best &= cost_star < norm_cost(t, m)
+                strictly_best &= cost_star < mem + lat
         if not strictly_best.any():
             continue
         star_mem_red = np.broadcast_to(star_mem_red, strictly_best.shape)

@@ -167,8 +167,11 @@ def solve_local_search(
         raise ValueError("iters must be >= 1")
     n_steps, n_dev = len(chain), len(devices)
     comp, comm, mem, cap = _cost_arrays(chain, devices, link_rates, shard_bytes)
+    # Python floats, as in the exact search: a load that overflows is inf,
+    # which no capacity admits, not a numpy overflow error
+    mem, cap = mem.tolist(), cap.tolist()
 
-    loads = np.zeros(n_dev)
+    loads = [0.0] * n_dev
     assignment: list[int] = []
     for s in range(n_steps):
         best_d, best_marginal = -1, math.inf

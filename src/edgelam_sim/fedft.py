@@ -358,17 +358,6 @@ class FedFtState:
         return {dev: x.shape[0] for dev, (x, _) in self.datasets.items()}
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One CSV row of the fine-tuning trace."""
-
-    round_index: int
-    global_loss: float
-    round_latency: float
-    selected: tuple[str, ...]
-    bandwidth: dict[str, float]
-
-
 def make_synthetic_task(
     seed: int,
     profiles: list[DeviceProfile],
@@ -449,51 +438,39 @@ def downlink_latency(
 
 def fedft_round(
     state: FedFtState,
-    profiles: list[DeviceProfile],
-    selection: SelectionResult,
+    participants: tuple[str, ...],
+    weights: list[float],
+    ranks: dict[str, int],
     lr: float,
-    down_latency: float,
-) -> tuple[FedFtState, RoundRecord]:
-    """One federated round on a solved selection: local step, aggregate, redistribute.
+) -> float:
+    """One federated round: local step, aggregate, redistribute; returns the loss.
 
-    Selected devices take one local SGD step and upload their factors; the
-    server aggregates with dataset-size-proportional weights and unicasts a
-    rank-projected copy back to each device.  The round's latency is the
-    selection's uplink round latency plus ``down_latency``, the
-    participants' download time from :func:`downlink_latency`.  Aggregation
-    order is ascending device id, so parallel local steps stay
-    bit-reproducible.
-
-    ``selection`` is a feasible participant set and allocation from
-    ``solve_round_selection``; its inputs (profiles, sizes, ranks) do not
-    change between rounds.
+    Each participant, in ascending id order, takes one local SGD step, and
+    the server aggregates the stepped factors with ``weights`` (one per
+    participant, in the same order), so parallel local steps stay
+    bit-reproducible.  Every device in ``ranks`` then receives the new
+    global projected to its rank: one ``project_rank`` copy per distinct
+    rank, shared by the devices of that rank (adapters are never written).
+    Returns the global loss after the round.
     """
-    sizes = state.dataset_sizes()
-    stepped: dict[str, LoraAdapter] = {}
-    for dev in sorted(selection.selected):
+    stepped = []
+    for dev in participants:
         x, y = state.datasets[dev]
-        stepped[dev] = lora_sgd_step(state.base, state.device_adapters[dev], x, y, lr)
+        stepped.append(lora_sgd_step(state.base, state.device_adapters[dev], x, y, lr))
+    new_global = aggregate_hetero(stepped, weights)
 
-    total = float(sum(sizes[dev] for dev in selection.selected))
-    order = sorted(selection.selected)
-    weights = [sizes[dev] / total for dev in order]
-    new_global = aggregate_hetero([stepped[dev] for dev in order], weights)
-
-    for p in profiles:
-        state.device_adapters[p.id] = project_rank(new_global, p.local_rank)
+    copies: dict[int, LoraAdapter] = {}
+    for dev, rank in ranks.items():
+        if rank not in copies:
+            copies[rank] = project_rank(new_global, rank)
+        state.device_adapters[dev] = copies[rank]
 
     state.global_adapter = new_global
-    # count the round only once its record exists, so an error while
-    # computing the loss leaves round_index at the rounds completed
-    record = RoundRecord(
-        state.round_index + 1,
-        global_loss(state),
-        selection.round_latency + down_latency,
-        selection.selected,
-        dict(selection.bandwidth),
-    )
+    # count the round only once its loss exists, so an error while
+    # computing it leaves round_index at the rounds completed
+    loss = global_loss(state)
     state.round_index += 1
-    return state, record
+    return loss
 
 
 def solve_round_selection(
@@ -530,25 +507,30 @@ def run_fedft(
     noise_density: float,
     rounds: int,
     bits_per_param: float = 64.0,
-) -> list[RoundRecord]:
-    """Run ``rounds`` federated rounds, returning the per-round trace.
+) -> tuple[SelectionResult, float, list[float]]:
+    """Run ``rounds`` federated rounds: (selection, round latency, losses).
 
     The selection inputs (device set, ranks, dataset sizes) are constant
-    across a run, so the joint selection/allocation and the downlink
-    latency it implies are computed once up front and reused every round;
-    dissemination keeps each device's rank, so both stay valid.  When no
-    device subset meets the deadline, ``SchedulingError`` is raised before
-    the first round.
+    across a run, and dissemination keeps each device's rank, so everything
+    the selection fixes is computed once, before the first round: the
+    joint selection/allocation, the round latency (its uplink latency plus
+    the downlink latency it implies), the participants in ascending id
+    order, their dataset-size-proportional aggregation weights, and the
+    device ranks.  ``losses[i]`` is the global loss after round i + 1.
+    When no device subset meets the deadline, ``SchedulingError`` is
+    raised before the first round.
     """
     selection = solve_round_selection(
         state, profiles, total_bandwidth, deadline, noise_density,
         bits_per_param=bits_per_param,
     )
-    down_latency = downlink_latency(
+    round_latency = selection.round_latency + downlink_latency(
         state, profiles, selection, noise_density, bits_per_param=bits_per_param
     )
-    records = []
-    for _ in range(rounds):
-        state, record = fedft_round(state, profiles, selection, lr, down_latency)
-        records.append(record)
-    return records
+    participants = selection.selected  # ascending ids
+    sizes = state.dataset_sizes()
+    total = float(sum(sizes[dev] for dev in participants))
+    weights = [sizes[dev] / total for dev in participants]
+    ranks = {p.id: p.local_rank for p in profiles}
+    losses = [fedft_round(state, participants, weights, ranks, lr) for _ in range(rounds)]
+    return selection, round_latency, losses

@@ -518,37 +518,30 @@ def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
             f"synthetic task overflows ({exc}); lower fedft.noise_std (now {task['noise_std']:g})"
         ) from None
     try:
-        records = fedft.run_fedft(state, devices, **train)
+        selection, latency, losses = fedft.run_fedft(state, devices, **train)
     except FloatingPointError as exc:
         raise InfeasibleScenario(
             f"training diverged in round {state.round_index + 1} ({exc}); "
             f"lower fedft.lr (now {train['lr']:g})"
         ) from None
-    rows = [
-        [
-            r.round_index,
-            r.global_loss,
-            r.round_latency,
-            ";".join(r.selected),
-            ";".join(f"{dev}={fmt(b)}" for dev, b in sorted(r.bandwidth.items())),
-        ]
-        for r in records
-    ]
+    # the selection is fixed for the run: its two cells are the same on every row
+    selected = ";".join(selection.selected)
+    bandwidth = ";".join(f"{dev}={fmt(b)}" for dev, b in sorted(selection.bandwidth.items()))
     write_csv(
         out_dir / "fedft_rounds.csv",
         ["round", "global_loss", "round_latency_s", "selected_devices", "bandwidth_hz"],
-        rows,
+        [[i, loss, latency, selected, bandwidth] for i, loss in enumerate(losses, 1)],
     )
     write_json(
         out_dir / "fedft_summary.json",
         {
             "kind": "fedft",
             "seed": seed,
-            "rounds": len(records),
+            "rounds": len(losses),
             "initial_loss": initial,
-            "final_loss": records[-1].global_loss,
-            "round_latency_s": records[-1].round_latency,
-            "selected_devices": list(records[-1].selected),
+            "final_loss": losses[-1],
+            "round_latency_s": latency,
+            "selected_devices": list(selection.selected),
         },
     )
 

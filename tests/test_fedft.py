@@ -615,6 +615,14 @@ def hetero_state(seed=42, noise=0.01):
     return devices, state
 
 
+def round_inputs(state, devices, sel):
+    """``fedft_round``'s participants, weights and ranks, as ``run_fedft`` makes them."""
+    sizes = state.dataset_sizes()
+    total = float(sum(sizes[dev] for dev in sel.selected))
+    return sel.selected, [sizes[dev] / total for dev in sel.selected], {
+        p.id: p.local_rank for p in devices}
+
+
 class TestFedFtRound:
     def test_single_device_round_equals_local_sgd(self):
         dev = DeviceProfile("a", 1e9, 1e9, 1.0, 0.5, 2)
@@ -626,9 +634,10 @@ class TestFedFtRound:
         x, y = state.datasets["a"]
         expected = lora_sgd_step(state.base, before, x, y, 0.1)
         sel = solve_round_selection(state, [dev], 1e6, 100.0, 1e-9)
-        down = downlink_latency(state, [dev], sel, 1e-9)
-        state, record = fedft_round(state, [dev], sel, 0.1, down)
-        assert record.selected == ("a",)
+        assert sel.selected == ("a",)
+        loss = fedft_round(state, sel.selected, [1.0], {"a": 2}, 0.1)
+        assert state.round_index == 1
+        assert loss == global_loss(state)
         assert np.max(np.abs(state.global_adapter.A - expected.A)) <= 1e-12
         assert np.max(np.abs(state.global_adapter.B - expected.B)) <= 1e-12
         assert np.max(np.abs(state.device_adapters["a"].A - expected.A)) <= 1e-12
@@ -650,21 +659,45 @@ class TestFedFtRound:
         single = lora_sgd_step(state.base, shared_adapter, shared_x, shared_y, 0.1)
         central = mse_loss(state.base, single, shared_x, shared_y)
         sel = solve_round_selection(state, devices, 1e6, 100.0, 1e-9)
-        down = downlink_latency(state, devices, sel, 1e-9)
-        state, record = fedft_round(state, devices, sel, 0.1, down)
-        assert record.selected == ("d0", "d1", "d2")
-        assert abs(record.global_loss - central) <= 1e-9
+        assert sel.selected == ("d0", "d1", "d2")
+        loss = fedft_round(state, *round_inputs(state, devices, sel), 0.1)
+        assert abs(loss - central) <= 1e-9
 
     def test_cached_selection_matches_per_round_solve(self):
         # run_fedft solves the selection once: a round must not change it
         devices, state = hetero_state(seed=3)
         sel = solve_round_selection(state, devices, 1e6, 30.0, 1e-9)
         down = downlink_latency(state, devices, sel, 1e-9)
+        inputs = round_inputs(state, devices, sel)
         for _ in range(3):
-            state, record = fedft_round(state, devices, sel, 0.05, down)
+            fedft_round(state, *inputs, 0.05)
             assert solve_round_selection(state, devices, 1e6, 30.0, 1e-9) == sel
-        assert record.selected == sel.selected
-        assert record.bandwidth == sel.bandwidth
+        _, state = hetero_state(seed=3)
+        selection, latency, losses = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=3)
+        assert selection == sel
+        assert latency == sel.round_latency + down
+        assert len(losses) == 3
+
+    def test_one_projection_per_distinct_rank(self, monkeypatch):
+        # ranks 1, 1, 2, 2, 4, 4: three copies, each shared by the devices
+        # of its rank and equal to the projected global bit for bit
+        devices, state = hetero_state(seed=4)
+        sel = solve_round_selection(state, devices, 1e6, 30.0, 1e-9)
+        calls = []
+
+        def counted(adapter, target_rank):
+            calls.append(target_rank)
+            return project_rank(adapter, target_rank)
+
+        monkeypatch.setattr(fedft, "project_rank", counted)
+        fedft_round(state, *round_inputs(state, devices, sel), 0.05)
+        assert sorted(calls) == [1, 2, 4]
+        for rank in (1, 2, 4):
+            shared = [state.device_adapters[p.id] for p in devices if p.local_rank == rank]
+            assert len(shared) == 2 and shared[0] is shared[1]
+            want = project_rank(state.global_adapter, rank)
+            assert shared[0].A.tobytes() == want.A.tobytes()
+            assert shared[0].B.tobytes() == want.B.tobytes()
 
     def test_downlink_latency_matches_projected_copies(self):
         # the per-run downlink equals the slowest participant's unicast of
@@ -693,6 +726,7 @@ class TestFedFtRound:
     def test_run_converges_on_hetero_ranks(self):
         devices, state = hetero_state()
         initial = global_loss(state)
-        records = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=60)
-        assert records[-1].global_loss < 0.1 * initial
-        assert all(len(r.selected) == 6 for r in records)
+        selection, _, losses = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=60)
+        assert len(losses) == 60
+        assert losses[-1] < 0.1 * initial
+        assert len(selection.selected) == 6

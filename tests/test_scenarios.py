@@ -629,6 +629,23 @@ class TestCliExitCodes:
         assert "no capacity-feasible placement exists" in capsys.readouterr().out
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("solver", ["both", "local_search", "exact"])
+    def test_cot_memory_overflow_skips_the_device_in_every_solver(self, tmp_path, solver):
+        # each device holds one 1e308-byte step; a second would overflow its
+        # load to inf, which both solvers read as over capacity
+        cfg = shipped_cfg("cot_place")
+        cfg["cot"].update(steps=cfg["cot"]["steps"][:4], shard_bytes=1e308, solver=solver)
+        for device in cfg["devices"]:
+            device["memory_capacity"] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli(tmp_path, cfg) == 0
+        result = json.loads((tmp_path / "out" / "cot_result.json").read_text())
+        for placement in [r["placement"] for r in result.values() if isinstance(r, dict)]:
+            assert sorted(placement) == [0, 1, 2, 3]
+        if solver != "local_search":
+            assert result["exact"]["n_feasible"] == 24
+
     @pytest.mark.parametrize("name, block, key, value, error", [
         pytest.param("unlearn_optout", "unlearn", "classes", 10**12, "Unable to allocate",
                      id="classes-1000000000000"),
