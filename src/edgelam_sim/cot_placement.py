@@ -166,10 +166,11 @@ def solve_local_search(
     if iters < 1:
         raise ValueError("iters must be >= 1")
     n_steps, n_dev = len(chain), len(devices)
-    comp, comm, mem, cap = _cost_arrays(chain, devices, link_rates, shard_bytes)
-    # Python floats, as in the exact search: a load that overflows is inf,
-    # which no capacity admits, not a numpy overflow error
-    mem, cap = mem.tolist(), cap.tolist()
+    # Python floats, as in the exact search: a load or a cost that overflows
+    # is inf, which no capacity admits and no placement prefers, not a numpy
+    # overflow error
+    comp, comm, mem, cap = (
+        a.tolist() for a in _cost_arrays(chain, devices, link_rates, shard_bytes))
 
     loads = [0.0] * n_dev
     assignment: list[int] = []
@@ -178,9 +179,9 @@ def solve_local_search(
         for d in range(n_dev):
             if loads[d] + mem[s] > cap[d]:
                 continue
-            marginal = comp[s, d]
+            marginal = comp[s][d]
             if s > 0:
-                marginal += comm[s - 1, assignment[s - 1], d]
+                marginal += comm[s - 1][assignment[s - 1]][d]
             if marginal < best_marginal:
                 best_marginal = marginal
                 best_d = d
@@ -190,10 +191,10 @@ def solve_local_search(
         loads[best_d] += mem[s]
 
     def total_cost(assign) -> float:
-        cost = comp[0, assign[0]]
+        cost = comp[0][assign[0]]
         for s in range(1, n_steps):
-            cost += comm[s - 1, assign[s - 1], assign[s]]
-            cost += comp[s, assign[s]]
+            cost += comm[s - 1][assign[s - 1]][assign[s]]
+            cost += comp[s][assign[s]]
         return cost
 
     rng = stream(seed, "cot.local_search")

@@ -4,12 +4,12 @@ Devices train low-rank factor pairs (A, B) of varying rank on top of a
 frozen base matrix.  The server zero-pads uploads to the max participating
 rank, averages the A- and B-factors separately, and unicasts a truncated
 copy back to each device.  Device selection and bandwidth allocation are
-solved jointly and exactly by one bisection of the round latency: at each
-candidate latency devices are ranked by the minimal bandwidth each needs
-to meet it, and the bandwidths at the final latency are the split, with
-no enumeration of subsets and no limit on the device count.  The solve
-targets uplink only; downlink rides the same allocation symmetrically, and
-a joint two-way optimum is left unexplored.
+solved jointly and exactly by one search for the least round latency that
+fits: at each candidate latency devices are ranked by the minimal
+bandwidth each needs to meet it, and the bandwidths at the final latency
+are the split, with no enumeration of subsets and no limit on the device
+count.  The solve targets uplink only; downlink rides the same allocation
+symmetrically, and a joint two-way optimum is left unexplored.
 
 The desk-scale learning task is synthetic linear regression
 ``y = (W0 + A* B*) x + noise`` with a known ground-truth adapter, so
@@ -24,6 +24,7 @@ operation that would produce one.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -248,6 +249,74 @@ def _ranked_needs(profiles: list[DeviceProfile], upload_bits: dict[str, float],
     return ranked
 
 
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _key(x: float) -> int:
+    """The bit pattern of a float >= 0, which orders such floats as they compare."""
+    return _I64.unpack(_F64.pack(x + 0.0))[0]  # + 0.0 turns -0.0 into 0.0
+
+
+def _float(key: int) -> float:
+    return _F64.unpack(_I64.pack(key))[0]
+
+
+def _slack(s: float, band: float) -> float | None:
+    """u = band / s - 1, the value the secant steps on; None if not finite."""
+    if 0.0 < s < math.inf:
+        u = band / s - 1.0
+        if u < math.inf:
+            return u
+    return None
+
+
+def _least_feasible(ranked, k: int, band: float, lo: float, hi: float, at_hi=None):
+    """``ranked(tau)`` at the least float tau in (lo, hi) at which the k
+    smallest b_i(tau) fit in ``band``, or at ``hi`` if there is none.
+    ``at_hi`` is ``ranked(hi)``, if the caller has it.
+
+    Fitting is monotone in tau.  So every search that keeps each tau <= lo
+    unfit (or lo the untested start) and hi fit (or hi the untested start)
+    ends at the same pair of adjacent floats as a midpoint bisection.
+    Each trial folds the k smallest b_i(tau) into s and takes
+    u = band / s - 1, near linear in tau as b_i(tau) goes as
+    1 / (tau - c_i).  With distinct finite u at both ends the next trial is
+    an Illinois regula-falsi step, clamped strictly inside the bracket.
+    Otherwise, and after two trials that left more than half the bracket,
+    it is the midpoint of the ends' bit patterns.  A bracket of w floats
+    therefore takes at most 3 * ceil(log2(w)) trials, 189 from
+    [0, float max].
+    """
+    lo_key, hi_key = _key(lo), _key(hi)
+    u_lo = None  # None: lo untested, or its s was 0 or inf
+    u_hi = None if at_hi is None else _slack(_fold(b for b, _ in at_hi[:k]), band)
+    order = at_hi
+    moved = 0  # the end the last trial moved: +1 hi, -1 lo
+    stalls = 0
+    while (width := hi_key - lo_key) > 1:
+        if u_lo is None or u_hi is None or u_lo == u_hi or stalls == 2:
+            key = lo_key + width // 2
+        else:
+            t = hi - u_hi / (u_hi - u_lo) * (hi - lo)
+            key = min(max(_key(t), lo_key + 1), hi_key - 1)
+        tau = _float(key)
+        trial = ranked(tau)
+        s = _fold(b for b, _ in trial[:k])
+        if s <= band:
+            hi, hi_key, u_hi, order = tau, key, _slack(s, band), trial
+            if moved == 1 and u_lo is not None:
+                u_lo *= 0.5  # Illinois: halve the value at the end that stays
+            moved = 1
+        else:
+            lo, lo_key, u_lo = tau, key, _slack(s, band)
+            if moved == -1 and u_hi is not None:
+                u_hi *= 0.5
+            moved = -1
+        # a bit-pattern midpoint always leaves at most ceil(width / 2)
+        stalls = stalls + 1 if 2 * (hi_key - lo_key) > width + 1 else 0
+    return ranked(hi) if order is None else order
+
+
 def select_devices_and_bandwidth(
     profiles: list[DeviceProfile],
     total_bandwidth: float,
@@ -265,17 +334,18 @@ def select_devices_and_bandwidth(
     So the largest feasible size k is the longest prefix of the devices
     ranked by (b_i(deadline), id) that fits, and the fastest size-k subset
     is the k cheapest devices at the smallest tau where those k fit, found
-    by bisecting tau down to adjacent floats.  Those devices get their
+    down to adjacent floats by ``_least_feasible``.  Those devices get their
     b_i(tau), scaled up to fill the band, and the round latency is the
     slowest one's compute plus upload time on that split.  Raises
     ``SchedulingError`` when no device subset meets the deadline.
 
-    Cost: about 60 steps of the tau bisection, each one 52-step bandwidth
-    bisection per device, so about 60 * n * 52 steps of in-loop rate
-    arithmetic, and one ``shannon_rate`` call per live device (its rate at
-    the full band) plus one per participant for the latency.  Every sum
-    over bandwidths is a left fold, so the bits do not depend on the
-    Python version.
+    Cost: one ranking at the deadline and 11-15 trial taus in the search
+    on the shipped and benchmark configs (at most 3 * 63 by construction),
+    each one 52-step bandwidth bisection per device, so about 16 * n * 52
+    steps of in-loop rate arithmetic, and one ``shannon_rate`` call per
+    live device (its rate at the full band) plus one per participant for
+    the latency.  Every sum over bandwidths is a left fold, so the bits do
+    not depend on the Python version.
     """
     if not profiles:
         raise ValueError("need at least one device profile")
@@ -292,23 +362,20 @@ def select_devices_and_bandwidth(
     by_id = {p.id: p for p in profiles}
     ranked = _ranked_needs(profiles, upload_bits, comp, noise_density, total_bandwidth)
 
+    at_deadline = ranked(deadline)
     k = 0
     used = 0.0
-    for b, _ in ranked(deadline):
+    for b, _ in at_deadline:
         used += b
         if used > total_bandwidth:
             break
         k += 1
+    # an infinite deadline searches from the largest float instead
+    lo, hi = min(comp.values()), min(deadline, sys.float_info.max)
+    at_hi = at_deadline if hi == deadline else None
     while k > 0:
-        # an infinite deadline bisects from the largest float instead
-        lo, hi = min(comp.values()), min(deadline, sys.float_info.max)
-        # halves first: lo + hi may overflow
-        while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
-            if _fold(b for b, _ in ranked(mid)[:k]) <= total_bandwidth:
-                hi = mid
-            else:
-                lo = mid
-        alloc = dict(sorted((dev, b) for b, dev in ranked(hi)[:k]))
+        order = _least_feasible(ranked, k, total_bandwidth, lo, hi, at_hi)
+        alloc = dict(sorted((dev, b) for b, dev in order[:k]))
         # hand out the slack: scaling every b_i up never hurts any device
         used = _fold(alloc.values())
         if used > 0.0:
@@ -324,7 +391,7 @@ def select_devices_and_bandwidth(
         )
         if latency <= deadline:
             return SelectionResult(tuple(alloc), alloc, latency)
-        k -= 1  # a borderline subset that the bisection's rounding put past the deadline
+        k -= 1  # a borderline subset that the search's rounding put past the deadline
     raise SchedulingError("no device subset meets the deadline; raise deadline or bandwidth")
 
 

@@ -1,6 +1,7 @@
 """Federated fine-tuning: rank projection, aggregation, gradients, selection."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -484,7 +485,7 @@ def edge_case_instance(rng):
         (1e-9, float(rng.uniform(1.0, 10.0)) * 1e-300, 1e-297),
         (1e-310, float(rng.uniform(1e3, 1e5)), 1e6),
     ][regime]
-    # an infinite deadline bisects tau from the largest float, ~1,000 steps
+    # an infinite deadline searches tau from the largest float
     deadline = [2.0, 10.0, 2.0, 10.0, math.inf][int(rng.integers(5))]
     n = int(rng.integers(1, 3 if deadline == math.inf else 6))
     devs, bits, flops = [], {}, {}
@@ -511,6 +512,21 @@ def selection_bits(ids, bandwidth, latency):
         type(latency), float(latency).hex()
 
 
+def oracle_checked_selection(args):
+    """The selection for ``args``, asserted equal to ``nested_selection``'s on
+    ``float.hex``; None where both raise the same ``SchedulingError``."""
+    try:
+        want = selection_bits(*nested_selection(*args))
+    except SchedulingError as exc:
+        with pytest.raises(SchedulingError) as got:
+            select_devices_and_bandwidth(*args)
+        assert str(got.value) == str(exc)
+        return None
+    res = select_devices_and_bandwidth(*args)
+    assert selection_bits(res.selected, res.bandwidth, res.round_latency) == want
+    return res
+
+
 def neumaier_sum(values, start=0):
     """``sum`` over floats as Python 3.12 computes it: Neumaier-compensated."""
     total, c = float(start), 0.0
@@ -532,16 +548,10 @@ class TestSelectionInlineRates:
         for _ in range(120):
             args = edge_case_instance(rng)
             devs, band, bits, flops, deadline, n0 = args
-            try:
-                want = selection_bits(*nested_selection(*args))
-            except SchedulingError as exc:
+            res = oracle_checked_selection(args)
+            if res is None:
                 seen["infeasible"] += 1
-                with pytest.raises(SchedulingError) as got:
-                    select_devices_and_bandwidth(*args)
-                assert str(got.value) == str(exc)
                 continue
-            res = select_devices_and_bandwidth(*args)
-            assert selection_bits(res.selected, res.bandwidth, res.round_latency) == want
             comp = {d.id: flops[d.id] / d.compute_rate for d in devs}
             seen["no_deadline"] += deadline == math.inf
             seen["zero_upload_late"] += any(
@@ -553,6 +563,32 @@ class TestSelectionInlineRates:
             seen["log_branch"] += any(
                 n0 * b == 0.0 or d.channel_gain * d.tx_power / (n0 * b) == math.inf
                 for d in devs for dev, b in res.bandwidth.items() if dev == d.id and b > 0.0)
+        assert min(seen.values()) >= 3, seen
+
+    def test_matches_oracle_at_subnormal_and_huge_taus(self):
+        # the selection searches tau on float bit patterns and the oracle
+        # halves it arithmetically; both must end at the same float where
+        # every time is subnormal, and where a 1e300 deadline leaves the
+        # oracle about 1,000 halvings
+        rng = np.random.default_rng(28)
+        seen = dict.fromkeys(["subnormal_latency", "huge_deadline", "infeasible"], 0)
+        for i in range(100):
+            n0 = [1e-9, 1e-12, 5e-324][int(rng.integers(3))]
+            devs, band, bits, flops = random_selection_instance(rng, 2.0, n0)
+            if i % 12 == 0:
+                deadline = 1e300
+            else:
+                # bits scale with the times, so the rates the band must carry stay
+                scale = [1e-309, 1e-315, 1e-320][int(rng.integers(3))]
+                bits = {dev: b * scale for dev, b in bits.items()}
+                flops = {dev: f * scale for dev, f in flops.items()}
+                deadline = 2.0 * scale
+            res = oracle_checked_selection((devs, band, bits, flops, deadline, n0))
+            if res is None:
+                seen["infeasible"] += 1
+                continue
+            seen["huge_deadline"] += deadline == 1e300
+            seen["subnormal_latency"] += 0.0 < res.round_latency < sys.float_info.min
         assert min(seen.values()) >= 3, seen
 
     def test_sums_are_left_folds(self, monkeypatch):
@@ -603,6 +639,96 @@ class TestSelectionInlineRates:
         monkeypatch.setattr(netsim, "shannon_rate", counted)
         assert len(select_devices_and_bandwidth(*args).selected) == 6
         assert 0 < calls <= 2 * len(args[0])
+
+
+class TrialCounter:
+    """Counts the selection's ranked(tau) calls, and each k's search with
+    the width of its bracket in floats."""
+
+    def __init__(self, monkeypatch):
+        self.taus, self.searches = [], []
+        make_ranked, search = fedft._ranked_needs, fedft._least_feasible
+
+        def counted_needs(*a):
+            ranked = make_ranked(*a)
+
+            def counted(tau):
+                self.taus.append(tau)
+                return ranked(tau)
+
+            return counted
+
+        def recorded_search(ranked, k, band, lo, hi, at_hi=None):
+            before = len(self.taus)
+            order = search(ranked, k, band, lo, hi, at_hi)
+            self.searches.append((fedft._key(hi) - fedft._key(lo), len(self.taus) - before))
+            return order
+
+        monkeypatch.setattr(fedft, "_ranked_needs", counted_needs)
+        monkeypatch.setattr(fedft, "_least_feasible", recorded_search)
+
+    def run(self, args):
+        self.taus.clear()
+        self.searches.clear()
+        return select_devices_and_bandwidth(*args)
+
+
+def search_bound(width):
+    """Trials one search may take on a bracket of ``width`` floats: at most
+    two in a row leave more than half of it, a bit-pattern midpoint never
+    does, and one ranking more is taken when no trial fits."""
+    return 3 * (max(width, 1) - 1).bit_length() + 1
+
+
+class TestLatencySearchSteps:
+    """The search's cost in ranked(tau) calls, counted, not timed."""
+
+    @pytest.mark.parametrize("deadline, calls", [(30.0, 13), (1e300, 19), (math.inf, 20)])
+    def test_hetero_calls(self, monkeypatch, deadline, calls):
+        # a midpoint bisection made 69, 1,060 and 1,088 calls here
+        args = list(hetero_selection_inputs())
+        args[4] = deadline
+        counter = TrialCounter(monkeypatch)
+        assert len(counter.run(args).selected) == 6
+        assert len(counter.taus) == calls
+        [(width, trials)] = counter.searches
+        assert trials <= search_bound(width)
+
+    @pytest.mark.parametrize("jump", [1e300, 1.0])
+    def test_bound_holds_where_the_secant_crawls(self, jump):
+        # s steps from twice the band to band / (1 + jump) at tau_star, so u
+        # steps from -0.5 to jump: each secant lands next to lo, and the
+        # Illinois halving alone would take ~1,000 trials to bring 1e300 down
+        tau_star = 0.7071
+        taus = []
+
+        def ranked(tau):
+            taus.append(tau)
+            return [(1.0 / (1.0 + jump) if tau >= tau_star else 2.0, "d0")]
+
+        lo, hi = 0.125, 3.0
+        order = fedft._least_feasible(ranked, 1, 1.0, lo, hi, ranked(hi))
+        assert order == ranked(tau_star)
+        assert len(taus) - 2 <= search_bound(fedft._key(hi) - fedft._key(lo))
+        assert min(t for t in taus if t >= tau_star) == tau_star
+        assert max(t for t in taus if t < tau_star) == math.nextafter(tau_star, 0.0)
+
+    def test_calls_per_search_stay_in_bound(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        counter = TrialCounter(monkeypatch)
+        widest = 0
+        for i in range(150):
+            deadline = [2.0, 1e-3, 1e300, math.inf][i % 4]
+            n0 = [1e-9, 5e-324][int(rng.integers(2))]
+            devs, band, bits, flops = random_selection_instance(rng, min(deadline, 10.0), n0)
+            try:
+                counter.run((devs, band, bits, flops, deadline, n0))
+            except SchedulingError:
+                continue
+            for width, trials in counter.searches:
+                assert trials <= search_bound(width), (i, width, trials)
+                widest = max(widest, width)
+        assert widest > 2**62  # an infinite deadline's bracket was searched
 
 
 def hetero_state(seed=42, noise=0.01):

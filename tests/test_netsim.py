@@ -1,6 +1,7 @@
 """Channel and latency accounting."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +92,32 @@ class TestMinBandwidth:
             seen["log_branch" if snr == math.inf else "plain"] += 1
             seen["zero_mid"] += 0.5 * b_cap == 0.0
             seen["int_gain"] += type(gain) is int
+        assert min(seen.values()) >= 10, seen
+
+    def test_never_shrinks_as_the_rate_grows(self):
+        # the selection's search over tau rests on this: at the first of the
+        # 52 steps where two rates turn differently the larger keeps the
+        # upper half, so its result is never below the smaller's
+        rng = np.random.default_rng(28)
+        seen = dict.fromkeys(["log_branch", "plain", "subnormal_n0", "equal", "larger"], 0)
+        for _ in range(60):
+            gain = [float(rng.uniform(0.1, 3.0)), 1e200][rng.integers(2)]
+            n0 = [1e-9, 1e-310, 5e-324][rng.integers(3)]
+            b_cap = [float(rng.uniform(1e5, 5e6)), 1e-300][rng.integers(2)]
+            link = MinBandwidth(b_cap, gain, 0.5, n0)
+            full = shannon_rate(b_cap, gain, 0.5, n0)
+            rates = [full * float(f) for f in rng.uniform(0.0, 1.05, size=40)]
+            rates = sorted(rates + [math.nextafter(r, math.inf) for r in rates])
+            needs = [link.for_rate(r) for r in rates]
+            for b1, b2 in zip(needs, needs[1:]):
+                assert b1 <= b2, (rates, needs)
+                seen["equal" if b1 == b2 else "larger"] += 1
+            for b in needs:
+                if 0.0 < b < math.inf:
+                    noise = n0 * b
+                    snr = gain * 0.5 / noise if noise > 0.0 else math.inf
+                    seen["log_branch" if snr == math.inf else "plain"] += 1
+            seen["subnormal_n0"] += n0 < sys.float_info.min
         assert min(seen.values()) >= 10, seen
 
     def test_domain_error_waits_for_the_first_rate(self):

@@ -646,6 +646,27 @@ class TestCliExitCodes:
         if solver != "local_search":
             assert result["exact"]["n_feasible"] == 24
 
+    @pytest.mark.parametrize("solver", ["both", "local_search", "exact"])
+    def test_cot_cost_overflow_never_moves_a_step(self, tmp_path, solver):
+        # all three steps on d0 cost 3e307 s; moving any one to d1 overflows
+        # the placement's cost to inf, which every solver reads as worse
+        cfg = shipped_cfg("cot_place")
+        cfg["devices"] = cfg["devices"][:2]
+        cfg["devices"][0]["compute_rate"] = 1e-7
+        cfg["devices"][1]["compute_rate"] = 6.25e-9
+        cfg["cot"].update(steps=[{"workload": 1e300, "handoff_size": 0.0}] * 3,
+                          gains=[[0.0, 0.8], [0.8, 0.0]], solver=solver)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli(tmp_path, cfg) == 0
+        result = json.loads((tmp_path / "out" / "cot_result.json").read_text())
+        solved = [r for r in result.values() if isinstance(r, dict)]
+        assert len(solved) == (2 if solver == "both" else 1)
+        step_s = 1e300 / 1e-7
+        for r in solved:
+            assert r["placement"] == [0, 0, 0]
+            assert r["cost_s"] == step_s + step_s + step_s
+
     @pytest.mark.parametrize("name, block, key, value, error", [
         pytest.param("unlearn_optout", "unlearn", "classes", 10**12, "Unable to allocate",
                      id="classes-1000000000000"),
