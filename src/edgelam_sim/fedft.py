@@ -2,14 +2,17 @@
 
 Devices train low-rank factor pairs (A, B) of varying rank on top of a
 frozen base matrix.  The server zero-pads uploads to the max participating
-rank, averages the A- and B-factors separately, and unicasts a truncated
-copy back to each device.  Device selection and bandwidth allocation are
-solved jointly and exactly by one search for the least round latency that
-fits: at each candidate latency devices are ranked by the minimal
-bandwidth each needs to meet it, and the bandwidths at the final latency
-are the split, with no enumeration of subsets and no limit on the device
-count.  The solve targets uplink only; downlink rides the same allocation
-symmetrically, and a joint two-way optimum is left unexplored.
+rank, averages the A- and B-factors separately, and unicasts a copy
+projected to its rank back to each device.  Device selection and bandwidth
+allocation are solved jointly and exactly by one search for the least
+round latency that fits: at each candidate latency devices are ranked by
+the minimal bandwidth each needs to meet it, and the bandwidths at the
+final latency are the split, with no enumeration of subsets and no limit
+on the device count.  The solve targets uplink only.  A participant's
+download is as many parameters as its upload, on the same band, so the
+selection computes each participant's transfer time once and the round's
+downlink is the slowest of them; a joint two-way optimum is left
+unexplored.
 
 The desk-scale learning task is synthetic linear regression
 ``y = (W0 + A* B*) x + noise`` with a known ground-truth adapter, so
@@ -51,8 +54,8 @@ class LoraAdapter:
     B: np.ndarray  # r x k
 
     def __post_init__(self):
-        # contiguous: a truncated factor is a strided view, which BLAS
-        # multiplies on another path with other rounding
+        # contiguous: BLAS multiplies a strided view (a slice, say) on
+        # another path with other rounding
         object.__setattr__(self, "A", np.ascontiguousarray(self.A, dtype=np.float64))
         object.__setattr__(self, "B", np.ascontiguousarray(self.B, dtype=np.float64))
         if self.A.shape[1] != self.B.shape[0]:
@@ -88,39 +91,23 @@ class LoraAdapter:
 # rank projection and aggregation
 # ---------------------------------------------------------------------------
 
-def zero_pad(adapter: LoraAdapter, target_rank: int) -> LoraAdapter:
-    """Pad A with zero columns and B with zero rows up to ``target_rank``.
+def project_rank(adapter: LoraAdapter, target_rank: int) -> LoraAdapter:
+    """``adapter`` zero-padded or truncated to ``target_rank``.
 
-    The effective update A @ B is unchanged exactly.
+    The leading ``min(rank, target_rank)`` columns of A and rows of B are
+    copied into zero factors of the target rank, so padding leaves A @ B
+    unchanged exactly.  The same rank returns ``adapter`` itself.
     """
-    if target_rank < adapter.rank:
-        raise RankError(f"cannot pad rank {adapter.rank} down to {target_rank}")
     if target_rank == adapter.rank:
         return adapter
-    d, k, r = adapter.d, adapter.k, adapter.rank
-    a = np.zeros((d, target_rank))
-    a[:, :r] = adapter.A
-    b = np.zeros((target_rank, k))
-    b[:r, :] = adapter.B
-    return LoraAdapter(a, b)
-
-
-def truncate(adapter: LoraAdapter, target_rank: int) -> LoraAdapter:
-    """Keep the first ``target_rank`` columns of A and rows of B."""
     if target_rank < 1:
         raise RankError(f"target rank must be >= 1, got {target_rank}")
-    if target_rank > adapter.rank:
-        raise RankError(f"cannot truncate rank {adapter.rank} up to {target_rank}")
-    if target_rank == adapter.rank:
-        return adapter
-    return LoraAdapter(adapter.A[:, :target_rank], adapter.B[:target_rank, :])
-
-
-def project_rank(adapter: LoraAdapter, target_rank: int) -> LoraAdapter:
-    """Pad or truncate, whichever moves ``adapter`` to ``target_rank``."""
-    if target_rank >= adapter.rank:
-        return zero_pad(adapter, target_rank)
-    return truncate(adapter, target_rank)
+    r = min(adapter.rank, target_rank)
+    a = np.zeros((adapter.d, target_rank))
+    a[:, :r] = adapter.A[:, :r]
+    b = np.zeros((target_rank, adapter.k))
+    b[:r] = adapter.B[:r]
+    return LoraAdapter(a, b)
 
 
 def aggregate_hetero(adapters: list[LoraAdapter], weights: list[float]) -> LoraAdapter:
@@ -203,7 +190,8 @@ class SelectionResult:
 
     selected: tuple[str, ...]
     bandwidth: dict[str, float]  # device id -> Hz of the shared band, ascending ids
-    round_latency: float
+    round_latency: float  # slowest participant's compute plus upload
+    upload_latency: float  # slowest participant's upload alone
 
 
 def _fold(values) -> float:
@@ -336,8 +324,9 @@ def select_devices_and_bandwidth(
     is the k cheapest devices at the smallest tau where those k fit, found
     down to adjacent floats by ``_least_feasible``.  Those devices get their
     b_i(tau), scaled up to fill the band, and the round latency is the
-    slowest one's compute plus upload time on that split.  Raises
-    ``SchedulingError`` when no device subset meets the deadline.
+    slowest one's compute plus upload time on that split; the upload
+    latency is the slowest upload alone.  Raises ``SchedulingError`` when
+    no device subset meets the deadline.
 
     Cost: one ranking at the deadline and 11-15 trial taus in the search
     on the shipped and benchmark configs (at most 3 * 63 by construction),
@@ -384,13 +373,14 @@ def select_devices_and_bandwidth(
             while _fold(alloc.values()) > total_bandwidth:
                 worst = max(alloc, key=alloc.get)
                 alloc[worst] = math.nextafter(alloc[worst], 0.0)
-        latency = max(
-            comp[dev] + comm_latency(upload_bits[dev], shannon_rate(
+        upload = {
+            dev: comm_latency(upload_bits[dev], shannon_rate(
                 b, by_id[dev].channel_gain, by_id[dev].tx_power, noise_density))
             for dev, b in alloc.items()
-        )
+        }
+        latency = max(comp[dev] + t for dev, t in upload.items())
         if latency <= deadline:
-            return SelectionResult(tuple(alloc), alloc, latency)
+            return SelectionResult(tuple(alloc), alloc, latency, max(0.0, *upload.values()))
         k -= 1  # a borderline subset that the search's rounding put past the deadline
     raise SchedulingError("no device subset meets the deadline; raise deadline or bandwidth")
 
@@ -464,43 +454,9 @@ def make_synthetic_task(
     return FedFtState(0, w0, global_adapter, adapters, datasets)
 
 
-def default_step_flops(d: int, k: int, rank: int, samples: int) -> float:
-    """Rough FLOP count of one full-batch local step (fwd+bwd, LoRA path)."""
-    return float(samples) * (6.0 * (d * rank + rank * k) + 2.0 * d * k)
-
-
 def global_loss(state: FedFtState) -> float:
     """MSE of the global adapter over the union of all device data."""
     return mse_loss(state.base, state.global_adapter, state.pooled_x, state.pooled_y)
-
-
-def downlink_latency(
-    state: FedFtState,
-    profiles: list[DeviceProfile],
-    selection: SelectionResult,
-    noise_density: float,
-    bits_per_param: float = 64.0,
-) -> float:
-    """Slowest participant's download of its rank-projected global copy.
-
-    Each participant receives ``local_rank * (d + k)`` parameters by
-    unicast on its own uplink bandwidth (symmetric channel).  That depends
-    only on the allocation, the ranks and the adapter shape, so it is the
-    same in every round of a run.
-    """
-    d, k = state.base.shape
-    latency = 0.0
-    for p in profiles:
-        if p.id in selection.selected:
-            rate = shannon_rate(
-                selection.bandwidth[p.id],
-                p.channel_gain,
-                p.tx_power,
-                noise_density,
-            )
-            down_bits = bits_per_param * (p.local_rank * (d + k))
-            latency = max(latency, comm_latency(down_bits, rate))
-    return latency
 
 
 def fedft_round(
@@ -540,31 +496,6 @@ def fedft_round(
     return loss
 
 
-def solve_round_selection(
-    state: FedFtState,
-    profiles: list[DeviceProfile],
-    total_bandwidth: float,
-    deadline: float,
-    noise_density: float,
-    bits_per_param: float = 64.0,
-) -> SelectionResult:
-    """Selection/allocation for the current state's bits and flops."""
-    upload_bits = {
-        p.id: bits_per_param * state.device_adapters[p.id].param_count()
-        for p in profiles
-    }
-    d, k = state.base.shape
-    sizes = state.dataset_sizes()
-    local_flops = {
-        p.id: default_step_flops(d, k, state.device_adapters[p.id].rank, sizes[p.id])
-        for p in profiles
-    }
-    return select_devices_and_bandwidth(
-        profiles, total_bandwidth, upload_bits, local_flops, deadline,
-        noise_density,
-    )
-
-
 def run_fedft(
     state: FedFtState,
     profiles: list[DeviceProfile],
@@ -580,24 +511,29 @@ def run_fedft(
     The selection inputs (device set, ranks, dataset sizes) are constant
     across a run, and dissemination keeps each device's rank, so everything
     the selection fixes is computed once, before the first round: the
-    joint selection/allocation, the round latency (its uplink latency plus
-    the downlink latency it implies), the participants in ascending id
-    order, their dataset-size-proportional aggregation weights, and the
-    device ranks.  ``losses[i]`` is the global loss after round i + 1.
-    When no device subset meets the deadline, ``SchedulingError`` is
-    raised before the first round.
+    joint selection/allocation, the participants in ascending id order,
+    their dataset-size-proportional aggregation weights, and the round
+    latency.  A device uploads and downloads ``local_rank * (d + k)``
+    parameters on its own band, so the round latency is the selection's
+    compute-plus-upload latency plus its slowest upload again for the
+    downlink.  ``losses[i]`` is the global loss after round i + 1.  When no
+    device subset meets the deadline, ``SchedulingError`` is raised before
+    the first round.
     """
-    selection = solve_round_selection(
-        state, profiles, total_bandwidth, deadline, noise_density,
-        bits_per_param=bits_per_param,
-    )
-    round_latency = selection.round_latency + downlink_latency(
-        state, profiles, selection, noise_density, bits_per_param=bits_per_param
+    d, k = state.base.shape
+    sizes = state.dataset_sizes()
+    ranks = {p.id: p.local_rank for p in profiles}
+    upload_bits = {dev: bits_per_param * (r * (d + k)) for dev, r in ranks.items()}
+    # rough FLOP count of one full-batch local step (fwd+bwd, LoRA path)
+    local_flops = {
+        dev: float(sizes[dev]) * (6.0 * (d * r + r * k) + 2.0 * d * k)
+        for dev, r in ranks.items()
+    }
+    selection = select_devices_and_bandwidth(
+        profiles, total_bandwidth, upload_bits, local_flops, deadline, noise_density
     )
     participants = selection.selected  # ascending ids
-    sizes = state.dataset_sizes()
     total = float(sum(sizes[dev] for dev in participants))
     weights = [sizes[dev] / total for dev in participants]
-    ranks = {p.id: p.local_rank for p in profiles}
     losses = [fedft_round(state, participants, weights, ranks, lr) for _ in range(rounds)]
-    return selection, round_latency, losses
+    return selection, selection.round_latency + selection.upload_latency, losses

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import assignment_scores
-from .errors import SchedulingError
-from .netsim import DeviceProfile, fading_sequence, shannon_rate
+from .errors import DomainError, SchedulingError
+from .netsim import DeviceProfile, shannon_rate
 from .rng import stream
 
 
@@ -130,6 +130,10 @@ def orchestrate(
         raise ValueError("need at least one slot")
     if not (v >= 0 and math.isfinite(v)):
         raise ValueError("V must be finite and >= 0")
+    # a call's load scales by 1 + load_jitter * (2u - 1), u in [0, 1): with
+    # a jitter of 1 or more it can turn negative and shrink a backlog
+    if not 0.0 <= load_jitter < 1.0:
+        raise ValueError("load_jitter must lie in [0, 1)")
     order = sorted(devices, key=lambda d: d.id)
     dev_index = {d.id: i for i, d in enumerate(order)}
     dead_uplink = {
@@ -222,6 +226,20 @@ def orchestrate(
         time_avg_backlog=backlog_sum / n_slots,
         max_backlog=float(backlogs.max()),
     )
+
+
+def fading_sequence(seed: int, device_id: str, n_slots: int, sigma: float) -> np.ndarray:
+    """Seeded per-slot multiplicative channel gains (unit-median lognormal).
+
+    Renaming the stream ``netsim.fading.{id}`` would change the bits of
+    every faded run.
+    """
+    if n_slots < 0:
+        raise DomainError("n_slots must be >= 0")
+    if sigma < 0:
+        raise DomainError("sigma must be >= 0")
+    rng = stream(seed, f"netsim.fading.{device_id}")
+    return np.exp(sigma * rng.standard_normal(n_slots))
 
 
 def _cost_matrix(order, experts, bandwidth, noise_density, w_lat, w_energy, fading=None):

@@ -4,8 +4,8 @@ accounting.
 The channel is a standard FDMA link budget: a device allocated bandwidth B
 sees noise power N0*B, so its uplink rate is B*log2(1 + g*p/(N0*B)); this
 is a deliberate Shannon-capacity stand-in, not a measured radio model.
-Channels are static within a run; optional per-slot fading is a seeded
-multiplicative gain sequence.
+Channels are static here; the MoE scheduler's optional per-slot fading
+scales a device's gain by a seeded sequence of its own.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -133,17 +130,4 @@ def comp_latency(flops: float, compute_rate: float) -> float:
     if compute_rate <= 0:
         raise DomainError("compute_rate must be > 0")
     return flops / compute_rate
-
-
-def fading_sequence(seed: int, device_id: str, n_slots: int, sigma: float = 0.2) -> np.ndarray:
-    """Seeded per-slot multiplicative channel gains (unit-median lognormal).
-
-    Only used when a scenario enables fading; channels are otherwise static.
-    """
-    if n_slots < 0:
-        raise DomainError("n_slots must be >= 0")
-    if sigma < 0:
-        raise DomainError("sigma must be >= 0")
-    rng = stream(seed, f"netsim.fading.{device_id}")
-    return np.exp(sigma * rng.standard_normal(n_slots))
 

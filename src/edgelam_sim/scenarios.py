@@ -338,6 +338,9 @@ def _parse_moe(cfg: dict) -> dict:
     sweep = [] if block.get("v_sweep") is None else _list(block, "v_sweep", "moe.v_sweep")
     if not all(_nonnegative(v) for v in sweep):
         raise ConfigError("v_sweep entries must be finite numbers >= 0", "moe.v_sweep")
+    jitter = _number(block, "load_jitter", "moe", default=0.0, minimum=0.0)
+    if jitter >= 1.0:  # a call's FLOPs scale by 1 + jitter * (2u - 1), u in [0, 1)
+        raise ConfigError(f"must be < 1, got {jitter}", "moe.load_jitter")
     share = ch["total_bandwidth"] / len(devices)
     return {
         "v": _number(block, "v", "moe", minimum=0.0),
@@ -351,7 +354,7 @@ def _parse_moe(cfg: dict) -> dict:
             bandwidth={d.id: share for d in devices},
             noise_density=ch["noise_density"],
             layers_per_task=_integer(block, "layers_per_task", "moe", default=1, minimum=1),
-            load_jitter=_number(block, "load_jitter", "moe", default=0.0, minimum=0.0),
+            load_jitter=jitter,
             w_lat=_number(block, "w_lat", "moe", default=1.0, minimum=0.0),
             w_energy=_number(block, "w_energy", "moe", default=0.0, minimum=0.0),
             failed_devices=frozenset(failed),
@@ -683,8 +686,7 @@ def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
 
     budgets = spec["budgets"]
     summary: dict = {"kind": "casestudy", "seed": seed, "budgets": budgets}
-    # failed calibration, a budget beyond the calibrated chain and the
-    # device limit raise ValueError
+    # a budget beyond the calibrated chain and the device limit raise ValueError
     try:
         if spec["model"] is None:
             targets = spec["targets"]
@@ -718,30 +720,9 @@ def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
             "lat_reduction",
             "combined_normalized_cost",
         ],
-        [
-            [
-                r.t_budget,
-                r.device_count,
-                r.total_memory,
-                r.monolithic_memory,
-                r.total_latency,
-                r.monolithic_latency,
-                r.mem_reduction,
-                r.lat_reduction,
-                r.combined_normalized_cost,
-            ]
-            for r in rows
-        ],
+        [[*dataclasses.astuple(r), r.combined_normalized_cost] for r in rows],
     )
-    summary["model"] = {
-        "n_total": model.n_total,
-        "t_budget": model.t_budget,
-        "alpha_mem": model.alpha_mem,
-        "beta_comp": model.beta_comp,
-        "gamma_handoff": model.gamma_handoff,
-        "base_mem": model.base_mem,
-        "compute_rate": model.compute_rate,
-    }
+    summary["model"] = dataclasses.asdict(model)
     best = min(rows, key=lambda r: r.combined_normalized_cost)
     summary["best_budget"] = best.t_budget
     write_json(out_dir / "casestudy_summary.json", summary)

@@ -32,7 +32,6 @@ from edgelam_sim.netsim import (
     DeviceProfile,
     comm_latency,
     comp_latency,
-    fading_sequence,
     shannon_rate,
 )
 from edgelam_sim.rng import stream, stream_word
@@ -529,10 +528,11 @@ def orchestrate_per_slot(
             if not alive:
                 raise SchedulingError(f"expert {e.id} has no replica with a live uplink")
         live.append([ids.index(r) for r in alive])
-    fading = (
-        np.ones((n_slots, len(order))) if fading_sigma is None
-        else np.column_stack([fading_sequence(seed, i, n_slots, fading_sigma) for i in ids])
-    )
+    # unit-median lognormal gains, one named stream per device
+    fading = np.ones((n_slots, len(order))) if fading_sigma is None else np.column_stack([
+        np.exp(fading_sigma * stream(seed, f"netsim.fading.{i}").standard_normal(n_slots))
+        for i in ids
+    ])
 
     def cost(slot, e, j):
         d = order[j]

@@ -47,7 +47,7 @@ def test_criterion_1_aggregation_oracles():
             rng.standard_normal((d, r)), rng.standard_normal((r, k))
         )
         target = int(rng.integers(r, min(d, k) + 1))
-        back = fedft.truncate(fedft.zero_pad(adapter, target), r)
+        back = fedft.project_rank(fedft.project_rank(adapter, target), r)
         assert np.array_equal(back.A, adapter.A)
         assert np.array_equal(back.B, adapter.B)
 

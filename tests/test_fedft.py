@@ -13,8 +13,6 @@ from edgelam_sim.fedft import (
     FedFtState,
     LoraAdapter,
     aggregate_hetero,
-    default_step_flops,
-    downlink_latency,
     fedft_round,
     global_loss,
     lora_sgd_step,
@@ -23,9 +21,6 @@ from edgelam_sim.fedft import (
     project_rank,
     run_fedft,
     select_devices_and_bandwidth,
-    solve_round_selection,
-    truncate,
-    zero_pad,
 )
 from edgelam_sim.netsim import DeviceProfile, comm_latency, shannon_rate
 from edgelam_sim.scenarios import load_scenario
@@ -39,14 +34,16 @@ def random_adapter(rng, d, k, r):
 
 
 class TestZeroPadTruncate:
+    """``project_rank`` zero-pads up to a higher rank and truncates down to a lower one."""
+
     def test_pad_to_same_rank_is_noop(self):
         rng = np.random.default_rng(0)
         a = random_adapter(rng, 3, 4, 2)
-        assert zero_pad(a, 2) is a
+        assert project_rank(a, 2) is a
 
     def test_hand_example(self):
         a = LoraAdapter([[1.0], [2.0]], [[3.0, 4.0]])
-        p = zero_pad(a, 2)
+        p = project_rank(a, 2)
         assert np.array_equal(p.A, [[1.0, 0.0], [2.0, 0.0]])
         assert np.array_equal(p.B, [[3.0, 4.0], [0.0, 0.0]])
         assert np.array_equal(p.delta(), a.delta())
@@ -54,28 +51,43 @@ class TestZeroPadTruncate:
     def test_pad_preserves_product_exactly(self):
         rng = np.random.default_rng(1)
         a = random_adapter(rng, 4, 3, 1)
-        assert np.linalg.norm(a.delta() - zero_pad(a, 3).delta()) == 0.0
-
-    def test_pad_below_rank_rejected(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(RankError):
-            zero_pad(random_adapter(rng, 3, 3, 2), 1)
+        assert np.linalg.norm(a.delta() - project_rank(a, 3).delta()) == 0.0
 
     def test_truncate_slicing_oracle(self):
         rng = np.random.default_rng(3)
         a = random_adapter(rng, 5, 4, 2)
-        t = truncate(a, 1)
+        t = project_rank(a, 1)
         assert np.array_equal(t.A, a.A[:, :1])
         assert np.array_equal(t.B, a.B[:1, :])
 
     def test_truncate_noop_and_errors(self):
         rng = np.random.default_rng(4)
         a = random_adapter(rng, 3, 3, 3)
-        assert truncate(a, 3) is a
+        assert project_rank(a, 3) is a
+        for target in (0, -1):
+            with pytest.raises(RankError, match="target rank must be >= 1"):
+                project_rank(a, target)
         with pytest.raises(RankError):
-            truncate(a, 0)
-        with pytest.raises(RankError):
-            truncate(random_adapter(rng, 4, 4, 2), 3)
+            project_rank(a, 4)  # above min(d, k)
+
+    @pytest.mark.parametrize("rank, target", [(1, 3), (2, 4), (3, 1), (4, 2), (2, 2)],
+                             ids=["pad-1-3", "pad-2-4", "truncate-3-1", "truncate-4-2", "same"])
+    def test_bits_match_zero_fill_and_slice_copy(self, rank, target):
+        # padding writes the factors into zeros; truncating keeps a
+        # contiguous copy of the leading slice, -0.0 entries included
+        rng = np.random.default_rng(6 + rank + target)
+        a = random_adapter(rng, 5, 6, rank)
+        a.A[0, 0], a.B[0, 0] = -0.0, -0.0
+        got = project_rank(a, target)
+        if target > rank:
+            want_a, want_b = np.zeros((5, target)), np.zeros((target, 6))
+            want_a[:, :rank], want_b[:rank] = a.A, a.B
+        else:
+            want_a = np.ascontiguousarray(a.A[:, :target])
+            want_b = np.ascontiguousarray(a.B[:target])
+        assert got.A.flags.c_contiguous and got.B.flags.c_contiguous
+        assert got.A.tobytes() == want_a.tobytes()
+        assert got.B.tobytes() == want_b.tobytes()
 
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -84,7 +96,7 @@ class TestZeroPadTruncate:
             r = int(rng.integers(1, min(d, k) + 1))
             a = random_adapter(rng, d, k, r)
             for extra in range(0, min(d, k) - r + 1):
-                back = truncate(zero_pad(a, r + extra), r)
+                back = project_rank(project_rank(a, r + extra), r)
                 assert np.array_equal(back.A, a.A)
                 assert np.array_equal(back.B, a.B)
 
@@ -133,7 +145,7 @@ class TestAggregate:
             out = aggregate_hetero(adapters, weights)
             a_ref, b_ref = np.zeros((5, 3)), np.zeros((3, 4))
             for wi, ad in zip(np.asarray(weights), adapters):
-                padded = zero_pad(ad, 3)
+                padded = project_rank(ad, 3)
                 a_ref += wi * padded.A
                 b_ref += wi * padded.B
             assert out.A.tobytes() == a_ref.tobytes()
@@ -457,17 +469,21 @@ class TestSelection:
 
 
 def hetero_selection_inputs():
-    """The shipped fedft_hetero run's selection inputs, as ``solve_round_selection`` makes them."""
+    """The shipped fedft_hetero run's selection inputs, as ``run_fedft`` hands them over."""
     scenario = load_scenario(HETERO)
     devices, task, train = (scenario.spec[key] for key in ("devices", "task", "train"))
     state = make_synthetic_task(scenario.seed, devices, **task)
-    d, k = state.base.shape
-    sizes = state.dataset_sizes()
-    bits = {p.id: 64.0 * state.device_adapters[p.id].param_count() for p in devices}
-    flops = {p.id: default_step_flops(d, k, state.device_adapters[p.id].rank, sizes[p.id])
-             for p in devices}
-    return (devices, train["total_bandwidth"], bits, flops, train["deadline"],
-            train["noise_density"])
+    seen = []
+
+    def recorded(*args):
+        seen.append(args)
+        return select_devices_and_bandwidth(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedft, "select_devices_and_bandwidth", recorded)
+        run_fedft(state, devices, **dict(train, rounds=0))
+    [args] = seen
+    return args
 
 
 def edge_case_instance(rng):
@@ -641,6 +657,28 @@ class TestSelectionInlineRates:
         assert 0 < calls <= 2 * len(args[0])
 
 
+def test_run_makes_one_shannon_rate_call_per_device_and_participant(monkeypatch):
+    # fedft_hetero: each of the 6 devices' rate at the full band, then each
+    # participant's rate on its share for the round latency; the downlink
+    # reuses the upload times, so there is no third pass
+    scenario = load_scenario(HETERO)
+    devices, task, train = (scenario.spec[key] for key in ("devices", "task", "train"))
+    state = make_synthetic_task(scenario.seed, devices, **task)
+    bands = []
+
+    def counted(*a):
+        bands.append(a[0])
+        return shannon_rate(*a)
+
+    monkeypatch.setattr(fedft, "shannon_rate", counted)
+    monkeypatch.setattr(netsim, "shannon_rate", counted)
+    selection, _, _ = run_fedft(state, devices, **dict(train, rounds=1))
+    assert len(selection.selected) == 6
+    assert len(bands) == 12
+    assert bands[:6] == [train["total_bandwidth"]] * 6
+    assert sorted(bands[6:]) == sorted(selection.bandwidth.values())
+
+
 class TrialCounter:
     """Counts the selection's ranked(tau) calls, and each k's search with
     the width of its bracket in floats."""
@@ -749,6 +787,14 @@ def round_inputs(state, devices, sel):
         p.id: p.local_rank for p in devices}
 
 
+def run_selection(state, devices, deadline):
+    """The selection ``run_fedft`` makes for ``state`` on a 1 MHz band at
+    N0 = 1e-9, with no round run."""
+    selection, _, losses = run_fedft(state, devices, 1e6, deadline, 0.1, 1e-9, rounds=0)
+    assert losses == []
+    return selection
+
+
 class TestFedFtRound:
     def test_single_device_round_equals_local_sgd(self):
         dev = DeviceProfile("a", 1e9, 1e9, 1.0, 0.5, 2)
@@ -759,7 +805,7 @@ class TestFedFtRound:
         before = state.device_adapters["a"]
         x, y = state.datasets["a"]
         expected = lora_sgd_step(state.base, before, x, y, 0.1)
-        sel = solve_round_selection(state, [dev], 1e6, 100.0, 1e-9)
+        sel = run_selection(state, [dev], 100.0)
         assert sel.selected == ("a",)
         loss = fedft_round(state, sel.selected, [1.0], {"a": 2}, 0.1)
         assert state.round_index == 1
@@ -784,7 +830,7 @@ class TestFedFtRound:
         )
         single = lora_sgd_step(state.base, shared_adapter, shared_x, shared_y, 0.1)
         central = mse_loss(state.base, single, shared_x, shared_y)
-        sel = solve_round_selection(state, devices, 1e6, 100.0, 1e-9)
+        sel = run_selection(state, devices, 100.0)
         assert sel.selected == ("d0", "d1", "d2")
         loss = fedft_round(state, *round_inputs(state, devices, sel), 0.1)
         assert abs(loss - central) <= 1e-9
@@ -792,23 +838,23 @@ class TestFedFtRound:
     def test_cached_selection_matches_per_round_solve(self):
         # run_fedft solves the selection once: a round must not change it
         devices, state = hetero_state(seed=3)
-        sel = solve_round_selection(state, devices, 1e6, 30.0, 1e-9)
-        down = downlink_latency(state, devices, sel, 1e-9)
+        sel, latency, _ = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=0)
         inputs = round_inputs(state, devices, sel)
         for _ in range(3):
             fedft_round(state, *inputs, 0.05)
-            assert solve_round_selection(state, devices, 1e6, 30.0, 1e-9) == sel
+            assert run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=0)[:2] == (
+                sel, latency)
         _, state = hetero_state(seed=3)
-        selection, latency, losses = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=3)
-        assert selection == sel
-        assert latency == sel.round_latency + down
+        selection, got, losses = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=3)
+        assert (selection, got) == (sel, latency)
+        assert latency == sel.round_latency + sel.upload_latency
         assert len(losses) == 3
 
     def test_one_projection_per_distinct_rank(self, monkeypatch):
         # ranks 1, 1, 2, 2, 4, 4: three copies, each shared by the devices
         # of its rank and equal to the projected global bit for bit
         devices, state = hetero_state(seed=4)
-        sel = solve_round_selection(state, devices, 1e6, 30.0, 1e-9)
+        sel = run_selection(state, devices, 30.0)
         calls = []
 
         def counted(adapter, target_rank):
@@ -826,17 +872,18 @@ class TestFedFtRound:
             assert shared[0].B.tobytes() == want.B.tobytes()
 
     def test_downlink_latency_matches_projected_copies(self):
-        # the per-run downlink equals the slowest participant's unicast of
-        # its rank-projected global copy, as a round made it, bit for bit
+        # the selection's slowest upload, which the round latency counts
+        # again as the downlink, equals the slowest participant's unicast of
+        # the rank-projected global copy a round handed it, bit for bit
         devices, state = hetero_state(seed=5)
-        sel = solve_round_selection(state, devices, 1e6, 30.0, 1e-9)
-        copies = {p.id: project_rank(state.global_adapter, p.local_rank) for p in devices}
+        sel, latency, _ = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=1)
         want = max(
-            comm_latency(64.0 * copies[p.id].param_count(), shannon_rate(
+            comm_latency(64.0 * state.device_adapters[p.id].param_count(), shannon_rate(
                 sel.bandwidth[p.id], p.channel_gain, p.tx_power, 1e-9))
             for p in devices if p.id in sel.selected
         )
-        assert downlink_latency(state, devices, sel, 1e-9) == want > 0.0
+        assert sel.upload_latency == want > 0.0
+        assert latency == sel.round_latency + want
 
     def test_datasets_fixed_and_pooled_once(self):
         devices, state = hetero_state(seed=6)

@@ -1,6 +1,7 @@
 """Gate selection, virtual queues, and drift-plus-penalty scheduling."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -153,6 +154,22 @@ class TestOrchestrate:
         assert res.time_avg_cost == 0.0
         assert res.time_avg_backlog == 0.0
         assert res.max_backlog == 0.0
+
+    @pytest.mark.parametrize("changed, match", [
+        (dict(n_slots=0), "at least one slot"),
+        (dict(v=math.inf), "V must be finite"),
+        (dict(v=-1.0), "V must be finite"),
+        (dict(load_jitter=1.0), "load_jitter"),
+        (dict(load_jitter=3.0), "load_jitter"),
+        (dict(load_jitter=-0.5), "load_jitter"),
+    ], ids=["no-slots", "v-inf", "v-negative", "jitter-1", "jitter-3", "jitter-negative"])
+    def test_invalid_arguments_raise(self, changed, match):
+        # a jitter of 1 or more could give a call negative FLOPs, which
+        # would lower its device's backlog
+        devices, experts, bw = simple_setup()
+        kwargs = dict(n_slots=10, v=1.0, top_k=1, seed=1, bandwidth=bw, noise_density=1e-9)
+        with pytest.raises(ValueError, match=match):
+            orchestrate(devices, experts, **{**kwargs, **changed})
 
     def test_queue_nonnegativity(self):
         devices, experts, bw = simple_setup()

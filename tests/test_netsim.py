@@ -12,9 +12,10 @@ from edgelam_sim.netsim import (
     MinBandwidth,
     comm_latency,
     comp_latency,
-    fading_sequence,
     shannon_rate,
 )
+from edgelam_sim.moe_orchestrator import fading_sequence
+from edgelam_sim.rng import stream
 from oracles import min_bandwidth
 
 
@@ -161,14 +162,25 @@ class TestTypes:
 
 class TestFading:
     def test_deterministic_per_seed(self):
-        a = fading_sequence(9, "dev", 100)
-        b = fading_sequence(9, "dev", 100)
+        a = fading_sequence(9, "dev", 100, 0.2)
+        b = fading_sequence(9, "dev", 100, 0.2)
         assert np.array_equal(a, b)
 
     def test_distinct_devices_differ(self):
-        a = fading_sequence(9, "dev-a", 100)
-        b = fading_sequence(9, "dev-b", 100)
+        a = fading_sequence(9, "dev-a", 100, 0.2)
+        b = fading_sequence(9, "dev-b", 100, 0.2)
         assert not np.array_equal(a, b)
 
     def test_positive_gains(self):
-        assert np.all(fading_sequence(9, "dev", 1000) > 0)
+        assert np.all(fading_sequence(9, "dev", 1000, 0.2) > 0)
+
+    def test_draws_from_the_device_stream(self):
+        # the stream name fixes the bits of every faded MoE run
+        want = np.exp(0.3 * stream(9, "netsim.fading.dev").standard_normal(50))
+        assert fading_sequence(9, "dev", 50, 0.3).tobytes() == want.tobytes()
+
+    def test_range_checks(self):
+        with pytest.raises(DomainError):
+            fading_sequence(9, "dev", -1, 0.2)
+        with pytest.raises(DomainError):
+            fading_sequence(9, "dev", 10, -0.1)

@@ -466,9 +466,12 @@ class TestCliExitCodes:
         ("casestudy_tokens", ("casestudy",),
          {"budgets": [64], "model": dict(CASESTUDY_MODEL, n_total=640, t_budget=700)},
          "casestudy.model.t_budget"),
+        ("moe_schedule", ("moe", "load_jitter"), 3.0, "moe.load_jitter"),
+        ("moe_schedule", ("moe", "load_jitter"), 1, "moe.load_jitter"),
     ], ids=["replica-list", "failed-list", "opt-out-list", "expert-id-list",
             "expert-id-empty", "expert-id-repeated", "seed-2^64", "unlearn-feature-dim-2",
-            "budget-above-n-total", "t-budget-above-n-total"])
+            "budget-above-n-total", "t-budget-above-n-total", "load-jitter-3",
+            "load-jitter-1"])
     def test_config_error_names_field(self, tmp_path, capsys, command, name, path, value,
                                       where):
         # validate and run read a config with the same parser, so both exit 2
