@@ -83,9 +83,6 @@ class LoraAdapter:
         """Effective weight update A @ B."""
         return self.A @ self.B
 
-    def param_count(self) -> int:
-        return self.A.size + self.B.size
-
 
 # ---------------------------------------------------------------------------
 # rank projection and aggregation

@@ -244,11 +244,11 @@ def _parse_fedft(cfg: dict) -> dict:
     tr = _integer(block, "true_rank", "fedft", minimum=1)
     if tr > min(fd, od):
         raise ConfigError(f"true_rank {tr} exceeds min(dims) {min(fd, od)}", "fedft.true_rank")
-    for d in devices:
+    for i, d in enumerate(devices):
         if d.local_rank > min(fd, od):
             raise ConfigError(
                 f"device {d.id} local_rank {d.local_rank} exceeds min(dims)",
-                "devices",
+                f"devices[{i}].local_rank",
             )
     samples = _integer(block, "samples_per_device", "fedft", minimum=1)
     return {
@@ -272,7 +272,7 @@ def _parse_fedft(cfg: dict) -> dict:
 
 
 def _parse_unlearn(cfg: dict) -> dict:
-    from . import unlearn
+    from . import unlearn  # unused here: loaded for the runner, outside its errstate
 
     devices = parse_devices(cfg)
     block = _object(cfg, "unlearn", "unlearn")
@@ -280,6 +280,8 @@ def _parse_unlearn(cfg: dict) -> dict:
     if delta > 1:
         raise ConfigError("delta must be in (0, 1]", "unlearn.delta")
     opt_out = _device_ids(block.get("opt_out"), {d.id for d in devices}, "unlearn.opt_out")
+    if not opt_out:
+        raise ConfigError("opt-out set must be nonempty", "unlearn.opt_out")
     dp = None
     if block.get("dp") is not None:
         dp_block = _object(block, "dp", "unlearn.dp")
@@ -289,9 +291,7 @@ def _parse_unlearn(cfg: dict) -> dict:
         )
     return {
         "device_ids": [d.id for d in devices],
-        "request": _build(
-            unlearn.UnlearnRequest, "unlearn.opt_out", opt_out_ids=frozenset(opt_out)
-        ),
+        "opt_out": opt_out,
         "task": dict(
             n_classes=_integer(block, "classes", "unlearn", minimum=2),
             # two feature coordinates are reserved for the opt-out signature
@@ -336,8 +336,9 @@ def _parse_moe(cfg: dict) -> dict:
         raise ConfigError(f"top_k {k} exceeds expert count {len(experts)}", "moe.top_k")
     failed = _device_ids(block.get("failed_devices", []), known, "moe.failed_devices")
     sweep = [] if block.get("v_sweep") is None else _list(block, "v_sweep", "moe.v_sweep")
-    if not all(_nonnegative(v) for v in sweep):
-        raise ConfigError("v_sweep entries must be finite numbers >= 0", "moe.v_sweep")
+    for j, v in enumerate(sweep):
+        if not _nonnegative(v):
+            raise ConfigError("v_sweep entries must be finite numbers >= 0", f"moe.v_sweep[{j}]")
     jitter = _number(block, "load_jitter", "moe", default=0.0, minimum=0.0)
     if jitter >= 1.0:  # a call's FLOPs scale by 1 + jitter * (2u - 1), u in [0, 1)
         raise ConfigError(f"must be < 1, got {jitter}", "moe.load_jitter")
@@ -421,9 +422,9 @@ def _parse_casestudy(cfg: dict) -> dict:
 
     block = _object(cfg, "casestudy", "casestudy")
     budgets = _list(block, "budgets", "casestudy.budgets")
-    for b in budgets:
+    for j, b in enumerate(budgets):
         if isinstance(b, bool) or not isinstance(b, int) or b < 1:
-            raise ConfigError("budgets must be positive integers", "casestudy.budgets")
+            raise ConfigError("budgets must be positive integers", f"casestudy.budgets[{j}]")
     calibrate = block.get("calibrate", False)
     if not isinstance(calibrate, bool):
         raise ConfigError("calibrate must be a boolean", "casestudy.calibrate")
@@ -552,17 +553,15 @@ def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
 def _run_unlearn(spec: dict, seed: int, out_dir: Path) -> None:
     from . import unlearn
 
-    request, lr, delta = spec["request"], spec["lr"], spec["delta"]
+    lr, delta = spec["lr"], spec["delta"]
     state = unlearn.make_classification_task(
-        seed, spec["device_ids"], set(request.opt_out_ids), **spec["task"]
+        seed, spec["device_ids"], spec["opt_out"], **spec["task"]
     )
     unlearn.pretrain(state, lr, spec["pretrain_rounds"], delta)
     dp_cfg = None if spec["dp"] is None else unlearn.DpConfig(**spec["dp"], seed=seed)
-    pre_forget = unlearn.forget_loss(state, request, delta)
-    pre_retained = unlearn.retained_loss(state, request, delta)
-    records = unlearn.run_unlearning(
-        state, request, lr, delta, rounds=spec["unlearn_rounds"], dp=dp_cfg
-    )
+    pre_forget = unlearn.forget_loss(state, delta)
+    pre_retained = unlearn.retained_loss(state, delta)
+    records = unlearn.run_unlearning(state, lr, delta, rounds=spec["unlearn_rounds"], dp=dp_cfg)
     rows = [
         [r.round_index, r.forget_loss, r.retained_loss, r.projection_residual_norm, r.sigma]
         for r in records
@@ -577,7 +576,7 @@ def _run_unlearn(spec: dict, seed: int, out_dir: Path) -> None:
         {
             "kind": "unlearn",
             "seed": seed,
-            "opt_out": sorted(request.opt_out_ids),
+            "opt_out": list(state.opt_out),
             "pre_unlearning_forget_loss": pre_forget,
             "pre_unlearning_retained_loss": pre_retained,
             "final_forget_loss": records[-1].forget_loss,

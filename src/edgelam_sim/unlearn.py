@@ -9,32 +9,21 @@ noise on the disseminated update comes from a seeded stream.
 
 The desk-scale task is a softmax-linear classifier on synthetic clusters;
 each opt-out device is a single-class client in its own feature region, so
-its influence on the model is distinguishable and removable.
+its influence on the model is distinguishable and removable.  A run has one
+opt-out set, fixed when its ``UnlearnState`` is built.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import DROP_TOL, gram_schmidt
+from .numerics import gram_schmidt
 from .rng import stream, stream_word
-
-
-@dataclass(frozen=True)
-class UnlearnRequest:
-    """Opt-out declaration: the devices that leave; each unlearns its whole
-    local dataset."""
-
-    opt_out_ids: frozenset[str]
-
-    def __post_init__(self):
-        if not self.opt_out_ids:
-            raise ValueError("opt-out set must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -52,12 +41,12 @@ class RetainedSubspace:
         return self.basis.shape[0]
 
 
-def retained_subspace(retained_gradients, tol: float = DROP_TOL) -> RetainedSubspace:
+def retained_subspace(retained_gradients) -> RetainedSubspace:
     """Gram-Schmidt basis of the retained gradients (dependents dropped)."""
     grads = list(retained_gradients)
     if not grads:
         return RetainedSubspace(np.zeros((0, 0)))
-    basis = gram_schmidt(grads, tol=tol)
+    basis = gram_schmidt(grads)
     if not basis:
         return RetainedSubspace(np.zeros((0, grads[0].size)))
     return RetainedSubspace(np.vstack(basis))
@@ -135,42 +124,44 @@ def bce_dataset_grad(w: np.ndarray, x: np.ndarray, labels: np.ndarray, delta: fl
 
 @dataclass
 class UnlearnState:
-    """Classifier, per-device data, and per-opt-out unlearned models.
+    """Classifier, per-device data, the run's opt-out set, and one unlearned
+    model per opt-out device.
 
     The datasets, which must all have the same shape, are stacked once in
     id order into ``x (D, m, f)`` and ``labels (D, m)``; ``datasets`` then
     becomes a read-only mapping of each id to its slices of the stacks.
+    ``opt_out`` names the devices that leave, each unlearning its whole
+    local dataset; it is kept as a sorted tuple, and the retained devices'
+    stacks are copied out once, in id order, into ``retained_x`` and
+    ``retained_labels``.
     """
 
     global_weights: np.ndarray  # n_classes x feature_dim
     datasets: Mapping[str, tuple[np.ndarray, np.ndarray]]  # id -> (X, labels)
+    opt_out: tuple[str, ...]  # any collection of ids on input
     unlearned: dict[str, np.ndarray] = field(default_factory=dict)
     round_index: int = 0
     device_ids: tuple[str, ...] = field(init=False)
     x: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
-    _retained: dict[frozenset, tuple[np.ndarray, np.ndarray]] = field(
-        init=False, default_factory=dict, repr=False
-    )
+    retained_x: np.ndarray = field(init=False, repr=False)
+    retained_labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.opt_out = tuple(sorted(set(self.opt_out)))
+        if not self.opt_out:
+            raise ValueError("opt-out set must be nonempty")
+        unknown = [dev for dev in self.opt_out if dev not in self.datasets]
+        if unknown:
+            raise ValueError(f"opt-out ids not participating: {unknown}")
         self.device_ids = tuple(sorted(self.datasets))
         self.x = np.stack([self.datasets[dev][0] for dev in self.device_ids])
         self.labels = np.stack([self.datasets[dev][1] for dev in self.device_ids])
         self.datasets = MappingProxyType(
             {dev: (self.x[i], self.labels[i]) for i, dev in enumerate(self.device_ids)}
         )
-
-    def retained(self, opt_out_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked data of the devices outside ``opt_out_ids``, in id order.
-
-        Copied out of the stacks once per opt-out set and kept.
-        """
-        key = frozenset(opt_out_ids)
-        if key not in self._retained:
-            keep = [i for i, dev in enumerate(self.device_ids) if dev not in key]
-            self._retained[key] = (self.x[keep], self.labels[keep])
-        return self._retained[key]
+        keep = [i for i, dev in enumerate(self.device_ids) if dev not in self.opt_out]
+        self.retained_x, self.retained_labels = self.x[keep], self.labels[keep]
 
 
 @dataclass(frozen=True)
@@ -194,11 +185,10 @@ class DpConfig:
 def make_classification_task(
     seed: int,
     device_ids: list[str],
-    opt_out_ids: set[str],
+    opt_out_ids: Collection[str],
     n_classes: int,
     feature_dim: int,
     samples_per_device: int,
-    cluster_spread: float = 0.4,
 ) -> UnlearnState:
     """Synthetic clusters with a structurally distinct opt-out influence.
 
@@ -217,6 +207,7 @@ def make_classification_task(
     rng = stream(seed, "unlearn.clusters")
     shared_means = rng.standard_normal((n_classes, shared_dims))
     leak = 0.3  # opt-out footprint on the shared coordinates
+    spread = 0.4  # std of every sample around its cluster centre
     datasets = {}
     for i, dev in enumerate(device_ids):
         dev_rng = stream(seed, f"unlearn.data.{dev}")
@@ -226,18 +217,16 @@ def make_classification_task(
             x[:, :shared_dims] = leak * dev_rng.standard_normal(
                 (samples_per_device, shared_dims)
             )
-            x[:, shared_dims] = 2.0 + cluster_spread * dev_rng.standard_normal(
-                samples_per_device
-            )
+            x[:, shared_dims] = 2.0 + spread * dev_rng.standard_normal(samples_per_device)
             x[:, shared_dims + 1] = 1.0
         else:
             labels = dev_rng.integers(0, n_classes, size=samples_per_device)
-            x[:, :shared_dims] = shared_means[labels] + cluster_spread * (
+            x[:, :shared_dims] = shared_means[labels] + spread * (
                 dev_rng.standard_normal((samples_per_device, shared_dims))
             )
         datasets[dev] = (x, labels)
     w0 = np.zeros((n_classes, feature_dim))
-    return UnlearnState(w0, datasets)
+    return UnlearnState(w0, datasets, opt_out_ids)
 
 
 def pretrain(state: UnlearnState, lr: float, rounds: int, delta: float) -> None:
@@ -257,11 +246,7 @@ def pretrain(state: UnlearnState, lr: float, rounds: int, delta: float) -> None:
 
 
 def unlearning_round(
-    state: UnlearnState,
-    request: UnlearnRequest,
-    lr: float,
-    delta: float,
-    dp: DpConfig | None = None,
+    state: UnlearnState, lr: float, delta: float, dp: DpConfig | None = None
 ) -> UnlearnRoundRecord:
     """One unlearning round over every opt-out device.
 
@@ -269,20 +254,16 @@ def unlearning_round(
     model) that span the protected subspace; each opt-out model takes a
     projected (optionally noised) ascent step on its forget data.
     """
-    unknown = request.opt_out_ids - set(state.datasets)
-    if unknown:
-        raise ValueError(f"opt-out ids not participating: {sorted(unknown)}")
-    retained_x, retained_labels = state.retained(request.opt_out_ids)
-    for dev in request.opt_out_ids:
+    for dev in state.opt_out:
         if dev not in state.unlearned:
             state.unlearned[dev] = state.global_weights.copy()
 
     shape = state.global_weights.shape
     residual_norm = 0.0
     max_basis_dot = 0.0
-    for dev in sorted(request.opt_out_ids):
+    for dev in state.opt_out:
         w_u = state.unlearned[dev]
-        retained_grads = bce_dataset_grad(w_u, retained_x, retained_labels, delta)
+        retained_grads = bce_dataset_grad(w_u, state.retained_x, state.retained_labels, delta)
         subspace = retained_subspace(retained_grads.reshape(len(retained_grads), w_u.size))
         forget_x, forget_y = state.datasets[dev]
         forget_grad = bce_dataset_grad(w_u, forget_x, forget_y, delta).ravel()
@@ -303,45 +284,39 @@ def unlearning_round(
 
     return UnlearnRoundRecord(
         state.round_index,
-        forget_loss(state, request, delta),
-        retained_loss(state, request, delta),
+        forget_loss(state, delta),
+        retained_loss(state, delta),
         residual_norm,
         dp.sigma if dp is not None else 0.0,
         max_basis_dot,
     )
 
 
-def forget_loss(state: UnlearnState, request: UnlearnRequest, delta: float) -> float:
+def forget_loss(state: UnlearnState, delta: float) -> float:
     """Mean bounded CE of each opt-out model on its own forget data."""
     losses = []
-    for dev in sorted(request.opt_out_ids):
+    for dev in state.opt_out:
         w = state.unlearned.get(dev, state.global_weights)
         x, labels = state.datasets[dev]
         losses.append(bce_dataset_loss(w, x, labels, delta))
     return float(np.mean(losses))
 
 
-def retained_loss(state: UnlearnState, request: UnlearnRequest, delta: float) -> float:
+def retained_loss(state: UnlearnState, delta: float) -> float:
     """Bounded CE of the unlearned model(s) on the union of retained data."""
-    x, labels = state.retained(request.opt_out_ids)
-    if not len(x):
+    if not len(state.retained_x):
         return 0.0
-    x = x.reshape(-1, x.shape[-1])
-    labels = labels.reshape(-1)
+    x = state.retained_x.reshape(-1, state.retained_x.shape[-1])
+    labels = state.retained_labels.reshape(-1)
     losses = []
-    for dev in sorted(request.opt_out_ids):
+    for dev in state.opt_out:
         w = state.unlearned.get(dev, state.global_weights)
         losses.append(bce_dataset_loss(w, x, labels, delta))
     return float(np.mean(losses))
 
 
 def run_unlearning(
-    state: UnlearnState,
-    request: UnlearnRequest,
-    lr: float,
-    delta: float,
-    rounds: int,
-    dp: DpConfig | None = None,
+    state: UnlearnState, lr: float, delta: float, rounds: int, dp: DpConfig | None = None
 ) -> list[UnlearnRoundRecord]:
     """Run ``rounds`` unlearning rounds, returning the per-round trace."""
-    return [unlearning_round(state, request, lr, delta, dp) for _ in range(rounds)]
+    return [unlearning_round(state, lr, delta, dp) for _ in range(rounds)]

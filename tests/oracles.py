@@ -647,32 +647,32 @@ def pretrain_per_device(state, lr, rounds, delta):
         state.global_weights = state.global_weights - lr * grad
 
 
-def retained_loss_concatenated(state, request, delta):
+def retained_loss_concatenated(state, delta):
     """Bounded CE of each unlearned model on the concatenated retained data."""
     datasets = _own_arrays(state)
-    retained_ids = sorted(set(datasets) - request.opt_out_ids)
+    retained_ids = sorted(set(datasets) - set(state.opt_out))
     if not retained_ids:
         return 0.0
     x = np.concatenate([datasets[rid][0] for rid in retained_ids])
     labels = np.concatenate([datasets[rid][1] for rid in retained_ids])
     losses = []
-    for dev in sorted(request.opt_out_ids):
+    for dev in sorted(state.opt_out):
         w = state.unlearned.get(dev, state.global_weights)
         losses.append(bce_dataset_loss(w, x, labels, delta))
     return float(np.mean(losses))
 
 
-def unlearning_round_per_device(state, request, lr, delta, dp=None):
+def unlearning_round_per_device(state, lr, delta, dp=None):
     """One unlearning round with one gradient call per retained device."""
     datasets = _own_arrays(state)
-    retained_ids = sorted(set(datasets) - request.opt_out_ids)
-    for dev in request.opt_out_ids:
+    retained_ids = sorted(set(datasets) - set(state.opt_out))
+    for dev in state.opt_out:
         if dev not in state.unlearned:
             state.unlearned[dev] = state.global_weights.copy()
     shape = state.global_weights.shape
     residual_norm = 0.0
     max_basis_dot = 0.0
-    for dev in sorted(request.opt_out_ids):
+    for dev in sorted(state.opt_out):
         w_u = state.unlearned[dev]
         retained_grads = [
             bce_grad_one_dataset(w_u, *datasets[rid], delta).ravel() for rid in retained_ids
@@ -691,8 +691,8 @@ def unlearning_round_per_device(state, request, lr, delta, dp=None):
     state.round_index += 1
     return UnlearnRoundRecord(
         state.round_index,
-        forget_loss(state, request, delta),
-        retained_loss_concatenated(state, request, delta),
+        forget_loss(state, delta),
+        retained_loss_concatenated(state, delta),
         residual_norm,
         dp.sigma if dp is not None else 0.0,
         max_basis_dot,

@@ -153,13 +153,13 @@ def test_criterion_4_unlearning_efficacy():
     baseline = unlearn.UnlearnState(
         state.global_weights.copy(),
         {k: (x.copy(), y.copy()) for k, (x, y) in state.datasets.items()},
+        {"d3"},
     )
-    request = unlearn.UnlearnRequest(frozenset({"d3"}))
-    pre_forget = unlearn.forget_loss(state, request, delta)
-    records = unlearn.run_unlearning(state, request, lr, delta, 100)
+    pre_forget = unlearn.forget_loss(state, delta)
+    records = unlearn.run_unlearning(state, lr, delta, 100)
     # the baseline run applies no unlearning: its model stays the pretrained
     # global, so its retained loss is the pre-unlearning value
-    baseline_retained = unlearn.retained_loss(baseline, request, delta)
+    baseline_retained = unlearn.retained_loss(baseline, delta)
     final = records[-1]
     assert final.forget_loss >= 2.0 * pre_forget
     assert abs(final.retained_loss - baseline_retained) / baseline_retained <= 0.05

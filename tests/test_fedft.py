@@ -877,8 +877,9 @@ class TestFedFtRound:
         # the rank-projected global copy a round handed it, bit for bit
         devices, state = hetero_state(seed=5)
         sel, latency, _ = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=1)
+        params = {dev: a.A.size + a.B.size for dev, a in state.device_adapters.items()}
         want = max(
-            comm_latency(64.0 * state.device_adapters[p.id].param_count(), shannon_rate(
+            comm_latency(64.0 * params[p.id], shannon_rate(
                 sel.bandwidth[p.id], p.channel_gain, p.tx_power, 1e-9))
             for p in devices if p.id in sel.selected
         )

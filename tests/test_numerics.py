@@ -85,8 +85,7 @@ def unlearning_run(seed, n_devices, n_opt_out, pretrain_rounds, rounds=25):
     state = unlearn.make_classification_task(rng.randrange(1, 2**31), ids, opt_out, 3, 10, 40)
     unlearn.pretrain(state, 0.5, pretrain_rounds, 0.05)
     dp = unlearn.DpConfig(1.0, rng.uniform(0.05, 0.2), seed)
-    unlearn.run_unlearning(state, unlearn.UnlearnRequest(frozenset(opt_out)), 0.5, 0.05,
-                           rounds, dp)
+    unlearn.run_unlearning(state, 0.5, 0.05, rounds, dp)
 
 
 @pytest.fixture

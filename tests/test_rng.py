@@ -24,12 +24,32 @@ def test_seeds_differ():
     assert not np.array_equal(a, b)
 
 
+# Frozen values, measured with numpy 2.4.6: the stream derivation and each
+# distribution drawn from it are part of the reproducibility contract and
+# must never drift between versions.  One test per distribution, so that a
+# failure names it.
+
 def test_stream_word_stable():
-    # frozen value: the stream derivation is part of the reproducibility
-    # contract and must never drift between versions
-    assert stream_word("fedft.base") == stream_word("fedft.base")
-    w = stream_word("casestudy")
-    assert 0 <= w < 2**64
+    assert stream_word("fedft.base") == 0xA0FA0817DDF9CE2
+    assert stream_word("unlearn.clusters") == 0xBC8B0EDCBA66425E
+    assert stream_word("moe.arrivals") == 0xB0E06E067FEDAEF6
+    assert stream_word("cot.local_search") == 0xED9E6CFC921242E8
+
+
+def test_uniform_double_stable():
+    assert stream(1, "moe.arrivals").random().hex() == "0x1.86304656e3c14p-3"
+
+
+def test_permutation_stable():
+    assert stream(3, "cot.local_search").permutation(5).tolist() == [4, 0, 3, 2, 1]
+
+
+def test_bounded_integers_stable():
+    assert stream(7, "unlearn.data.d0").integers(0, 3, size=4).tolist() == [0, 1, 2, 0]
+
+
+def test_standard_normal_stable():
+    assert stream(7, "fedft.base").standard_normal().hex() == "0x1.912b86b933bfcp-1"
 
 
 def test_seed_range_checked():

@@ -468,10 +468,15 @@ class TestCliExitCodes:
          "casestudy.model.t_budget"),
         ("moe_schedule", ("moe", "load_jitter"), 3.0, "moe.load_jitter"),
         ("moe_schedule", ("moe", "load_jitter"), 1, "moe.load_jitter"),
+        ("fedft_hetero", ("devices", 2, "local_rank"), 99, "devices[2].local_rank"),
+        ("casestudy_tokens", ("casestudy", "budgets"), [64, 0], "casestudy.budgets[1]"),
+        ("moe_tradeoff", ("moe", "v_sweep"), [0.1, -1.0], "moe.v_sweep[1]"),
+        ("unlearn_optout", ("unlearn", "opt_out"), [], "unlearn.opt_out"),
     ], ids=["replica-list", "failed-list", "opt-out-list", "expert-id-list",
             "expert-id-empty", "expert-id-repeated", "seed-2^64", "unlearn-feature-dim-2",
             "budget-above-n-total", "t-budget-above-n-total", "load-jitter-3",
-            "load-jitter-1"])
+            "load-jitter-1", "local-rank-above-dims", "budget-not-positive",
+            "v-sweep-negative", "opt-out-empty"])
     def test_config_error_names_field(self, tmp_path, capsys, command, name, path, value,
                                       where):
         # validate and run read a config with the same parser, so both exit 2

@@ -10,7 +10,6 @@ import pytest
 from edgelam_sim.errors import ShapeError
 from edgelam_sim.unlearn import (
     DpConfig,
-    UnlearnRequest,
     UnlearnState,
     add_dp_noise,
     bce_dataset_grad,
@@ -214,7 +213,7 @@ class TestUnlearningRound:
         ids = ["d0", "d1", "d2", "d3"]
         state = make_classification_task(seed, ids, {"d3"}, 2, 6, 40)
         pretrain(state, 0.5, 300, 0.05)
-        return state, UnlearnRequest(frozenset({"d3"}))
+        return state
 
     def test_all_opt_out_equals_plain_ascent(self):
         # no retained devices: projection is the identity
@@ -225,8 +224,7 @@ class TestUnlearningRound:
         grads = {
             dev: bce_dataset_grad(w0, *state.datasets[dev], 0.05) for dev in ids
         }
-        request = UnlearnRequest(frozenset(ids))
-        unlearning_round(state, request, lr=0.2, delta=0.05)
+        unlearning_round(state, lr=0.2, delta=0.05)
         for dev in ids:
             expected = w0 + 0.2 * grads[dev]
             assert np.max(np.abs(state.unlearned[dev] - expected)) <= 1e-12
@@ -234,43 +232,57 @@ class TestUnlearningRound:
     def test_parallel_gradients_give_zero_update(self):
         # identical retained and forget datasets: forget gradient sits in
         # the retained span, so the projected update must vanish
-        x, labels = make_classification_task(9, ["r"], set(), 2, 4, 30).datasets["r"]
-        state = UnlearnState(np.zeros((2, 4)), {"r": (x, labels), "f": (x, labels)})
+        task = make_classification_task(9, ["r", "o"], {"o"}, 2, 4, 30)
+        x, labels = task.datasets["r"]
+        state = UnlearnState(np.zeros((2, 4)), {"r": (x, labels), "f": (x, labels)}, {"f"})
         pretrain(state, 0.5, 100, 0.05)
         w0 = state.global_weights.copy()
-        request = UnlearnRequest(frozenset({"f"}))
-        before = retained_loss(state, request, 0.05)
-        record = unlearning_round(state, request, lr=0.5, delta=0.05)
+        before = retained_loss(state, 0.05)
+        record = unlearning_round(state, lr=0.5, delta=0.05)
         assert record.projection_residual_norm <= 1e-10
         assert np.max(np.abs(state.unlearned["f"] - w0)) <= 1e-10
-        assert abs(retained_loss(state, request, 0.05) - before) <= 1e-9
+        assert abs(retained_loss(state, 0.05) - before) <= 1e-9
 
     def test_orthogonality_every_round(self):
-        state, request = self.make_state()
-        records = run_unlearning(state, request, 0.5, 0.05, 30)
+        state = self.make_state()
+        records = run_unlearning(state, 0.5, 0.05, 30)
         assert max(r.basis_alignment for r in records) <= 1e-10
 
     def test_forget_rises_retained_stays(self):
-        state, request = self.make_state()
-        pre_f = forget_loss(state, request, 0.05)
-        pre_r = retained_loss(state, request, 0.05)
-        records = run_unlearning(state, request, 0.5, 0.05, 100)
+        state = self.make_state()
+        pre_f = forget_loss(state, 0.05)
+        pre_r = retained_loss(state, 0.05)
+        records = run_unlearning(state, 0.5, 0.05, 100)
         assert records[-1].forget_loss >= 2.0 * pre_f
         assert abs(records[-1].retained_loss - pre_r) / pre_r <= 0.05
 
     def test_dp_noise_keeps_determinism(self):
-        state_a, request = self.make_state()
-        state_b, _ = self.make_state()
+        state_a = self.make_state()
+        state_b = self.make_state()
         dp = DpConfig(clip_norm=1.0, sigma=0.3, seed=77)
-        rec_a = run_unlearning(state_a, request, 0.3, 0.05, 10, dp=dp)
-        rec_b = run_unlearning(state_b, request, 0.3, 0.05, 10, dp=dp)
+        rec_a = run_unlearning(state_a, 0.3, 0.05, 10, dp=dp)
+        rec_b = run_unlearning(state_b, 0.3, 0.05, 10, dp=dp)
         assert [r.forget_loss for r in rec_a] == [r.forget_loss for r in rec_b]
         assert np.array_equal(state_a.unlearned["d3"], state_b.unlearned["d3"])
 
-    def test_unknown_opt_out_rejected(self):
-        state, _ = self.make_state()
-        with pytest.raises(ValueError):
-            unlearning_round(state, UnlearnRequest(frozenset({"zz"})), 0.1, 0.05)
+    def test_bad_opt_out_rejected_at_construction(self):
+        data = {dev: (np.zeros((4, 3)), np.zeros(4, int)) for dev in ("d0", "d3")}
+        for opt_out, message in [
+            (set(), "opt-out set must be nonempty"),
+            ({"d3", "zz", "aa"}, r"opt-out ids not participating: \['aa', 'zz'\]"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                UnlearnState(np.zeros((2, 3)), data, opt_out)
+            with pytest.raises(ValueError, match=message):
+                make_classification_task(7, ["d0", "d3"], opt_out, 2, 6, 40)
+
+    def test_opt_out_sorted_and_retained_stacks_copied(self):
+        state = make_classification_task(5, ["d2", "d0", "d3", "d1"], ["d3", "d1", "d3"], 2, 6, 8)
+        assert state.opt_out == ("d1", "d3")
+        assert same_bits(state.retained_x, np.stack([state.datasets[d][0] for d in ("d0", "d2")]))
+        assert same_bits(state.retained_labels,
+                         np.stack([state.datasets[d][1] for d in ("d0", "d2")]))
+        assert not np.shares_memory(state.retained_x, state.x)
 
 
 class TestStackedGradient:
@@ -296,7 +308,7 @@ class TestStackedGradient:
         w = np.zeros((2, 3))
         with pytest.raises(ValueError):
             UnlearnState(w, {"a": (np.zeros((4, 3)), np.zeros(4, int)),
-                             "b": (np.zeros((5, 3)), np.zeros(5, int))})
+                             "b": (np.zeros((5, 3)), np.zeros(5, int))}, {"a"})
 
 
 def oracle_configs():
@@ -346,13 +358,11 @@ class TestBatchedMatchesPerDevice:
         pretrain_per_device(ref, lr, cfg["pretrain_rounds"], delta)
         assert same_bits(ours.global_weights, ref.global_weights)
 
-        request = UnlearnRequest(frozenset(opt_out))
-        assert same_bits(retained_loss(ours, request, delta),
-                         retained_loss_concatenated(ref, request, delta))
+        assert same_bits(retained_loss(ours, delta), retained_loss_concatenated(ref, delta))
         dp = None if cfg["dp"] is None else DpConfig(*cfg["dp"], seed=cfg["seed"])
         for _ in range(cfg["rounds"]):
-            got = unlearning_round(ours, request, lr, delta, dp)
-            want = unlearning_round_per_device(ref, request, lr, delta, dp)
+            got = unlearning_round(ours, lr, delta, dp)
+            want = unlearning_round_per_device(ref, lr, delta, dp)
             assert got.round_index == want.round_index
             assert same_bits(dataclasses.astuple(got), dataclasses.astuple(want))
         assert sorted(ours.unlearned) == sorted(ref.unlearned) == sorted(opt_out)
