@@ -20,36 +20,10 @@ import numpy as np
 
 from ._accel import placement_scan
 from .errors import PlacementError, SizeLimitError
-from .netsim import DeviceProfile, shannon_rate
+from .netsim import CotChain, CotStep, DeviceProfile, shannon_rate
 from .rng import stream
 
 ENUMERATION_GUARD = 10**6
-
-
-@dataclass(frozen=True)
-class CotStep:
-    workload: float  # FLOPs
-    handoff_size: float  # bits shipped to the next step
-
-    def __post_init__(self):
-        if self.workload <= 0:
-            raise ValueError("step workload must be > 0")
-        if self.handoff_size < 0:
-            raise ValueError("handoff_size must be >= 0")
-
-
-@dataclass(frozen=True)
-class CotChain:
-    """Ordered reasoning steps; as a graph, a path."""
-
-    steps: tuple[CotStep, ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("chain needs at least one step")
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 @dataclass(frozen=True)

@@ -34,26 +34,8 @@ import numpy as np
 
 from ._accel import assignment_scores
 from .errors import DomainError, SchedulingError
-from .netsim import DeviceProfile, shannon_rate
+from .netsim import DeviceProfile, ExpertMicroservice, shannon_rate
 from .rng import stream
-
-
-@dataclass(frozen=True)
-class ExpertMicroservice:
-    """One virtualized expert: its cost per call and where replicas live."""
-
-    id: str
-    workload_per_call: float  # FLOPs
-    output_size: float  # bits
-    replicas: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.workload_per_call <= 0:
-            raise ValueError(f"expert {self.id}: workload must be > 0")
-        if self.output_size < 0:
-            raise ValueError(f"expert {self.id}: output_size must be >= 0")
-        if not self.replicas:
-            raise ValueError(f"expert {self.id}: replica set must be nonempty")
 
 
 def gate_select(scores, k: int) -> np.ndarray:
@@ -226,6 +208,21 @@ def orchestrate(
         time_avg_backlog=backlog_sum / n_slots,
         max_backlog=float(backlogs.max()),
     )
+
+
+def trace_rows(result: OrchestrationResult) -> list[list]:
+    """One row per slot: slot, the calls as ``expert=device`` joined by ``;``
+    (empty where no task arrived), slot cost and every device's backlog."""
+    pairs = np.array(
+        [[f"{e}={d}" for d in result.device_ids] for e in result.expert_ids], dtype=object
+    )
+    placed = iter(";".join(row) for row in pairs[result.calls, result.chosen].tolist())
+    return [
+        [slot, next(placed) if arrived else "", cost, *backlogs]
+        for slot, (arrived, cost, backlogs) in enumerate(
+            zip(result.arrived.tolist(), result.slot_cost.tolist(), result.backlogs.tolist())
+        )
+    ]
 
 
 def fading_sequence(seed: int, device_id: str, n_slots: int, sigma: float) -> np.ndarray:

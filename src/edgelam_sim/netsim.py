@@ -6,6 +6,11 @@ sees noise power N0*B, so its uplink rate is B*log2(1 + g*p/(N0*B)); this
 is a deliberate Shannon-capacity stand-in, not a measured radio model.
 Channels are static here; the MoE scheduler's optional per-slot fading
 scales a device's gain by a seeded sequence of its own.
+
+The module also holds the value types a scenario config describes, so the
+config parser builds them without loading a solver or numpy: the device
+(``DeviceProfile``), an MoE expert (``ExpertMicroservice``) and a CoT chain
+(``CotStep``, ``CotChain``).
 """
 
 from __future__ import annotations
@@ -38,6 +43,50 @@ class DeviceProfile:
             raise DomainError(f"device {self.id}: tx_power must be >= 0")
         if self.local_rank < 1:
             raise DomainError(f"device {self.id}: local_rank must be >= 1")
+
+
+@dataclass(frozen=True)
+class ExpertMicroservice:
+    """One virtualized expert: its cost per call and where replicas live."""
+
+    id: str
+    workload_per_call: float  # FLOPs
+    output_size: float  # bits
+    replicas: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.workload_per_call <= 0:
+            raise ValueError(f"expert {self.id}: workload must be > 0")
+        if self.output_size < 0:
+            raise ValueError(f"expert {self.id}: output_size must be >= 0")
+        if not self.replicas:
+            raise ValueError(f"expert {self.id}: replica set must be nonempty")
+
+
+@dataclass(frozen=True)
+class CotStep:
+    workload: float  # FLOPs
+    handoff_size: float  # bits shipped to the next step
+
+    def __post_init__(self):
+        if self.workload <= 0:
+            raise ValueError("step workload must be > 0")
+        if self.handoff_size < 0:
+            raise ValueError("handoff_size must be >= 0")
+
+
+@dataclass(frozen=True)
+class CotChain:
+    """Ordered reasoning steps; as a graph, a path."""
+
+    steps: tuple[CotStep, ...]
+
+    def __post_init__(self):
+        if not self.steps:
+            raise ValueError("chain needs at least one step")
+
+    def __len__(self) -> int:
+        return len(self.steps)
 
 
 def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: float) -> float:

@@ -6,7 +6,9 @@ are backed by the Philox-4x64-10 counter-based generator as implemented by
 ``numpy.random.Philox``: the 128-bit key is ``(seed, first 8 bytes of
 SHA-256(stream name), little-endian)``.  Distribution sampling on top of
 the raw counter stream (uniform doubles, ziggurat normals) follows
-``numpy.random.Generator``.
+``numpy.random.Generator``.  The module imports both classes by name, so
+importing it loads ``numpy.random``, which numpy would otherwise load at the
+first ``np.random`` access: inside the first run's raising ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 
 def stream_word(name: str) -> int:
@@ -22,7 +25,7 @@ def stream_word(name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def stream(seed: int, name: str) -> np.random.Generator:
+def stream(seed: int, name: str) -> Generator:
     """Return the generator for stream ``name`` under ``seed``.
 
     Distinct names yield statistically independent streams; the same
@@ -31,4 +34,4 @@ def stream(seed: int, name: str) -> np.random.Generator:
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must fit in u64, got {seed}")
     key = np.array([int(seed), stream_word(name)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))

@@ -9,30 +9,32 @@ exactly when a run can build it.  Every run is a pure function of the
 config bytes and the seed: outputs (UTF-8 CSV with a header row,
 pretty-printed JSON with sorted keys) are byte-identical across re-runs.
 
-Each kind's solver module is imported on first use, by the kind's parser
-(and again, for the name, by its runner), so a run loads only its own
-kind's modules.  The parser runs before ``run_guarded`` enters its raising
-``np.errstate``, so no module body executes under that guard.
+The parsers use the standard library and ``netsim``'s value types only, so
+``validate`` and every config error load no solver module and no numpy.
+``run_guarded`` imports the kind's solver module (named in ``_KINDS``), and
+then numpy, after the parse and before it enters its raising
+``np.errstate``; a run loads only its own kind's modules.  Every module the
+run uses has then been imported, ``numpy.random`` too (``rng`` imports it
+by name, since numpy loads it on first use otherwise), so no module body
+executes under that guard.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ConfigError, PlacementError, SchedulingError, SizeLimitError
 
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from . import moe_orchestrator as moe
     from .netsim import DeviceProfile
 
 EXIT_OK = 0
@@ -124,12 +126,17 @@ def _list(cfg: dict, key: str, where: str) -> list:
 
 
 def _device_ids(ids, known: set[str], where: str) -> list[str]:
-    """``ids`` as a list of configured device ids; strings are checked before membership."""
+    """``ids`` as a list of distinct configured device ids; strings are
+    checked before membership."""
     if not isinstance(ids, list):
         raise ConfigError("expected a list of device ids", where)
+    seen = set()
     for j, dev in enumerate(ids):
         if not isinstance(dev, str) or dev not in known:
             raise ConfigError(f"{dev!r} is not a device id", f"{where}[{j}]")
+        if dev in seen:
+            raise ConfigError(f"{dev!r} is listed twice", f"{where}[{j}]")
+        seen.add(dev)
     return ids
 
 
@@ -204,7 +211,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown kind {kind!r}, expected one of {tuple(_KINDS)}", "$.kind")
     seed = _check_seed(_integer(cfg, "seed", "$"), "$.seed")
-    parse, _, _ = _KINDS[kind]
+    parse = _KINDS[kind][0]
     return Scenario(kind, seed, parse(cfg))
 
 
@@ -234,8 +241,6 @@ def make_out_dir(out_dir: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 def _parse_fedft(cfg: dict) -> dict:
-    from . import fedft  # unused here: loaded for the runner, outside its errstate
-
     devices = parse_devices(cfg)
     ch = _channel(cfg)
     block = _object(cfg, "fedft", "fedft")
@@ -272,8 +277,6 @@ def _parse_fedft(cfg: dict) -> dict:
 
 
 def _parse_unlearn(cfg: dict) -> dict:
-    from . import unlearn  # unused here: loaded for the runner, outside its errstate
-
     devices = parse_devices(cfg)
     block = _object(cfg, "unlearn", "unlearn")
     delta = _number(block, "delta", "unlearn", positive=True)
@@ -307,7 +310,7 @@ def _parse_unlearn(cfg: dict) -> dict:
 
 
 def _parse_moe(cfg: dict) -> dict:
-    from . import moe_orchestrator as moe
+    from .netsim import ExpertMicroservice
 
     devices = parse_devices(cfg)
     ch = _channel(cfg)
@@ -321,7 +324,7 @@ def _parse_moe(cfg: dict) -> dict:
         replicas = _device_ids(_require(entry, "replicas", w), known, f"{w}.replicas")
         experts.append(
             _build(
-                moe.ExpertMicroservice,
+                ExpertMicroservice,
                 w,
                 id=_string(entry, "id", w),
                 workload_per_call=_number(entry, "workload", w, positive=True),
@@ -370,7 +373,7 @@ def _parse_moe(cfg: dict) -> dict:
 
 
 def _parse_cot(cfg: dict) -> dict:
-    from . import cot_placement as cot
+    from .netsim import CotChain, CotStep
 
     devices = parse_devices(cfg)
     ch = _channel(cfg)
@@ -382,7 +385,7 @@ def _parse_cot(cfg: dict) -> dict:
             raise ConfigError("step entry must be an object", w)
         steps.append(
             _build(
-                cot.CotStep,
+                CotStep,
                 w,
                 workload=_number(entry, "workload", w, positive=True),
                 handoff_size=_number(entry, "handoff_size", w, minimum=0.0),
@@ -407,7 +410,7 @@ def _parse_cot(cfg: dict) -> dict:
         raise ConfigError(f"unknown solver {solver!r}", "cot.solver")
     return {
         "devices": devices,
-        "chain": cot.CotChain(tuple(steps)),
+        "chain": CotChain(tuple(steps)),
         "gains": gains,
         "link_bandwidth": ch["link_bandwidth"],
         "noise_density": ch["noise_density"],
@@ -418,8 +421,6 @@ def _parse_cot(cfg: dict) -> dict:
 
 
 def _parse_casestudy(cfg: dict) -> dict:
-    from . import casestudy as cs
-
     block = _object(cfg, "casestudy", "casestudy")
     budgets = _list(block, "budgets", "casestudy.budgets")
     for j, b in enumerate(budgets):
@@ -446,23 +447,19 @@ def _parse_casestudy(cfg: dict) -> dict:
     t_budget = _integer(model, "t_budget", where, minimum=1)
     if t_budget > n_total:
         raise ConfigError(f"exceeds n_total {n_total}", f"{where}.t_budget")
-    return {
-        "budgets": budgets,
-        "targets": None,
-        # the TokenBudgetModel arguments; the run builds the model, whose
-        # device-limit check is an infeasible scenario, not a config error
-        "model": dict(
-            n_total=n_total,
-            t_budget=t_budget,
-            alpha_mem=_number(model, "alpha_mem", where, positive=True),
-            beta_comp=_number(model, "beta_comp", where, positive=True),
-            gamma_handoff=_number(model, "gamma_handoff", where, minimum=0.0),
-            base_mem=_number(model, "base_mem", where, minimum=0.0),
-            compute_rate=_number(
-                model, "compute_rate", where, default=cs.DEFAULT_COMPUTE_RATE, positive=True
-            ),
-        ),
-    }
+    # the TokenBudgetModel arguments; the run builds the model, whose
+    # device-limit check is an infeasible scenario, not a config error
+    args = dict(
+        n_total=n_total,
+        t_budget=t_budget,
+        alpha_mem=_number(model, "alpha_mem", where, positive=True),
+        beta_comp=_number(model, "beta_comp", where, positive=True),
+        gamma_handoff=_number(model, "gamma_handoff", where, minimum=0.0),
+        base_mem=_number(model, "base_mem", where, minimum=0.0),
+    )
+    if "compute_rate" in model:  # else the model's default applies
+        args["compute_rate"] = _number(model, "compute_rate", where, positive=True)
+    return {"budgets": budgets, "targets": None, "model": args}
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +591,7 @@ def _run_moe(spec: dict, seed: int, out_dir: Path) -> None:
     write_csv(
         out_dir / "moe_trace.csv",
         ["slot", "assignment", "slot_cost", *[f"backlog_{dev}" for dev in result.device_ids]],
-        _moe_trace_rows(result),
+        moe.trace_rows(result),
     )
     summary = {
         "kind": "moe",
@@ -621,21 +618,6 @@ def _run_moe(spec: dict, seed: int, out_dir: Path) -> None:
             )
         summary["v_sweep"] = entries
     write_json(out_dir / "moe_summary.json", summary)
-
-
-def _moe_trace_rows(result: moe.OrchestrationResult) -> list[list]:
-    """One row per slot: slot, the calls as ``expert=device`` joined by ``;``
-    (empty where no task arrived), slot cost and every device's backlog."""
-    pairs = np.array(
-        [[f"{e}={d}" for d in result.device_ids] for e in result.expert_ids], dtype=object
-    )
-    placed = iter(";".join(row) for row in pairs[result.calls, result.chosen].tolist())
-    return [
-        [slot, next(placed) if arrived else "", cost, *backlogs]
-        for slot, (arrived, cost, backlogs) in enumerate(
-            zip(result.arrived.tolist(), result.slot_cost.tolist(), result.backlogs.tolist())
-        )
-    ]
 
 
 def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
@@ -727,14 +709,19 @@ def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
     write_json(out_dir / "casestudy_summary.json", summary)
 
 
-# kind -> (parser, runner, the files the runner writes)
+# kind -> (parser, solver module, runner, the files the runner writes)
 _KINDS = {
-    "fedft": (_parse_fedft, _run_fedft, ("fedft_rounds.csv", "fedft_summary.json")),
-    "unlearn": (_parse_unlearn, _run_unlearn, ("unlearn_rounds.csv", "unlearn_summary.json")),
-    "moe": (_parse_moe, _run_moe, ("moe_trace.csv", "moe_summary.json")),
-    "cot": (_parse_cot, _run_cot, ("cot_result.json",)),
+    "fedft": (_parse_fedft, "fedft", _run_fedft, ("fedft_rounds.csv", "fedft_summary.json")),
+    "unlearn": (
+        _parse_unlearn, "unlearn", _run_unlearn, ("unlearn_rounds.csv", "unlearn_summary.json")
+    ),
+    "moe": (_parse_moe, "moe_orchestrator", _run_moe, ("moe_trace.csv", "moe_summary.json")),
+    "cot": (_parse_cot, "cot_placement", _run_cot, ("cot_result.json",)),
     "casestudy": (
-        _parse_casestudy, _run_casestudy, ("casestudy_sweep.csv", "casestudy_summary.json")
+        _parse_casestudy,
+        "casestudy",
+        _run_casestudy,
+        ("casestudy_sweep.csv", "casestudy_summary.json"),
     ),
 }
 
@@ -749,10 +736,11 @@ def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int,
     (0/2/3) and the diagnostic line to print ("" on success).
 
     ``load`` parses the scenario, raising ConfigError, before the run.  The
-    runner executes with numpy's overflow, divide-by-zero and invalid
-    operations raising, so no inf or nan that an operation produces goes
-    unseen: it exits 3 as a numeric overflow.  An array too large to
-    allocate exits 3 as out of memory.  The parser has already rejected
+    kind's solver module and numpy are imported next, and the runner then
+    executes with numpy's overflow, divide-by-zero and invalid operations
+    raising, so no inf or nan that an operation produces goes unseen: it
+    exits 3 as a numeric overflow.  An array too large to allocate exits 3
+    as out of memory.  The parser has already rejected
     non-finite config numbers, and the kernels do not check again.  A run
     that exits 3 removes its kind's output files, so a result in
     ``out_dir`` is never partial (nor left over from an earlier run).
@@ -762,7 +750,12 @@ def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int,
         out = make_out_dir(out_dir)
     except ConfigError as exc:
         return EXIT_CONFIG, f"config error: {exc}"
-    _, run, outputs = _KINDS[scenario.kind]
+    _, module, run, outputs = _KINDS[scenario.kind]
+    # after the parse, which needs neither, and before the raising errstate,
+    # so that no module body runs under it
+    importlib.import_module(f".{module}", __package__)
+    import numpy as np
+
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             run(scenario.spec, scenario.seed, out)

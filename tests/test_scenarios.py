@@ -472,11 +472,16 @@ class TestCliExitCodes:
         ("casestudy_tokens", ("casestudy", "budgets"), [64, 0], "casestudy.budgets[1]"),
         ("moe_tradeoff", ("moe", "v_sweep"), [0.1, -1.0], "moe.v_sweep[1]"),
         ("unlearn_optout", ("unlearn", "opt_out"), [], "unlearn.opt_out"),
+        ("moe_tradeoff", ("moe", "experts", 0, "replicas"), ["d0", "d1", "d0"],
+         "moe.experts[0].replicas[2]"),
+        ("moe_tradeoff", ("moe", "failed_devices"), ["d0", "d0"], "moe.failed_devices[1]"),
+        ("unlearn_optout", ("unlearn", "opt_out"), ["d3", "d3"], "unlearn.opt_out[1]"),
     ], ids=["replica-list", "failed-list", "opt-out-list", "expert-id-list",
             "expert-id-empty", "expert-id-repeated", "seed-2^64", "unlearn-feature-dim-2",
             "budget-above-n-total", "t-budget-above-n-total", "load-jitter-3",
             "load-jitter-1", "local-rank-above-dims", "budget-not-positive",
-            "v-sweep-negative", "opt-out-empty"])
+            "v-sweep-negative", "opt-out-empty", "replica-repeated", "failed-repeated",
+            "opt-out-repeated"])
     def test_config_error_names_field(self, tmp_path, capsys, command, name, path, value,
                                       where):
         # validate and run read a config with the same parser, so both exit 2
