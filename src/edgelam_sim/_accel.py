@@ -25,17 +25,18 @@ _MARGIN = 1.0 + 1e-12
 def placement_scan(comp, comm, mem, cap):
     """Exact placement search; return (assignment, cost, n_feasible).
 
-    ``comp``: (S, D) per-step compute latency; ``comm``: (S-1, D, D) handoff
-    latency between consecutive steps; ``mem``: (S,) bytes (>= 0) per
-    deployed step; ``cap``: (D,) device capacities.  A placement is feasible
-    when each device's load, summed in step order from 0.0, is <= its
-    capacity.  assignment lists the device of each step of the cheapest
-    feasible placement; among equal costs the lexicographically smallest
-    wins.  assignment is None (and cost inf) when no feasible placement has
-    a finite cost.  n_feasible counts the feasible placements.
+    Nested lists of Python floats: ``comp[s][d]``, the compute latency of
+    step s on device d; ``comm[s][a][b]``, the handoff latency from step s
+    on a to step s+1 on b; ``mem[s]``, the bytes (>= 0) of a deployed step;
+    ``cap[d]``, device d's capacity.  A placement is feasible when each
+    device's load, summed in step order from 0.0, is <= its capacity.
+    assignment lists the device of each step of the cheapest feasible
+    placement; among equal costs the lexicographically smallest wins.
+    assignment is None (and cost inf) when no feasible placement has a
+    finite cost.  n_feasible counts the feasible placements.
     """
     n_feasible = _count_feasible(mem, cap)
-    assignment, cost = _cheapest(comp.tolist(), comm.tolist(), mem.tolist(), cap.tolist())
+    assignment, cost = _cheapest(comp, comm, mem, cap)
     return assignment, cost, n_feasible
 
 
@@ -116,10 +117,10 @@ def _count_feasible(mem, cap):
     in ascending step order from 0.0, as a placement's device load does, so
     the capacity tests agree bit for bit.
     """
-    n_steps, n_dev = mem.size, cap.size
-    if n_dev == 1:
+    n_steps, n_dev = len(mem), len(cap)
+    if n_dev == 1:  # 1^S passes the guard for any S, so build no 2^S table
         total = 0.0
-        for m in mem.tolist():
+        for m in mem:
             total += m
         return int(total <= cap[0])
     load = np.zeros(1 << n_steps)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._accel import placement_scan
 from .errors import PlacementError, SizeLimitError
 from .netsim import CotChain, CotStep, DeviceProfile, shannon_rate
@@ -27,75 +25,57 @@ ENUMERATION_GUARD = 10**6
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Step -> device assignment: ``assignment[s]`` is the device of step s."""
-
-    assignment: tuple[int, ...]
-    n_devices: int
-
-    def __post_init__(self):
-        for d in self.assignment:
-            if not 0 <= d < self.n_devices:
-                raise PlacementError(f"device index {d} out of range")
-
-
-@dataclass(frozen=True)
 class PlacementResult:
-    placement: Placement
+    assignment: tuple[int, ...]  # the device index of each step
     cost: float
     n_feasible: int | None = None
 
 
 def link_rates_from_gains(
     devices: list[DeviceProfile], gains, link_bandwidth: float, noise_density: float
-) -> np.ndarray:
+) -> list[list[float]]:
     """Full-mesh link rate matrix from a pairwise power-gain matrix."""
     n = len(devices)
-    gains = np.asarray(gains, dtype=np.float64)
-    if gains.shape != (n, n):
-        raise PlacementError(f"gain matrix must be {n}x{n}, got {gains.shape}")
-    rates = np.zeros((n, n))
-    gains = gains.tolist()  # Python floats: an SNR that overflows is inf, not an error
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                rates[a, b] = shannon_rate(
-                    link_bandwidth, gains[a][b], devices[a].tx_power, noise_density
-                )
-    return rates
+    if len(gains) != n or any(len(row) != n for row in gains):
+        raise PlacementError(f"gain matrix must be {n}x{n}")
+    # Python floats: an SNR that overflows is inf, not an error
+    return [
+        [
+            0.0 if a == b else shannon_rate(link_bandwidth, float(g), dev.tx_power, noise_density)
+            for b, g in enumerate(row)
+        ]
+        for a, (dev, row) in enumerate(zip(devices, gains))
+    ]
 
 
-def step_memory(chain: CotChain, shard_bytes: float) -> np.ndarray:
-    """Memory bytes a deployed step occupies: handoff buffer + model shard."""
-    return np.array([s.handoff_size / 8.0 + shard_bytes for s in chain.steps])
+def _cost_tables(chain, devices, link_rates, shard_bytes):
+    """(comp, comm, mem, cap) as nested lists of Python floats.
 
-
-def _cost_arrays(chain, devices, link_rates, shard_bytes):
-    n_steps = len(chain)
-    n_dev = len(devices)
-    comp = np.empty((n_steps, n_dev))
-    for s, step in enumerate(chain.steps):
-        for d, dev in enumerate(devices):
-            comp[s, d] = step.workload / dev.compute_rate
-    comm = np.zeros((max(n_steps - 1, 0), n_dev, n_dev))
-    rates = link_rates.tolist()  # Python floats: a rate too small to carry the bits costs inf
-    for s in range(n_steps - 1):
-        bits = chain.steps[s].handoff_size
-        for a in range(n_dev):
-            for b in range(n_dev):
-                if a == b or bits == 0.0:
-                    continue
-                rate = rates[a][b]
-                comm[s, a, b] = bits / rate if rate > 0 else math.inf
-    mem = step_memory(chain, shard_bytes)
-    cap = np.array([d.memory_capacity for d in devices])
+    ``comp[s][d]``: step s's compute latency on device d; ``comm[s][a][b]``:
+    the handoff from step s on a to step s+1 on b, inf over a dead link
+    (rate 0); ``mem[s]``: the bytes a deployed step occupies, handoff buffer
+    plus model shard; ``cap[d]``: device d's capacity.
+    """
+    comp = [[step.workload / dev.compute_rate for dev in devices] for step in chain.steps]
+    comm = []
+    for step in chain.steps[:-1]:
+        bits = step.handoff_size
+        comm.append([
+            [
+                0.0 if a == b or bits == 0.0 else bits / rate if rate > 0 else math.inf
+                for b, rate in enumerate(row)
+            ]
+            for a, row in enumerate(link_rates)
+        ])
+    mem = [step.handoff_size / 8.0 + shard_bytes for step in chain.steps]
+    cap = [dev.memory_capacity for dev in devices]
     return comp, comm, mem, cap
 
 
 def solve_exact(
     chain: CotChain,
     devices: list[DeviceProfile],
-    link_rates: np.ndarray,
+    link_rates: list[list[float]],
     shard_bytes: float = 0.0,
 ) -> PlacementResult:
     """Globally minimal placement by branch-and-bound (guard: D^S <= 10^6).
@@ -113,17 +93,17 @@ def solve_exact(
             f"{n_dev}^{n_steps} placements exceed the {ENUMERATION_GUARD} guard; "
             "use solve_local_search"
         )
-    comp, comm, mem, cap = _cost_arrays(chain, devices, link_rates, shard_bytes)
-    assignment, cost, n_feasible = placement_scan(comp, comm, mem, cap)
+    assignment, cost, n_feasible = placement_scan(
+        *_cost_tables(chain, devices, link_rates, shard_bytes))
     if assignment is None:
         raise PlacementError("no capacity-feasible placement exists")
-    return PlacementResult(Placement(tuple(assignment), n_dev), cost, n_feasible)
+    return PlacementResult(tuple(assignment), cost, n_feasible)
 
 
 def solve_local_search(
     chain: CotChain,
     devices: list[DeviceProfile],
-    link_rates: np.ndarray,
+    link_rates: list[list[float]],
     seed: int,
     iters: int,
     shard_bytes: float = 0.0,
@@ -134,8 +114,9 @@ def solve_local_search(
     improvement pass over the steps in a seeded order, moving a step to its
     best strictly-better feasible device.  Sideways moves are disallowed, so
     the search terminates; the result is deterministic per seed.  Raises
-    ``PlacementError`` when the greedy construction finds no device with
-    room for a step.
+    ``PlacementError`` when the greedy construction finds no device for a
+    step: none has room for it, or each that has room costs inf, as behind
+    a dead link from the previous step's device.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -143,8 +124,7 @@ def solve_local_search(
     # Python floats, as in the exact search: a load or a cost that overflows
     # is inf, which no capacity admits and no placement prefers, not a numpy
     # overflow error
-    comp, comm, mem, cap = (
-        a.tolist() for a in _cost_arrays(chain, devices, link_rates, shard_bytes))
+    comp, comm, mem, cap = _cost_tables(chain, devices, link_rates, shard_bytes)
 
     loads = [0.0] * n_dev
     assignment: list[int] = []
@@ -160,7 +140,14 @@ def solve_local_search(
                 best_marginal = marginal
                 best_d = d
         if best_d < 0:
-            raise PlacementError("local search found no feasible start")
+            roomy = [d for d in range(n_dev) if loads[d] + mem[s] <= cap[d]]
+            if not roomy:
+                why = "fits on no device"
+            elif s > 0 and any(comm[s - 1][assignment[-1]][d] == math.inf for d in roomy):
+                why = "fits only behind a dead link"
+            else:
+                why = "costs inf on every device with room"
+            raise PlacementError(f"local search found no feasible start: step {s} {why}")
         assignment.append(best_d)
         loads[best_d] += mem[s]
 
@@ -194,5 +181,4 @@ def solve_local_search(
                 improved = True
         if not improved:
             break
-    placement = Placement(tuple(int(d) for d in assignment), n_dev)
-    return PlacementResult(placement, float(current))
+    return PlacementResult(tuple(assignment), current)

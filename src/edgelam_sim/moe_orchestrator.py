@@ -116,6 +116,8 @@ def orchestrate(
     # a jitter of 1 or more it can turn negative and shrink a backlog
     if not 0.0 <= load_jitter < 1.0:
         raise ValueError("load_jitter must lie in [0, 1)")
+    if not 0.0 <= arrival_prob <= 1.0:
+        raise ValueError("arrival_prob must lie in [0, 1]")
     order = sorted(devices, key=lambda d: d.id)
     dev_index = {d.id: i for i, d in enumerate(order)}
     dead_uplink = {

@@ -42,20 +42,18 @@ def _mgs_residual(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     return residual
 
 
-def gram_schmidt(vectors, tol: float = DROP_TOL) -> list[np.ndarray]:
+def gram_schmidt(vectors) -> list[np.ndarray]:
     """Orthonormalize ``vectors``, dropping those dependent on earlier ones.
 
     A vector is kept iff its two-pass modified Gram-Schmidt residual
-    against the basis built so far has a norm of at least ``tol`` times its
-    input norm; the kept vector is that residual, normalized.  Before that
-    exact projection, a screen of two classical Gram-Schmidt passes (one
-    matrix product each way against the basis so far) drops the vectors
-    whose residual is below half that line, which the exact test would
-    drop too.  Returns an orthonormal list spanning the input span; the
+    against the basis built so far has a norm of at least ``DROP_TOL``
+    times its input norm; the kept vector is that residual, normalized.
+    Before that exact projection, a screen of two classical Gram-Schmidt
+    passes (one matrix product each way against the basis so far) drops the
+    vectors whose residual is below half that line, which the exact test
+    would drop too.  Returns an orthonormal list spanning the input span; the
     empty input yields the empty list.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rows = list(vectors)
     basis: list[np.ndarray] = []
     kept = None  # the basis as the first len(basis) rows of a buffer
@@ -72,11 +70,11 @@ def gram_schmidt(vectors, tol: float = DROP_TOL) -> list[np.ndarray]:
             b = kept[: len(basis)]
             screened = v - (b @ v) @ b
             screened = screened - (b @ screened) @ b
-            if math.sqrt(screened.dot(screened)) < SCREEN_FRACTION * tol * v_norm:
+            if math.sqrt(screened.dot(screened)) < SCREEN_FRACTION * DROP_TOL * v_norm:
                 continue
         residual = _mgs_residual(v, basis)
         r_norm = math.sqrt(residual.dot(residual))
-        if r_norm < tol * v_norm:
+        if r_norm < DROP_TOL * v_norm:
             continue
         basis.append(residual / r_norm)
         kept[len(basis) - 1] = basis[-1]

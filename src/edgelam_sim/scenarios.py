@@ -345,6 +345,9 @@ def _parse_moe(cfg: dict) -> dict:
     jitter = _number(block, "load_jitter", "moe", default=0.0, minimum=0.0)
     if jitter >= 1.0:  # a call's FLOPs scale by 1 + jitter * (2u - 1), u in [0, 1)
         raise ConfigError(f"must be < 1, got {jitter}", "moe.load_jitter")
+    arrival_prob = _number(block, "arrival_prob", "moe", default=1.0, minimum=0.0)
+    if arrival_prob > 1.0:
+        raise ConfigError(f"must be <= 1, got {arrival_prob}", "moe.arrival_prob")
     share = ch["total_bandwidth"] / len(devices)
     return {
         "v": _number(block, "v", "moe", minimum=0.0),
@@ -362,7 +365,7 @@ def _parse_moe(cfg: dict) -> dict:
             w_lat=_number(block, "w_lat", "moe", default=1.0, minimum=0.0),
             w_energy=_number(block, "w_energy", "moe", default=0.0, minimum=0.0),
             failed_devices=frozenset(failed),
-            arrival_prob=_number(block, "arrival_prob", "moe", default=1.0, minimum=0.0),
+            arrival_prob=arrival_prob,
             fading_sigma=(
                 None
                 if block.get("fading_sigma") is None
@@ -638,7 +641,7 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
     if solver in ("exact", "both"):
         exact_res = cot.solve_exact(chain, devices, link_rates, shard_bytes)
         payload["exact"] = {
-            "placement": list(exact_res.placement.assignment),
+            "placement": list(exact_res.assignment),
             "cost_s": exact_res.cost,
             "solver": "exact",
             "n_feasible": exact_res.n_feasible,
@@ -648,7 +651,7 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
             chain, devices, link_rates, seed, spec["iters"], shard_bytes
         )
         entry = {
-            "placement": list(ls_res.placement.assignment),
+            "placement": list(ls_res.assignment),
             "cost_s": ls_res.cost,
             "solver": "local_search",
         }

@@ -11,6 +11,10 @@ The Gram-Schmidt without a screen projects every row exactly, so it checks
 that the screen drops only rows the exact keep test would drop.  The
 nested fedft selection calls ``shannon_rate`` at every bandwidth bisection
 step, so it checks the solver's inline rate arithmetic bit for bit.
+The placement oracles take assignment tuples and compute step memory
+themselves.  ``PhiloxStream`` restates the uniform, permutation and
+bounded-integer draws of ``rng.stream`` in Python ints, so a change in the
+generator behind the streams names the distribution that moved.
 """
 
 import itertools
@@ -20,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from edgelam_sim.cot_placement import (
-    CotChain,
-    CotStep,
-    Placement,
-    link_rates_from_gains,
-    step_memory,
-)
+from edgelam_sim.cot_placement import CotChain, CotStep, link_rates_from_gains
 from edgelam_sim.errors import PlacementError, SchedulingError, ShapeError
 from edgelam_sim.netsim import (
     DeviceProfile,
@@ -101,29 +99,36 @@ def bounded_ce_plabel_grad(p_label: float, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def indicator(placement: Placement) -> np.ndarray:
+def indicator(assignment: tuple[int, ...], n_devices: int) -> np.ndarray:
     """Binary step x device matrix x[s, d] of a placement."""
-    x = np.zeros((len(placement.assignment), placement.n_devices), dtype=np.int64)
-    x[np.arange(len(placement.assignment)), list(placement.assignment)] = 1
+    x = np.zeros((len(assignment), n_devices), dtype=np.int64)
+    x[np.arange(len(assignment)), list(assignment)] = 1
     return x
 
 
 def validate_placement(
-    chain: CotChain, placement: Placement, devices: list[DeviceProfile], shard_bytes: float
+    chain: CotChain, assignment: tuple[int, ...], devices: list[DeviceProfile],
+    shard_bytes: float,
 ) -> None:
-    """Constraint check; raises PlacementError on violation."""
-    if len(placement.assignment) != len(chain):
+    """Constraint check; raises PlacementError on violation.
+
+    A step occupies its handoff buffer (bits / 8 bytes) plus the model
+    shard; a device's load sums its steps in step order from 0.0.
+    """
+    if len(assignment) != len(chain):
         raise PlacementError(
-            f"placement covers {len(placement.assignment)} steps, chain has {len(chain)}"
+            f"placement covers {len(assignment)} steps, chain has {len(chain)}"
         )
-    if placement.n_devices != len(devices):
-        raise PlacementError("placement device count differs from the device list")
-    x = indicator(placement)
+    if any(not 0 <= d < len(devices) for d in assignment):
+        raise PlacementError(f"device index out of range in {assignment}")
+    x = indicator(assignment, len(devices))
     if not np.all(x.sum(axis=1) == 1):
         raise PlacementError("each step must sit on exactly one device")
-    mem = step_memory(chain, shard_bytes)
     for d, dev in enumerate(devices):
-        load = float(mem[x[:, d] == 1].sum())
+        load = 0.0
+        for s, step in enumerate(chain.steps):
+            if x[s, d]:
+                load += step.handoff_size / 8 + shard_bytes
         if load > dev.memory_capacity:
             raise PlacementError(
                 f"device {dev.id} over capacity: {load} > {dev.memory_capacity}"
@@ -132,21 +137,21 @@ def validate_placement(
 
 def placement_cost(
     chain: CotChain,
-    placement: Placement,
+    assignment: tuple[int, ...],
     devices: list[DeviceProfile],
-    link_rates: np.ndarray,
+    link_rates: list[list[float]],
     shard_bytes: float = 0.0,
 ) -> float:
     """End-to-end latency: per-step compute plus inter-device handoffs."""
-    validate_placement(chain, placement, devices, shard_bytes)
+    validate_placement(chain, assignment, devices, shard_bytes)
     total = 0.0
     prev = None
     for s, step in enumerate(chain.steps):
-        d = placement.assignment[s]
+        d = assignment[s]
         if s > 0 and prev != d:
             bits = chain.steps[s - 1].handoff_size
             if bits > 0:
-                rate = link_rates[prev, d]
+                rate = link_rates[prev][d]
                 total += bits / rate if rate > 0 else math.inf
         total += step.workload / devices[d].compute_rate
         prev = d
@@ -154,41 +159,41 @@ def placement_cost(
 
 
 def brute_force_placement(chain, devices, links, shard):
-    """Cheapest feasible placement over all D^S, lexicographically first on ties."""
+    """Cheapest feasible assignment over all D^S, lexicographically first on ties."""
     best, best_cost = None, math.inf
     for assignment in itertools.product(range(len(devices)), repeat=len(chain)):
-        placement = Placement(assignment, len(devices))
         try:
-            cost = placement_cost(chain, placement, devices, links, shard)
+            cost = placement_cost(chain, assignment, devices, links, shard)
         except PlacementError:
             continue  # over capacity
         if cost < best_cost:
-            best, best_cost = placement, cost
+            best, best_cost = assignment, cost
     return best, best_cost
 
 
 def scan_placements(comp, comm, mem, cap):
     """(best_index, best_cost, n_feasible) by scoring all D^S placements in turn.
 
+    The tables are nested lists, indexed as ``placement_scan`` reads them.
     Placements run in lexicographic order (index = device vector in base D,
     step 0 most significant); a device's load is its steps' ``mem`` summed
     in step order from 0.0, the cost ``comp[0]`` then ``+= comm``, ``+=
     comp`` step by step, and only a strictly cheaper feasible placement
     replaces the best one.  best_index is -1 when none has a finite cost.
     """
-    n_steps, n_dev = comp.shape
+    n_steps, n_dev = len(comp), len(cap)
     best_idx, best_cost, n_feasible = -1, math.inf, 0
     for idx, p in enumerate(itertools.product(range(n_dev), repeat=n_steps)):
         loads = [0.0] * n_dev
         for s, d in enumerate(p):
-            loads[d] += float(mem[s])
-        if any(load > float(c) for load, c in zip(loads, cap)):
+            loads[d] += mem[s]
+        if any(load > c for load, c in zip(loads, cap)):
             continue
         n_feasible += 1
-        cost = float(comp[0, p[0]])
+        cost = comp[0][p[0]]
         for s in range(1, n_steps):
-            cost += float(comm[s - 1, p[s - 1], p[s]])
-            cost += float(comp[s, p[s]])
+            cost += comm[s - 1][p[s - 1]][p[s]]
+            cost += comp[s][p[s]]
         if cost < best_cost:
             best_idx, best_cost = idx, cost
     return best_idx, best_cost, n_feasible
@@ -199,7 +204,7 @@ def make_random_instance(
     n_steps: int,
     n_devices: int,
     tightness: float = 0.6,
-) -> tuple[CotChain, list[DeviceProfile], np.ndarray, float]:
+) -> tuple[CotChain, list[DeviceProfile], list[list[float]], float]:
     """Seeded random instance: (chain, devices, link_rates, shard_bytes).
 
     ``tightness`` scales capacities: 1.0 means one device can barely host
@@ -215,7 +220,7 @@ def make_random_instance(
     )
     chain = CotChain(steps)
     shard_bytes = float(rng.uniform(1e5, 1e6))
-    total_mem = float(step_memory(chain, shard_bytes).sum())
+    total_mem = float(np.sum([step.handoff_size / 8 + shard_bytes for step in steps]))
     devices = [
         DeviceProfile(
             id=f"d{i}",
@@ -226,7 +231,7 @@ def make_random_instance(
         )
         for i in range(n_devices)
     ]
-    gains = rng.uniform(0.05, 1.0, size=(n_devices, n_devices))
+    gains = rng.uniform(0.05, 1.0, size=(n_devices, n_devices)).tolist()
     link_rates = link_rates_from_gains(devices, gains, 1e6, 1e-9)
     return chain, devices, link_rates, shard_bytes
 
@@ -697,3 +702,85 @@ def unlearning_round_per_device(state, lr, delta, dp=None):
         dp.sigma if dp is not None else 0.0,
         max_basis_dot,
     )
+
+
+# ---------------------------------------------------------------------------
+# random streams
+# ---------------------------------------------------------------------------
+
+_U64 = (1 << 64) - 1
+_U32 = (1 << 32) - 1
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+class PhiloxStream:
+    """``rng.stream(seed, name)`` restated in Python ints, draw for draw.
+
+    Philox-4x64-10 (Salmon et al., SC'11) under the key ``(seed,
+    stream_word(name))``.  The 256-bit counter starts at 0 and is
+    incremented before each block of four 64-bit words, which are used in
+    order.  A double is ``(u64 >> 11) * 2^-53``.  A 32-bit draw is half a
+    word, the low half first, the high half kept for the next 32-bit draw.
+    Integers below n <= 2^32 use Lemire's multiply-and-reject on 32-bit
+    draws; a permutation is Fisher-Yates from the last position, drawing
+    each index by masked rejection.
+    """
+
+    def __init__(self, seed: int, name: str):
+        self.key = (seed, stream_word(name))
+        self.counter = [0, 0, 0, 0]
+        self.words: list[int] = []  # the rest of the current block, next word last
+        self.high = None  # the unused high half of the last 64-bit word split
+
+    def _next_block(self) -> None:
+        for i in range(4):  # increment with carry
+            self.counter[i] = (self.counter[i] + 1) & _U64
+            if self.counter[i]:
+                break
+        x0, x1, x2, x3 = self.counter
+        k0, k1 = self.key
+        for _ in range(10):
+            p0, p1 = _PHILOX_MUL[0] * x0, _PHILOX_MUL[1] * x2
+            x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _U64, (p0 >> 64) ^ x3 ^ k1, p0 & _U64
+            k0, k1 = (k0 + _PHILOX_WEYL[0]) & _U64, (k1 + _PHILOX_WEYL[1]) & _U64
+        self.words = [x3, x2, x1, x0]
+
+    def next64(self) -> int:
+        if not self.words:
+            self._next_block()
+        return self.words.pop()
+
+    def next32(self) -> int:
+        if self.high is not None:
+            high, self.high = self.high, None
+            return high
+        word = self.next64()
+        self.high = word >> 32
+        return word & _U32
+
+    def random(self) -> float:
+        return (self.next64() >> 11) * 2.0**-53
+
+    def integer(self, n: int) -> int:
+        """One draw from [0, n), 1 <= n <= 2^32."""
+        if n == 1:
+            return 0
+        if n == 1 << 32:
+            return self.next32()
+        m = self.next32() * n
+        if m & _U32 < n:
+            threshold = (1 << 32) % n
+            while m & _U32 < threshold:
+                m = self.next32() * n
+        return m >> 32
+
+    def permutation(self, n: int) -> list[int]:
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self.next32() & mask
+            while j > i:
+                j = self.next32() & mask
+            items[i], items[j] = items[j], items[i]
+        return items

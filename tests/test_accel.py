@@ -12,9 +12,9 @@ from edgelam_sim.errors import SchedulingError
 from oracles import scan_placements
 
 
-def random_placement_arrays(rng, n_steps, n_dev, cap_scale=1.0, dead_share=0.0):
-    """Random costs; ``cap_scale`` < 1 tightens capacity, ``dead_share`` of
-    the links have rate 0 (infinite handoff)."""
+def random_placement_tables(rng, n_steps, n_dev, cap_scale=1.0, dead_share=0.0):
+    """Random cost tables as nested lists; ``cap_scale`` < 1 tightens
+    capacity, ``dead_share`` of the links have rate 0 (infinite handoff)."""
     comp = rng.uniform(0.1, 2.0, (n_steps, n_dev))
     comm = rng.uniform(0.0, 1.0, (n_steps - 1, n_dev, n_dev))
     comm[rng.random(comm.shape) < dead_share] = np.inf
@@ -22,22 +22,24 @@ def random_placement_arrays(rng, n_steps, n_dev, cap_scale=1.0, dead_share=0.0):
         np.fill_diagonal(comm[s], 0.0)
     mem = rng.uniform(0.1, 1.0, n_steps)
     cap = cap_scale * rng.uniform(0.3, 2.5, n_dev)
-    return comp, comm, mem, cap
+    return comp.tolist(), comm.tolist(), mem.tolist(), cap.tolist()
 
 
 def random_cases(seed, n_cases, **kwargs):
     rng = np.random.default_rng(seed)
     return [
-        random_placement_arrays(rng, int(rng.integers(1, 6)), int(rng.integers(2, 6)), **kwargs)
+        random_placement_tables(rng, int(rng.integers(1, 6)), int(rng.integers(2, 6)), **kwargs)
         for _ in range(n_cases)
     ]
 
 
-def tie_arrays(n_steps, n_dev, per_device):
-    """Uniform integer compute, free handoffs, room for ``per_device`` steps."""
-    comp = np.ones((n_steps, n_dev))
-    comm = np.zeros((n_steps - 1, n_dev, n_dev))
-    return comp, comm, np.ones(n_steps), np.full(n_dev, float(per_device))
+def tie_tables(n_steps, n_dev, per_device, link=0.0):
+    """Uniform integer compute, handoffs of ``link`` between devices, room
+    for ``per_device`` steps."""
+    comp = [[1.0] * n_dev for _ in range(n_steps)]
+    comm = [[[0.0 if a == b else link for b in range(n_dev)] for a in range(n_dev)]
+            for _ in range(n_steps - 1)]
+    return comp, comm, [1.0] * n_steps, [float(per_device)] * n_dev
 
 
 def device_vector(idx, n_steps, n_dev):
@@ -50,7 +52,8 @@ def device_vector(idx, n_steps, n_dev):
 def assert_matches_scan(case):
     assignment, cost, n_feasible = placement_scan(*case)
     want_idx, want_cost, want_feasible = scan_placements(*case)
-    assert (assignment, n_feasible) == (device_vector(want_idx, *case[0].shape), want_feasible)
+    n_steps, n_dev = len(case[0]), len(case[3])
+    assert (assignment, n_feasible) == (device_vector(want_idx, n_steps, n_dev), want_feasible)
     assert cost == want_cost  # bit-identical, or both inf
 
 
@@ -62,14 +65,14 @@ def test_placement_scan_matches_enumeration(cap_scale, dead_share):
         assert_matches_scan(case)
     rng = np.random.default_rng(1)
     for n_steps, n_dev in ((1, 1), (1, 2), (4, 1), (3, 2), (6, 3), (5, 4)):
-        assert_matches_scan(random_placement_arrays(rng, n_steps, n_dev, cap_scale, dead_share))
+        assert_matches_scan(random_placement_tables(rng, n_steps, n_dev, cap_scale, dead_share))
 
 
 @pytest.mark.parametrize("n_steps,n_dev,per_device", [(6, 3, 2), (7, 3, 3), (5, 4, 5), (4, 2, 2)])
 def test_placement_scan_ties_go_lexicographic(n_steps, n_dev, per_device):
     """Every feasible placement costs the same: the first one in
     lexicographic order wins, i.e. fill device 0, then device 1, ..."""
-    case = tie_arrays(n_steps, n_dev, per_device)
+    case = tie_tables(n_steps, n_dev, per_device)
     assert_matches_scan(case)
     assignment, cost, _ = placement_scan(*case)
     assert assignment == [min(s // per_device, n_dev - 1) for s in range(n_steps)]
@@ -78,21 +81,18 @@ def test_placement_scan_ties_go_lexicographic(n_steps, n_dev, per_device):
 
 def test_placement_scan_all_infinite_is_infeasible():
     """Feasible placements exist, but each one has an infinite cost."""
-    comp, comm, mem, cap = tie_arrays(4, 3, 2)
-    comm[:] = np.inf  # every link dead: capacity forces a handoff
-    for s in range(3):
-        np.fill_diagonal(comm[s], 0.0)
+    comp, comm, mem, cap = tie_tables(4, 3, 2, link=math.inf)  # capacity forces a handoff
     assert placement_scan(comp, comm, mem, cap) == (None, math.inf, 54)
     assert_matches_scan((comp, comm, mem, cap))
-    comp, comm, mem, cap = tie_arrays(3, 2, 3)
-    comp[2] = np.inf  # the last step runs nowhere
+    comp, comm, mem, cap = tie_tables(3, 2, 3)
+    comp[2] = [math.inf] * 2  # the last step runs nowhere
     assert placement_scan(comp, comm, mem, cap) == (None, math.inf, 8)
 
 
 def test_placement_scan_count_blocks_match_enumeration(monkeypatch):
     """The count walks its (M, T) pairs in blocks of 3^1 as exactly as in one block."""
     monkeypatch.setattr(_accel, "_BLOCK_STEPS", 1)
-    for case in random_cases(2, 40) + [tie_arrays(7, 4, 2), tie_arrays(6, 5, 1)]:
+    for case in random_cases(2, 40) + [tie_tables(7, 4, 2), tie_tables(6, 5, 1)]:
         assert_matches_scan(case)
 
 

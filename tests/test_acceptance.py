@@ -290,12 +290,12 @@ def test_criterion_6_placement_quality():
         chain, devices, links, shard = make_random_instance(i, n_steps, n_devices)
         exact = cot.solve_exact(chain, devices, links, shard)
         best, best_cost = brute_force_placement(chain, devices, links, shard)
-        assert exact.placement == best
+        assert exact.assignment == best
         assert abs(exact.cost - best_cost) <= 1e-12
         heur = cot.solve_local_search(
             chain, devices, links, seed=i, iters=10, shard_bytes=shard
         )
-        validate_placement(chain, heur.placement, devices, shard)
+        validate_placement(chain, heur.assignment, devices, shard)
         assert exact.cost <= heur.cost + 1e-12
         gaps.append((heur.cost - exact.cost) / exact.cost)
     gaps = np.array(gaps)

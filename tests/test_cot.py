@@ -8,11 +8,9 @@ import pytest
 from edgelam_sim.cot_placement import (
     CotChain,
     CotStep,
-    Placement,
     link_rates_from_gains,
     solve_exact,
     solve_local_search,
-    step_memory,
 )
 from edgelam_sim.errors import PlacementError, SizeLimitError
 from edgelam_sim.netsim import DeviceProfile
@@ -25,47 +23,50 @@ from oracles import (
 )
 
 
+def full_mesh(n_devices, link):
+    """Link rate matrix: ``link`` between devices, 0.0 on the diagonal."""
+    return [[0.0 if a == b else float(link) for b in range(n_devices)]
+            for a in range(n_devices)]
+
 
 def uniform_instance(n_steps=3, n_devices=3, rate=1e9, link=1e12):
     chain = CotChain(tuple(CotStep(1e9, 1e6) for _ in range(n_steps)))
     devices = [
         DeviceProfile(f"d{i}", rate, 1e12, 1.0, 0.5) for i in range(n_devices)
     ]
-    link_rates = np.full((n_devices, n_devices), float(link))
-    np.fill_diagonal(link_rates, 0.0)
-    return chain, devices, link_rates
+    return chain, devices, full_mesh(n_devices, link)
 
 
 class TestPlacementCost:
     def test_colocated_is_pure_compute(self):
         chain, devices, links = uniform_instance()
-        cost = placement_cost(chain, Placement((0, 0, 0), 3), devices, links)
+        cost = placement_cost(chain, (0, 0, 0), devices, links)
         assert cost == pytest.approx(3.0, abs=1e-12)
 
     def test_free_links_make_split_equivalent(self):
         chain, devices, links = uniform_instance(n_steps=2, n_devices=2, link=1e18)
-        together = placement_cost(chain, Placement((0, 0), 2), devices, links)
-        split = placement_cost(chain, Placement((0, 1), 2), devices, links)
+        together = placement_cost(chain, (0, 0), devices, links)
+        split = placement_cost(chain, (0, 1), devices, links)
         assert abs(together - split) <= 1e-9
 
     def test_matches_term_by_term_oracle(self):
         chain, devices, links, shard = make_random_instance(5, 4, 3)
-        placement = Placement((0, 2, 1, 1), 3)
+        assignment = (0, 2, 1, 1)
         expected = 0.0
         for s, step in enumerate(chain.steps):
-            d = placement.assignment[s]
+            d = assignment[s]
             expected += step.workload / devices[d].compute_rate
             if s + 1 < len(chain):
-                nxt = placement.assignment[s + 1]
+                nxt = assignment[s + 1]
                 if nxt != d:
-                    expected += chain.steps[s].handoff_size / links[d, nxt]
-        got = placement_cost(chain, placement, devices, links, shard)
+                    expected += chain.steps[s].handoff_size / links[d][nxt]
+        got = placement_cost(chain, assignment, devices, links, shard)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_placement_rejected(self):
         chain, devices, links = uniform_instance()
         with pytest.raises(PlacementError):
-            placement_cost(chain, Placement((0, 0), 3), devices, links)
+            placement_cost(chain, (0, 0), devices, links)
 
     def test_capacity_validator_is_independent(self):
         chain, devices, links = uniform_instance()
@@ -73,10 +74,10 @@ class TestPlacementCost:
             DeviceProfile(d.id, d.compute_rate, 1e5, d.channel_gain, d.tx_power)
             for d in devices
         ]
-        mem = step_memory(chain, 0.0)
-        assert mem.sum() > 1e5  # all three steps cannot fit on one device
+        # all three steps cannot fit on one device
+        assert sum(step.handoff_size / 8 for step in chain.steps) > 1e5
         with pytest.raises(PlacementError):
-            validate_placement(chain, Placement((0, 0, 0), 3), tight, 0.0)
+            validate_placement(chain, (0, 0, 0), tight, 0.0)
 
 
 class TestSolveExact:
@@ -86,16 +87,16 @@ class TestSolveExact:
             DeviceProfile("slow", 1e9, 1e9, 1.0, 0.5),
             DeviceProfile("fast", 4e9, 1e9, 1.0, 0.5),
         ]
-        links = np.zeros((2, 2))
+        links = full_mesh(2, 0.0)
         res = solve_exact(chain, devices, links)
-        assert res.placement.assignment == (1,)
+        assert res.assignment == (1,)
         assert res.cost == pytest.approx(0.25, abs=1e-12)
 
     def test_uniform_tie_returns_all_zeros(self):
         chain, devices, links = uniform_instance()
         res = solve_exact(chain, devices, links)
-        assert res.placement.assignment == (0, 0, 0)
-        assert res.placement == brute_force_placement(chain, devices, links, 0.0)[0]
+        assert res.assignment == (0, 0, 0)
+        assert res.assignment == brute_force_placement(chain, devices, links, 0.0)[0]
 
     def test_matches_brute_force_oracle(self):
         for seed in range(12):
@@ -107,7 +108,7 @@ class TestSolveExact:
                     solve_exact(chain, devices, links, shard)
                 continue
             res = solve_exact(chain, devices, links, shard)
-            assert res.placement == best
+            assert res.assignment == best
             assert abs(res.cost - best_cost) <= 1e-12
 
     @pytest.mark.parametrize("n_steps,n_dev", [(1, 1), (1, 2), (5, 1), (6, 2), (5, 3), (4, 4)])
@@ -116,28 +117,29 @@ class TestSolveExact:
         """Half the links have rate 0, loose to tight capacity."""
         for seed in range(3):
             chain, devices, links, shard = make_random_instance(seed, n_steps, n_dev, tightness)
-            links = links * (np.random.default_rng(seed).random(links.shape) < 0.5)
+            live = np.random.default_rng(seed).random((n_dev, n_dev)) < 0.5
+            links = (np.array(links) * live).tolist()
             best, best_cost = brute_force_placement(chain, devices, links, shard)
             if best is None:
                 with pytest.raises(PlacementError, match="no capacity-feasible placement"):
                     solve_exact(chain, devices, links, shard)
                 continue
             res = solve_exact(chain, devices, links, shard)
-            assert res.placement == best
+            assert res.assignment == best
             assert abs(res.cost - best_cost) <= 1e-12 * best_cost
 
     def test_beats_random_samples(self):
         for seed in range(10):
             chain, devices, links, shard = make_random_instance(seed, 5, 4)
             res = solve_exact(chain, devices, links, shard)
-            validate_placement(chain, res.placement, devices, shard)
+            validate_placement(chain, res.assignment, devices, shard)
             rng = np.random.default_rng(seed)
             costs = []
             while len(costs) < 200:
                 assignment = tuple(int(d) for d in rng.integers(0, 4, size=5))
                 try:
                     costs.append(
-                        placement_cost(chain, Placement(assignment, 4), devices, links, shard)
+                        placement_cost(chain, assignment, devices, links, shard)
                     )
                 except PlacementError:
                     continue  # over capacity
@@ -146,7 +148,7 @@ class TestSolveExact:
     def test_enumeration_guard(self):
         chain = CotChain(tuple(CotStep(1e9, 1e5) for _ in range(8)))
         devices = [DeviceProfile(f"d{i}", 1e9, 1e12, 1.0, 0.5) for i in range(6)]
-        links = np.full((6, 6), 1e9)
+        links = full_mesh(6, 1e9)
         with pytest.raises(SizeLimitError):
             solve_exact(chain, devices, links)  # 6^8 > 1e6
 
@@ -172,11 +174,10 @@ class TestLocalSearch:
             DeviceProfile("big", 1e10, 1e12, 1.0, 0.5),
             DeviceProfile("tiny", 1e8, 1e12, 1.0, 0.5),
         ]
-        links = np.full((2, 2), 1e6)
-        np.fill_diagonal(links, 0.0)
+        links = full_mesh(2, 1e6)
         exact = solve_exact(chain, devices, links)
         ls = solve_local_search(chain, devices, links, seed=0, iters=10)
-        assert ls.placement.assignment == exact.placement.assignment
+        assert ls.assignment == exact.assignment
         assert ls.cost == pytest.approx(exact.cost, abs=1e-12)
 
     def test_iters_one_is_greedy_oracle(self):
@@ -184,7 +185,7 @@ class TestLocalSearch:
             chain, devices, links, shard = make_random_instance(seed, 5, 4)
             got = solve_local_search(chain, devices, links, seed=7, iters=1, shard_bytes=shard)
             # independent greedy: step by step, best marginal cost, capacity aware
-            mem = step_memory(chain, shard)
+            mem = [step.handoff_size / 8 + shard for step in chain.steps]
             caps = [d.memory_capacity for d in devices]
             loads = [0.0] * len(devices)
             assignment = []
@@ -195,26 +196,26 @@ class TestLocalSearch:
                         continue
                     c = step.workload / dev.compute_rate
                     if s > 0 and assignment[-1] != d:
-                        c += chain.steps[s - 1].handoff_size / links[assignment[-1], d]
+                        c += chain.steps[s - 1].handoff_size / links[assignment[-1]][d]
                     if c < best_c:
                         best_c, best_d = c, d
                 assignment.append(best_d)
                 loads[best_d] += mem[s]
-            assert got.placement.assignment == tuple(assignment)
+            assert got.assignment == tuple(assignment)
 
     def test_never_beats_exact_and_is_feasible(self):
         for seed in range(15):
             chain, devices, links, shard = make_random_instance(100 + seed, 4, 4)
             exact = solve_exact(chain, devices, links, shard)
             ls = solve_local_search(chain, devices, links, seed=seed, iters=10, shard_bytes=shard)
-            validate_placement(chain, ls.placement, devices, shard)
+            validate_placement(chain, ls.assignment, devices, shard)
             assert exact.cost <= ls.cost + 1e-12
 
     def test_deterministic_per_seed(self):
         chain, devices, links, shard = make_random_instance(5, 5, 5)
         a = solve_local_search(chain, devices, links, seed=3, iters=10, shard_bytes=shard)
         b = solve_local_search(chain, devices, links, seed=3, iters=10, shard_bytes=shard)
-        assert a.placement.assignment == b.placement.assignment
+        assert a.assignment == b.assignment
         assert a.cost == b.cost
 
     def test_infeasible_start(self):
@@ -223,8 +224,27 @@ class TestLocalSearch:
             DeviceProfile(d.id, d.compute_rate, 1.0, d.channel_gain, d.tx_power)
             for d in devices
         ]
-        with pytest.raises(PlacementError, match="local search found no feasible start"):
+        with pytest.raises(PlacementError, match="no feasible start: step 0 fits on no device"):
             solve_local_search(chain, tiny, links, seed=0, iters=3)
+
+    def test_infeasible_start_behind_a_dead_link(self):
+        # each device holds one step, and the link between them is dead
+        chain, devices, _ = uniform_instance(n_steps=2, n_devices=2)
+        one_step = [
+            DeviceProfile(d.id, d.compute_rate, 1.5e5, d.channel_gain, d.tx_power)
+            for d in devices
+        ]
+        with pytest.raises(PlacementError, match="step 1 fits only behind a dead link"):
+            solve_local_search(chain, one_step, full_mesh(2, 0.0), seed=0, iters=3)
+
+    def test_infeasible_start_at_infinite_compute(self):
+        chain, devices, links = uniform_instance()
+        crawling = [  # 1e9 FLOPs at 1e-300 FLOP/s overflows to inf
+            DeviceProfile(d.id, 1e-300, d.memory_capacity, d.channel_gain, d.tx_power)
+            for d in devices
+        ]
+        with pytest.raises(PlacementError, match="step 0 costs inf on every device with room"):
+            solve_local_search(chain, crawling, links, seed=0, iters=3)
 
 
 class TestMonotonicity:
@@ -251,7 +271,6 @@ class TestLinkRates:
 
     def test_diagonal_unused(self):
         chain, devices, links = uniform_instance(n_steps=2, n_devices=2)
-        links = links.copy()
-        links[0, 0] = 0.0  # never read for co-located steps
-        cost = placement_cost(chain, Placement((0, 0), 2), devices, links)
+        links[0][0] = 0.0  # never read for co-located steps
+        cost = placement_cost(chain, (0, 0), devices, links)
         assert math.isfinite(cost)

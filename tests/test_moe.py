@@ -162,7 +162,10 @@ class TestOrchestrate:
         (dict(load_jitter=1.0), "load_jitter"),
         (dict(load_jitter=3.0), "load_jitter"),
         (dict(load_jitter=-0.5), "load_jitter"),
-    ], ids=["no-slots", "v-inf", "v-negative", "jitter-1", "jitter-3", "jitter-negative"])
+        (dict(arrival_prob=7.5), "arrival_prob"),
+        (dict(arrival_prob=-0.5), "arrival_prob"),
+    ], ids=["no-slots", "v-inf", "v-negative", "jitter-1", "jitter-3", "jitter-negative",
+            "arrival-prob-7.5", "arrival-prob-negative"])
     def test_invalid_arguments_raise(self, changed, match):
         # a jitter of 1 or more could give a call negative FLOPs, which
         # would lower its device's backlog

@@ -25,7 +25,7 @@ class TestGramSchmidt:
         assert np.allclose(basis[1], [0.0, 1.0])
 
     def test_duplicate_dropped(self):
-        basis = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 0.0])], tol=1e-8)
+        basis = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
         assert len(basis) == 1
         assert np.allclose(basis[0], [1.0, 0.0])
 
@@ -58,18 +58,13 @@ class TestGramSchmidt:
         with pytest.raises(ShapeError):
             gram_schmidt([np.ones(3), np.ones(4)])
 
-    def test_nonpositive_tol_rejected(self):
-        for tol in (0.0, -1e-8):
-            with pytest.raises(ValueError):
-                gram_schmidt([np.ones(3)], tol=tol)
 
-
-def same_basis(vectors, tol=DROP_TOL):
+def same_basis(vectors):
     """``gram_schmidt`` on ``vectors``, checked bit for bit against the
-    unscreened two-pass MGS: the same number of rows, each with the same
-    bytes."""
-    basis = gram_schmidt(vectors, tol=tol)
-    oracle = gram_schmidt_unscreened(vectors, tol)
+    unscreened two-pass MGS at the same drop line: the same number of rows,
+    each with the same bytes."""
+    basis = gram_schmidt(vectors)
+    oracle = gram_schmidt_unscreened(vectors, DROP_TOL)
     assert len(basis) == len(oracle)
     for got, want in zip(basis, oracle):
         assert got.tobytes() == want.tobytes()
@@ -115,9 +110,9 @@ class TestScreenedGramSchmidtMatchesUnscreened:
                                    pretrain_rounds):
         calls = []
 
-        def checked(vectors, tol=DROP_TOL):
+        def checked(vectors):
             calls.append(len(vectors))
-            return same_basis(vectors, tol)
+            return same_basis(vectors)
 
         monkeypatch.setattr(unlearn, "gram_schmidt", checked)
         unlearning_run(seed, n_devices, n_opt_out, pretrain_rounds)
@@ -155,9 +150,9 @@ def test_screen_leaves_exact_projection_to_kept_rows(monkeypatch, projections):
     # are dropped by the screen without the exact projection
     calls = []
 
-    def capture(vectors, tol=DROP_TOL):
+    def capture(vectors):
         calls.append(list(vectors))
-        return gram_schmidt(vectors, tol=tol)
+        return gram_schmidt(vectors)
 
     monkeypatch.setattr(unlearn, "gram_schmidt", capture)
     unlearning_run(0, 32, 4, 100, rounds=1)

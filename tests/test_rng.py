@@ -1,9 +1,13 @@
-"""Named-stream determinism."""
+"""Named-stream determinism, and the streams against a pure-Python Philox."""
+
+import random
 
 import numpy as np
 import pytest
 
 from edgelam_sim.rng import stream, stream_word
+
+from oracles import PhiloxStream
 
 
 def test_same_seed_and_name_identical():
@@ -57,3 +61,44 @@ def test_seed_range_checked():
         stream(-1, "x")
     with pytest.raises(ValueError):
         stream(2**64, "x")
+
+
+def seeded_pairs(count=40):
+    """(seed, name) pairs: the program's stream names and made-up ones, with
+    seeds from 0 up to 2^64 - 1."""
+    r = random.Random(20251)
+    names = ["cot.local_search", "moe.arrivals", "moe.gate", "unlearn.data.d0", "fedft.base"]
+    pairs = [(0, "cot.local_search"), (2**64 - 1, "moe.arrivals")]
+    while len(pairs) < count:
+        seed = r.choice([r.randrange(1000), r.randrange(2**31), r.randrange(2**64)])
+        name = r.choice(names + [f"s{r.randrange(10**6)}.d{r.randrange(64)}"])
+        pairs.append((seed, name))
+    return pairs
+
+
+SIZES = [2, 3, 5, 7, 1000]
+
+
+def test_reference_matches_uniform_doubles():
+    # 10 doubles run through three counter blocks
+    for seed, name in seeded_pairs():
+        ref = PhiloxStream(seed, name)
+        assert stream(seed, name).random(10).tolist() == [ref.random() for _ in range(10)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_reference_matches_permutations(n):
+    # successive permutations of one stream, as local search draws them
+    for seed, name in seeded_pairs():
+        gen, ref = stream(seed, name), PhiloxStream(seed, name)
+        for _ in range(2):
+            assert gen.permutation(n).tolist() == ref.permutation(n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_reference_matches_bounded_integers(n):
+    # one block draw, as unlearning draws its labels, then single draws
+    for seed, name in seeded_pairs():
+        gen, ref = stream(seed, name), PhiloxStream(seed, name)
+        got = gen.integers(0, n, size=15).tolist() + [int(gen.integers(0, n)) for _ in range(4)]
+        assert got == [ref.integer(n) for _ in range(19)]

@@ -476,12 +476,13 @@ class TestCliExitCodes:
          "moe.experts[0].replicas[2]"),
         ("moe_tradeoff", ("moe", "failed_devices"), ["d0", "d0"], "moe.failed_devices[1]"),
         ("unlearn_optout", ("unlearn", "opt_out"), ["d3", "d3"], "unlearn.opt_out[1]"),
+        ("moe_schedule", ("moe", "arrival_prob"), 7.5, "moe.arrival_prob"),
     ], ids=["replica-list", "failed-list", "opt-out-list", "expert-id-list",
             "expert-id-empty", "expert-id-repeated", "seed-2^64", "unlearn-feature-dim-2",
             "budget-above-n-total", "t-budget-above-n-total", "load-jitter-3",
             "load-jitter-1", "local-rank-above-dims", "budget-not-positive",
             "v-sweep-negative", "opt-out-empty", "replica-repeated", "failed-repeated",
-            "opt-out-repeated"])
+            "opt-out-repeated", "arrival-prob-7.5"])
     def test_config_error_names_field(self, tmp_path, capsys, command, name, path, value,
                                       where):
         # validate and run read a config with the same parser, so both exit 2
@@ -719,14 +720,32 @@ class TestCliExitCodes:
             "solver": "local_search",
         }
         assert self.run_cli(tmp_path, cfg) == 3
-        assert "infeasible scenario: local search found no feasible start" in (
-            capsys.readouterr().out
-        )
+        assert (
+            "infeasible scenario: local search found no feasible start: step 2 fits on no device"
+        ) in capsys.readouterr().out
         assert not (tmp_path / "out" / "cot_result.json").exists()
         cfg["cot"]["solver"] = "exact"
         assert self.run_cli(tmp_path, cfg) == 0
         result = json.loads((tmp_path / "out" / "cot_result.json").read_text())
         assert result["exact"]["placement"] == [1, 2, 0]
+
+    def test_cot_local_search_dead_link_exits_3(self, tmp_path, capsys):
+        # every link is dead: the greedy start puts steps 0-2 on the fastest
+        # device d3, which has no room for step 3, and every device with
+        # room lies behind a dead link from d3; the whole chain fits on d0
+        cfg = shipped_cfg("cot_place")
+        cfg["cot"]["gains"] = [[0.0] * 4 for _ in range(4)]
+        cfg["cot"]["solver"] = "local_search"
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert (
+            "infeasible scenario: local search found no feasible start: "
+            "step 3 fits only behind a dead link"
+        ) in capsys.readouterr().out
+        assert not (tmp_path / "out" / "cot_result.json").exists()
+        cfg["cot"]["solver"] = "exact"
+        assert self.run_cli(tmp_path, cfg) == 0
+        exact = json.loads((tmp_path / "out" / "cot_result.json").read_text())["exact"]
+        assert (exact["placement"], exact["cost_s"], exact["n_feasible"]) == ([0] * 5, 5.0, 1008)
 
     def test_cot_beyond_exact_guard_exits_3(self, tmp_path, capsys):
         cfg = cot_cfg()
