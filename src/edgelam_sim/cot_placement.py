@@ -83,7 +83,8 @@ def solve_exact(
     Ties resolve to the lexicographically smallest device vector; the cost
     is summed step by step, the same bits as scoring that placement alone.
     ``n_feasible`` counts every capacity-feasible placement.  Raises
-    ``PlacementError`` when no capacity-feasible placement has finite cost.
+    ``PlacementError`` when no capacity-feasible placement has finite cost,
+    naming the cause: no placement fits, or every one that fits costs inf.
     """
     if shard_bytes < 0:  # the search prunes on partial loads, so memory must not shrink them
         raise ValueError("shard_bytes must be >= 0")
@@ -95,6 +96,9 @@ def solve_exact(
         )
     assignment, cost, n_feasible = placement_scan(
         *_cost_tables(chain, devices, link_rates, shard_bytes))
+    if assignment is None and n_feasible:
+        raise PlacementError(f"all {n_feasible} capacity-feasible placements cost inf "
+                             "(an overflowing compute time or a dead link)")
     if assignment is None:
         raise PlacementError("no capacity-feasible placement exists")
     return PlacementResult(tuple(assignment), cost, n_feasible)

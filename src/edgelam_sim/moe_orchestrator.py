@@ -102,11 +102,12 @@ def orchestrate(
     Cost of a call on a device is ``w_lat * upload latency + w_energy *
     upload energy``.  The channel is static unless ``fading_sigma`` is set,
     in which case every device's gain is modulated by its seeded per-slot
-    fading sequence.  Replicas on a dead uplink (zero bandwidth, gain or
-    power) are dropped for experts that have output to send; an expert left
-    without replicas raises ``SchedulingError``, and so does a V whose
-    product with a finite call cost overflows; a backlog, a backlog times a
-    load, or a score that overflows raises ``FloatingPointError``.
+    fading sequence.  Replicas on a dead uplink (zero bandwidth, or a gain
+    times power that is 0, as ``shannon_rate`` tests it) are dropped for
+    experts that have output to send; an expert left without replicas
+    raises ``SchedulingError``, and so does a V whose product with a finite
+    call cost overflows; a backlog, a backlog times a load, or a score that
+    overflows raises ``FloatingPointError``.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
@@ -123,7 +124,7 @@ def orchestrate(
     dead_uplink = {
         d.id
         for d in order
-        if bandwidth.get(d.id, 0.0) == 0.0 or d.channel_gain == 0.0 or d.tx_power == 0.0
+        if bandwidth.get(d.id, 0.0) == 0.0 or d.channel_gain * d.tx_power == 0.0
     }
 
     alive_replicas = []

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -94,7 +96,9 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
 
     Zero bandwidth or zero received power means zero rate.  Where the SNR
     overflows (N0*B underflowing, say), the rate is B*log2(g*p/(N0*B))
-    taken in logs, which stays finite; the 1 is negligible there.
+    taken in logs, which stays finite; the 1 is negligible there.  Below an
+    SNR of 1 the log is ``log1p(snr) / ln 2``, so a very wide band, where
+    ``1 + snr`` would round to 1, keeps its rate of about g*p/(N0 ln 2).
     """
     if bandwidth < 0 or gain < 0 or power < 0:
         raise DomainError("bandwidth, gain and power must be >= 0")
@@ -108,6 +112,8 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
     if snr == math.inf:
         logs = math.log2(gain) + math.log2(power) - math.log2(noise_density)
         return bandwidth * (logs - math.log2(bandwidth))
+    if snr < 1.0:
+        return bandwidth * (math.log1p(snr) / _LN2)
     return bandwidth * math.log2(1.0 + snr)
 
 
@@ -144,7 +150,7 @@ class MinBandwidth:
         if self._full < required:
             return math.inf
         gp, n0, logs = self._consts
-        inf, log2 = math.inf, math.log2
+        inf, log2, log1p = math.inf, math.log2, math.log1p
         lo, hi = 0.0, self.b_cap
         for _ in range(52):
             mid = 0.5 * (lo + hi)
@@ -153,7 +159,12 @@ class MinBandwidth:
             else:
                 noise = n0 * mid
                 snr = gp / noise if noise > 0.0 else inf
-                rate = mid * (logs - log2(mid)) if snr == inf else mid * log2(1.0 + snr)
+                if snr == inf:
+                    rate = mid * (logs - log2(mid))
+                elif snr < 1.0:
+                    rate = mid * (log1p(snr) / _LN2)
+                else:
+                    rate = mid * log2(1.0 + snr)
             if rate >= required:
                 hi = mid
             else:

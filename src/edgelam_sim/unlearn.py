@@ -2,10 +2,11 @@
 
 Opt-out devices run gradient *ascent* on their forget data; before
 dissemination the server projects each ascent direction onto the orthogonal
-complement of the span of the retained devices' gradients, so first-order
-retained loss is untouched.  Cross-entropy is bounded by shifting the
-logarithm, which caps both the loss and its gradient.  Optional Gaussian
-noise on the disseminated update comes from a seeded stream.
+complement of the span of the retained devices' gradients (an orthonormal
+basis held as one array), so first-order retained loss is untouched.
+Cross-entropy is bounded by shifting the logarithm, which caps both the loss
+and its gradient.  Optional Gaussian noise on the disseminated update comes
+from a seeded stream.
 
 The desk-scale task is a softmax-linear classifier on synthetic clusters;
 each opt-out device is a single-class client in its own feature region, so
@@ -22,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import gram_schmidt
+from .numerics import gram_schmidt, project_out
 from .rng import stream, stream_word
 
 
@@ -42,30 +43,20 @@ class RetainedSubspace:
 
 
 def retained_subspace(retained_gradients) -> RetainedSubspace:
-    """Gram-Schmidt basis of the retained gradients (dependents dropped)."""
-    grads = list(retained_gradients)
-    if not grads:
-        return RetainedSubspace(np.zeros((0, 0)))
-    basis = gram_schmidt(grads)
-    if not basis:
-        return RetainedSubspace(np.zeros((0, grads[0].size)))
-    return RetainedSubspace(np.vstack(basis))
+    """Gram-Schmidt basis of the retained gradients, one ``(n, dim)`` row per
+    retained device (dependents dropped); no device gives a ``(0, dim)`` basis."""
+    return RetainedSubspace(gram_schmidt(retained_gradients))
 
 
 def orthogonal_project(g, subspace: RetainedSubspace) -> np.ndarray:
     """Component of ``g`` orthogonal to the subspace: g - sum <g,u> u.
 
-    Projects twice; the second pass scrubs the float residue of the first,
-    keeping dots with the basis at the 1e-10 contract even for large ||g||.
+    Projects twice (``project_out``), keeping dots with the basis at the
+    1e-10 contract even for large ||g||; an empty basis gives ``g``'s bytes.
     """
-    if subspace.n_basis == 0:
-        return g.copy()
     if subspace.dim != g.size:
         raise ShapeError(f"gradient dim {g.size} != subspace dim {subspace.dim}")
-    u = subspace.basis
-    out = g - u.T @ (u @ g)
-    out = out - u.T @ (u @ out)
-    return out
+    return project_out(g, subspace.basis)
 
 
 def add_dp_noise(g, clip_norm: float, sigma: float, rng_seed: int) -> np.ndarray:
@@ -87,12 +78,18 @@ def add_dp_noise(g, clip_norm: float, sigma: float, rng_seed: int) -> np.ndarray
 # softmax-linear classification model
 # ---------------------------------------------------------------------------
 
+def _softmax(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Max-shifted class probabilities ``(..., m, C)`` of stacked ``w``, ``x``."""
+    logits = x @ np.swapaxes(w, -1, -2)
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
 def bce_dataset_loss(w: np.ndarray, x: np.ndarray, labels: np.ndarray, delta: float) -> float:
     """Mean bounded cross-entropy of the classifier over a dataset."""
-    logits = x @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = _softmax(w, x)
     p_label = probs[np.arange(x.shape[0]), labels]
     return float(np.mean(-np.log((p_label + delta) / (1.0 + delta))))
 
@@ -109,10 +106,7 @@ def bce_dataset_grad(w: np.ndarray, x: np.ndarray, labels: np.ndarray, delta: fl
     case; each slice of a stacked call equals its 2-D call bit for bit.
     """
     m = x.shape[-2]
-    logits = x @ np.swapaxes(w, -1, -2)
-    logits -= logits.max(axis=-1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = _softmax(w, x)
     at_label = labels[..., None]
     p_label = np.take_along_axis(probs, at_label, axis=-1)
     ratio = p_label / (p_label + delta)
@@ -139,8 +133,8 @@ class UnlearnState:
     global_weights: np.ndarray  # n_classes x feature_dim
     datasets: Mapping[str, tuple[np.ndarray, np.ndarray]]  # id -> (X, labels)
     opt_out: tuple[str, ...]  # any collection of ids on input
-    unlearned: dict[str, np.ndarray] = field(default_factory=dict)
-    round_index: int = 0
+    unlearned: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    round_index: int = field(default=0, init=False)
     device_ids: tuple[str, ...] = field(init=False)
     x: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
@@ -268,10 +262,9 @@ def unlearning_round(
         forget_x, forget_y = state.datasets[dev]
         forget_grad = bce_dataset_grad(w_u, forget_x, forget_y, delta).ravel()
         projected = orthogonal_project(forget_grad, subspace)
-        if subspace.n_basis:
-            max_basis_dot = max(
-                max_basis_dot, float(np.abs(subspace.basis @ projected).max())
-            )
+        max_basis_dot = max(
+            max_basis_dot, float(np.abs(subspace.basis @ projected).max(initial=0.0))
+        )
         residual_norm = max(residual_norm, float(np.linalg.norm(projected)))
         update = projected
         if dp is not None:

@@ -593,12 +593,7 @@ def gram_schmidt_unscreened(vectors, tol):
     against the basis so far, one basis vector at a time, and kept iff its
     residual norm is at least ``tol`` times its input norm."""
     basis = []
-    dim = None
     for v in vectors:
-        if dim is None:
-            dim = v.size
-        elif v.size != dim:
-            raise ShapeError(f"mixed vector lengths {dim} and {v.size}")
         v_norm = float(np.linalg.norm(v))
         if v_norm == 0.0:
             continue
@@ -679,9 +674,9 @@ def unlearning_round_per_device(state, lr, delta, dp=None):
     max_basis_dot = 0.0
     for dev in sorted(state.opt_out):
         w_u = state.unlearned[dev]
-        retained_grads = [
+        retained_grads = np.array([
             bce_grad_one_dataset(w_u, *datasets[rid], delta).ravel() for rid in retained_ids
-        ]
+        ]).reshape(len(retained_ids), w_u.size)
         subspace = retained_subspace(retained_grads)
         forget_grad = bce_grad_one_dataset(w_u, *datasets[dev], delta).ravel()
         projected = orthogonal_project(forget_grad, subspace)

@@ -166,6 +166,15 @@ class TestSolveExact:
         with pytest.raises(PlacementError, match="no capacity-feasible placement exists"):
             solve_exact(chain, tiny, links)
 
+    def test_every_fitting_placement_costs_inf(self):
+        # each step's compute time, 1e9 / 1e-300, overflows on every device:
+        # all 27 placements fit, and the error says that none has a finite cost
+        chain, devices, links = uniform_instance(rate=1e-300)
+        with pytest.raises(PlacementError, match=(
+                r"^all 27 capacity-feasible placements cost inf "
+                r"\(an overflowing compute time or a dead link\)$")):
+            solve_exact(chain, devices, links)
+
 
 class TestLocalSearch:
     def test_dominant_device_matches_exact(self):

@@ -214,6 +214,23 @@ class TestOrchestrate:
                 failed_devices=frozenset({"d0", "d1", "d2"}),
             )
 
+    def test_underflowing_gain_times_power_is_a_dead_uplink(self):
+        # 1e-200 * 1e-200 underflows to 0, where shannon_rate gives 0 bit/s:
+        # the uplink is dead just as with a power of 0
+        devices, experts, bw = simple_setup()
+        kwargs = dict(n_slots=30, v=1.0, top_k=2, seed=7, bandwidth=bw, noise_density=1e-9)
+
+        def with_radio(gain, power, ids):
+            return [DeviceProfile(d.id, d.compute_rate, d.memory_capacity, gain, power, 1)
+                    if d.id in ids else d for d in devices]
+
+        faint = orchestrate(with_radio(1e-200, 1e-200, {"d0"}), experts, **kwargs)
+        silent = orchestrate(with_radio(1.0, 0.0, {"d0"}), experts, **kwargs)
+        assert slot_records(faint) == slot_records(silent)
+        assert all(dev != "d0" for r in slot_records(faint) for _, dev in r.assignment)
+        with pytest.raises(SchedulingError, match="no replica with a live uplink"):
+            orchestrate(with_radio(1e-200, 1e-200, {"d0", "d1", "d2"}), experts, **kwargs)
+
     def test_fading_changes_costs_deterministically(self):
         devices, experts, bw = simple_setup()
         kwargs = dict(

@@ -65,19 +65,28 @@ class TestShannonRate:
         # a finite SNR keeps the plain formula, bit for bit
         assert shannon_rate(3e5, gain, 0.5, 1e-9) == 3e5 * math.log2(1.0 + 2.0 / (1e-9 * 3e5))
 
+    @pytest.mark.parametrize("bandwidth", [1e100, 1e300])
+    def test_wide_band_keeps_its_rate(self, bandwidth):
+        # the SNR (5e-92 at 1e100 Hz) is below 2^-53, so 1 + snr rounds to 1;
+        # log1p keeps the rate at its wide-band limit g*p/(N0 ln 2)
+        limit = 1.0 * 0.5 / (1e-9 * math.log(2.0))
+        assert shannon_rate(bandwidth, 1.0, 0.5, 1e-9) == pytest.approx(limit, rel=1e-12)
+
 
 class TestMinBandwidth:
     def test_matches_bisection_over_shannon_rate_bit_for_bit(self):
         # the oracle calls shannon_rate at every step; the evaluator repeats
-        # its arithmetic inline, so the two must agree exactly, on both of
+        # its arithmetic inline, so the two must agree exactly, on each of
         # shannon_rate's branches and at a zero midpoint
         rng = np.random.default_rng(31)
-        seen = dict.fromkeys(["log_branch", "plain", "zero_mid", "short", "int_gain"], 0)
+        seen = dict.fromkeys(
+            ["log_branch", "plain", "zero_mid", "short", "int_gain", "below_unit_snr"], 0)
         for _ in range(400):
             gain = [float(rng.uniform(0.1, 3.0)), 2, np.float64(1.5), 1e200][rng.integers(4)]
             power = [float(rng.uniform(0.1, 1.0)), 1][rng.integers(2)]
             n0 = [1e-9, 1e-20, 1.0][rng.integers(3)]
-            b_cap = [float(rng.uniform(1e5, 5e6)), 1e-300, 3e-310, 5e-324][rng.integers(4)]
+            b_cap = [float(rng.uniform(1e5, 5e6)), 1e-300, 3e-310, 5e-324,
+                     1e100][rng.integers(5)]
             link = MinBandwidth(b_cap, gain, power, n0)
             full = shannon_rate(b_cap, gain, power, n0)
             for required in (full * float(rng.uniform(0.01, 1.0)), full * 1.5, -1.0):
@@ -91,6 +100,7 @@ class TestMinBandwidth:
             noise = n0 * b_cap
             snr = float(gain) * float(power) / noise if noise > 0.0 else math.inf
             seen["log_branch" if snr == math.inf else "plain"] += 1
+            seen["below_unit_snr"] += snr < 1.0
             seen["zero_mid"] += 0.5 * b_cap == 0.0
             seen["int_gain"] += type(gain) is int
         assert min(seen.values()) >= 10, seen

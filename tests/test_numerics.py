@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from edgelam_sim import numerics, unlearn
-from edgelam_sim.errors import ShapeError
 from edgelam_sim.numerics import DROP_TOL, SCREEN_FRACTION, gram_schmidt
 
 from oracles import as_prob_vector, gram_schmidt_unscreened, softmax
@@ -20,49 +19,53 @@ def span_projector(vectors):
 
 class TestGramSchmidt:
     def test_already_orthogonal(self):
-        basis = gram_schmidt([np.array([1.0, 0.0]), np.array([0.0, 2.0])])
+        basis = gram_schmidt(np.array([[1.0, 0.0], [0.0, 2.0]]))
         assert np.allclose(basis[0], [1.0, 0.0])
         assert np.allclose(basis[1], [0.0, 1.0])
 
     def test_duplicate_dropped(self):
-        basis = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
+        basis = gram_schmidt(np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert len(basis) == 1
         assert np.allclose(basis[0], [1.0, 0.0])
 
     def test_empty_input(self):
-        assert gram_schmidt([]) == []
+        basis = gram_schmidt(np.zeros((0, 3)))
+        assert basis.shape == (0, 3) and basis.dtype == np.float64
+
+    def test_no_row_kept(self):
+        assert gram_schmidt(np.zeros((2, 3))).shape == (0, 3)
 
     def test_projector_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(3)
-        vectors = [rng.standard_normal(6) for _ in range(4)]
-        basis = gram_schmidt(vectors)
-        u = np.vstack(basis)
+        vectors = rng.standard_normal((4, 6))
+        u = gram_schmidt(vectors)
         assert np.max(np.abs(u.T @ u - span_projector(vectors))) <= 1e-9
 
     def test_orthonormality_contract(self):
         rng = np.random.default_rng(4)
-        basis = gram_schmidt([rng.standard_normal(8) for _ in range(5)])
-        u = np.vstack(basis)
-        gram = u @ u.T
-        assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-10
+        u = gram_schmidt(rng.standard_normal((5, 8)))
+        assert u.shape == (5, 8)
+        assert np.max(np.abs(u @ u.T - np.eye(5))) <= 1e-10
 
     def test_idempotence(self):
         rng = np.random.default_rng(5)
-        basis = gram_schmidt([rng.standard_normal(7) for _ in range(4)])
+        basis = gram_schmidt(rng.standard_normal((4, 7)))
         again = gram_schmidt(basis)
-        assert len(again) == len(basis)
-        for v, w in zip(basis, again):
-            assert np.max(np.abs(v - w)) <= 1e-10
+        assert again.shape == basis.shape == (4, 7)
+        assert np.max(np.abs(basis - again)) <= 1e-10
 
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(ShapeError):
-            gram_schmidt([np.ones(3), np.ones(4)])
+    def test_input_left_unchanged(self):
+        vectors = np.random.default_rng(11).standard_normal((6, 4))
+        before = vectors.copy()
+        gram_schmidt(vectors)
+        assert vectors.tobytes() == before.tobytes()
 
 
 def same_basis(vectors):
     """``gram_schmidt`` on ``vectors``, checked bit for bit against the
     unscreened two-pass MGS at the same drop line: the same number of rows,
     each with the same bytes."""
+    vectors = np.array(vectors)
     basis = gram_schmidt(vectors)
     oracle = gram_schmidt_unscreened(vectors, DROP_TOL)
     assert len(basis) == len(oracle)
@@ -151,7 +154,7 @@ def test_screen_leaves_exact_projection_to_kept_rows(monkeypatch, projections):
     calls = []
 
     def capture(vectors):
-        calls.append(list(vectors))
+        calls.append(vectors.copy())
         return gram_schmidt(vectors)
 
     monkeypatch.setattr(unlearn, "gram_schmidt", capture)

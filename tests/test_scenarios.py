@@ -567,6 +567,20 @@ class TestCliExitCodes:
         result = json.loads((tmp_path / "out" / "cot_result.json").read_text())
         assert math.isfinite(result["exact"]["cost_s"])
 
+    @pytest.mark.parametrize("name, key", [
+        ("fedft_hetero", "total_bandwidth"),
+        ("moe_tradeoff", "total_bandwidth"),
+        ("cot_place", "link_bandwidth"),
+    ])
+    def test_very_wide_band_keeps_its_rate(self, tmp_path, name, key):
+        # at 1e100 Hz every SNR is below 2^-53, where 1 + snr rounds to 1;
+        # the rate stays near g*p/(N0 ln 2) instead of falling to 0: fedft
+        # meets its deadline, MoE's costs stay finite, and no CoT link is
+        # dead, so the local search's greedy start finds room
+        cfg = shipped_cfg(name)
+        cfg["channel"][key] = 1e100
+        assert self.run_cli(tmp_path, cfg) == 0
+
     @pytest.mark.parametrize("v", [1.0, 0.0])
     def test_moe_band_starving_every_upload_exits_3(self, tmp_path, capsys, v):
         # the rate stays finite (about 3e-303 bit/s), but a 1e6-bit upload
@@ -641,6 +655,19 @@ class TestCliExitCodes:
         cfg["cot"]["shard_bytes"] = 1e308
         assert self.run_cli(tmp_path, cfg) == 3
         assert "no capacity-feasible placement exists" in capsys.readouterr().out
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_cot_every_placement_costing_inf_blames_cost_not_memory(self, tmp_path, capsys):
+        # every step's compute time overflows to inf on every device: 1008
+        # placements fit in memory, none has a finite cost
+        cfg = shipped_cfg("cot_place")
+        for device in cfg["devices"]:
+            device["compute_rate"] = 1e-300
+        assert self.run_cli(tmp_path, cfg) == 3
+        assert (
+            "infeasible scenario: all 1008 capacity-feasible placements cost inf "
+            "(an overflowing compute time or a dead link)"
+        ) in capsys.readouterr().out
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("solver", ["both", "local_search", "exact"])
