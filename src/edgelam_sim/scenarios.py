@@ -1,4 +1,4 @@
-"""Scenario configs: parse, dispatch, and write outputs.
+"""Scenario configs: parse, run, and write outputs.
 
 A scenario is a JSON file with a top-level ``kind`` discriminator
 (``fedft | unlearn | moe | cot | casestudy``), a mandatory ``seed``, and a
@@ -8,6 +8,10 @@ runner needs (the scenario's ``spec``), so a config passes validation
 exactly when a run can build it.  Every run is a pure function of the
 config bytes and the seed: outputs (UTF-8 CSV with a header row,
 pretty-printed JSON with sorted keys) are byte-identical across re-runs.
+
+A runner writes nothing: it returns the CSV's ``(header, rows)`` (``None``
+for CoT) and the JSON summary without ``kind`` and ``seed``; ``run_guarded``
+adds those two keys and writes both files, each named once in ``_KINDS``.
 
 The parsers use the standard library and ``netsim``'s value types only, so
 ``validate`` and every config error load no solver module and no numpy.
@@ -470,20 +474,18 @@ def _parse_casestudy(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def fmt(value) -> str:
-    """Shortest round-trip decimal text for a float, int, bool or str cell
-    (stable across runs)."""
+    """Shortest round-trip decimal text for a float, int or str cell (stable
+    across runs)."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NonFiniteOutput(f"a cell is {float(value)!r}")
         return repr(float(value))
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return str(value)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     """Stream the rows out; raise at a float cell that is inf or nan, leaving
-    the part already written for ``run_scenario`` to remove."""
+    the part already written for ``run_guarded`` to remove."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             writer = csv.writer(f, lineterminator="\n")
@@ -505,10 +507,10 @@ def write_json(path: Path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# runners: spec -> output files
+# runners: (spec, seed) -> (table, summary)
 # ---------------------------------------------------------------------------
 
-def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
+def _run_fedft(spec: dict, seed: int):
     from . import fedft
 
     devices, task, train = spec["devices"], spec["task"], spec["train"]
@@ -531,26 +533,18 @@ def _run_fedft(spec: dict, seed: int, out_dir: Path) -> None:
     # the selection is fixed for the run: its two cells are the same on every row
     selected = ";".join(selection.selected)
     bandwidth = ";".join(f"{dev}={fmt(b)}" for dev, b in sorted(selection.bandwidth.items()))
-    write_csv(
-        out_dir / "fedft_rounds.csv",
-        ["round", "global_loss", "round_latency_s", "selected_devices", "bandwidth_hz"],
-        [[i, loss, latency, selected, bandwidth] for i, loss in enumerate(losses, 1)],
-    )
-    write_json(
-        out_dir / "fedft_summary.json",
-        {
-            "kind": "fedft",
-            "seed": seed,
-            "rounds": len(losses),
-            "initial_loss": initial,
-            "final_loss": losses[-1],
-            "round_latency_s": latency,
-            "selected_devices": list(selection.selected),
-        },
-    )
+    header = ["round", "global_loss", "round_latency_s", "selected_devices", "bandwidth_hz"]
+    rows = [[i, loss, latency, selected, bandwidth] for i, loss in enumerate(losses, 1)]
+    return (header, rows), {
+        "rounds": len(losses),
+        "initial_loss": initial,
+        "final_loss": losses[-1],
+        "round_latency_s": latency,
+        "selected_devices": list(selection.selected),
+    }
 
 
-def _run_unlearn(spec: dict, seed: int, out_dir: Path) -> None:
+def _run_unlearn(spec: dict, seed: int):
     from . import unlearn
 
     lr, delta = spec["lr"], spec["delta"]
@@ -562,68 +556,48 @@ def _run_unlearn(spec: dict, seed: int, out_dir: Path) -> None:
     pre_forget = unlearn.forget_loss(state, delta)
     pre_retained = unlearn.retained_loss(state, delta)
     records = unlearn.run_unlearning(state, lr, delta, rounds=spec["unlearn_rounds"], dp=dp_cfg)
+    header = ["round", "forget_loss", "retained_loss", "projection_residual_norm", "sigma"]
     rows = [
         [r.round_index, r.forget_loss, r.retained_loss, r.projection_residual_norm, r.sigma]
         for r in records
     ]
-    write_csv(
-        out_dir / "unlearn_rounds.csv",
-        ["round", "forget_loss", "retained_loss", "projection_residual_norm", "sigma"],
-        rows,
-    )
-    write_json(
-        out_dir / "unlearn_summary.json",
-        {
-            "kind": "unlearn",
-            "seed": seed,
-            "opt_out": list(state.opt_out),
-            "pre_unlearning_forget_loss": pre_forget,
-            "pre_unlearning_retained_loss": pre_retained,
-            "final_forget_loss": records[-1].forget_loss,
-            "final_retained_loss": records[-1].retained_loss,
-            "rounds": len(records),
-        },
-    )
+    return (header, rows), {
+        "opt_out": list(state.opt_out),
+        "pre_unlearning_forget_loss": pre_forget,
+        "pre_unlearning_retained_loss": pre_retained,
+        "final_forget_loss": records[-1].forget_loss,
+        "final_retained_loss": records[-1].retained_loss,
+        "rounds": len(records),
+    }
 
 
-def _run_moe(spec: dict, seed: int, out_dir: Path) -> None:
-    from . import moe_orchestrator as moe
-
-    kwargs = spec["orchestrate"]
-    result = moe.orchestrate(v=spec["v"], seed=seed, **kwargs)
-    write_csv(
-        out_dir / "moe_trace.csv",
-        ["slot", "assignment", "slot_cost", *[f"backlog_{dev}" for dev in result.device_ids]],
-        moe.trace_rows(result),
-    )
-    summary = {
-        "kind": "moe",
-        "seed": seed,
-        "v": spec["v"],
+def _moe_entry(v: float, result) -> dict:
+    return {
+        "v": v,
         "time_avg_cost": result.time_avg_cost,
         "time_avg_backlog": result.time_avg_backlog,
         "max_backlog": result.max_backlog,
     }
+
+
+def _run_moe(spec: dict, seed: int):
+    from . import moe_orchestrator as moe
+
+    kwargs = spec["orchestrate"]
+    result = moe.orchestrate(v=spec["v"], seed=seed, **kwargs)
+    header = ["slot", "assignment", "slot_cost", *[f"backlog_{dev}" for dev in result.device_ids]]
+    table = (header, moe.trace_rows(result))
+    summary = _moe_entry(spec["v"], result)
     if spec["v_sweep"]:
-        entries = []
         runs = {spec["v"]: result}  # one run per distinct V
         for v in spec["v_sweep"]:
             if v not in runs:
                 runs[v] = moe.orchestrate(v=v, seed=seed, **kwargs)
-            res = runs[v]
-            entries.append(
-                {
-                    "v": v,
-                    "time_avg_cost": res.time_avg_cost,
-                    "time_avg_backlog": res.time_avg_backlog,
-                    "max_backlog": res.max_backlog,
-                }
-            )
-        summary["v_sweep"] = entries
-    write_json(out_dir / "moe_summary.json", summary)
+        summary["v_sweep"] = [_moe_entry(v, runs[v]) for v in spec["v_sweep"]]
+    return table, summary
 
 
-def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
+def _run_cot(spec: dict, seed: int):
     from . import cot_placement as cot
 
     devices, chain, shard_bytes = spec["devices"], spec["chain"], spec["shard_bytes"]
@@ -631,16 +605,11 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
         devices, spec["gains"], spec["link_bandwidth"], spec["noise_density"]
     )
     solver = spec["solver"]
-    payload: dict = {
-        "kind": "cot",
-        "seed": seed,
-        "n_steps": len(chain),
-        "devices": [d.id for d in devices],
-    }
+    summary: dict = {"n_steps": len(chain), "devices": [d.id for d in devices]}
     exact_res = None
     if solver in ("exact", "both"):
         exact_res = cot.solve_exact(chain, devices, link_rates, shard_bytes)
-        payload["exact"] = {
+        summary["exact"] = {
             "placement": list(exact_res.assignment),
             "cost_s": exact_res.cost,
             "solver": "exact",
@@ -661,15 +630,15 @@ def _run_cot(spec: dict, seed: int, out_dir: Path) -> None:
                 if exact_res.cost > 0
                 else 0.0
             )
-        payload["local_search"] = entry
-    write_json(out_dir / "cot_result.json", payload)
+        summary["local_search"] = entry
+    return None, summary
 
 
-def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
+def _run_casestudy(spec: dict, seed: int):
     from . import casestudy as cs
 
     budgets = spec["budgets"]
-    summary: dict = {"kind": "casestudy", "seed": seed, "budgets": budgets}
+    summary: dict = {"budgets": budgets}
     # a budget beyond the calibrated chain and the device limit raise ValueError
     try:
         if spec["model"] is None:
@@ -691,40 +660,33 @@ def _run_casestudy(spec: dict, seed: int, out_dir: Path) -> None:
         rows = cs.casestudy_sweep(model, budgets)
     except ValueError as exc:
         raise InfeasibleScenario(str(exc)) from exc
-    write_csv(
-        out_dir / "casestudy_sweep.csv",
-        [
-            "max_tokens",
-            "device_count",
-            "total_memory_bytes",
-            "monolithic_memory_bytes",
-            "total_latency_s",
-            "monolithic_latency_s",
-            "mem_reduction",
-            "lat_reduction",
-            "combined_normalized_cost",
-        ],
-        [[*dataclasses.astuple(r), r.combined_normalized_cost] for r in rows],
-    )
+    header = [
+        "max_tokens",
+        "device_count",
+        "total_memory_bytes",
+        "monolithic_memory_bytes",
+        "total_latency_s",
+        "monolithic_latency_s",
+        "mem_reduction",
+        "lat_reduction",
+        "combined_normalized_cost",
+    ]
     summary["model"] = dataclasses.asdict(model)
-    best = min(rows, key=lambda r: r.combined_normalized_cost)
-    summary["best_budget"] = best.t_budget
-    write_json(out_dir / "casestudy_summary.json", summary)
+    summary["best_budget"] = min(rows, key=lambda r: r.combined_normalized_cost).t_budget
+    return (header, [[*dataclasses.astuple(r), r.combined_normalized_cost] for r in rows]), summary
 
 
-# kind -> (parser, solver module, runner, the files the runner writes)
+# kind -> (parser, solver module, runner, CSV file or None, JSON file)
 _KINDS = {
-    "fedft": (_parse_fedft, "fedft", _run_fedft, ("fedft_rounds.csv", "fedft_summary.json")),
+    "fedft": (_parse_fedft, "fedft", _run_fedft, "fedft_rounds.csv", "fedft_summary.json"),
     "unlearn": (
-        _parse_unlearn, "unlearn", _run_unlearn, ("unlearn_rounds.csv", "unlearn_summary.json")
+        _parse_unlearn, "unlearn", _run_unlearn, "unlearn_rounds.csv", "unlearn_summary.json"
     ),
-    "moe": (_parse_moe, "moe_orchestrator", _run_moe, ("moe_trace.csv", "moe_summary.json")),
-    "cot": (_parse_cot, "cot_placement", _run_cot, ("cot_result.json",)),
+    "moe": (_parse_moe, "moe_orchestrator", _run_moe, "moe_trace.csv", "moe_summary.json"),
+    "cot": (_parse_cot, "cot_placement", _run_cot, None, "cot_result.json"),
     "casestudy": (
-        _parse_casestudy,
-        "casestudy",
-        _run_casestudy,
-        ("casestudy_sweep.csv", "casestudy_summary.json"),
+        _parse_casestudy, "casestudy", _run_casestudy, "casestudy_sweep.csv",
+        "casestudy_summary.json",
     ),
 }
 
@@ -735,8 +697,8 @@ _UNALLOCATABLE = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int, str]:
-    """Load a scenario and run it into ``out_dir``; return the exit status
-    (0/2/3) and the diagnostic line to print ("" on success).
+    """Load a scenario, run it and write its outputs into ``out_dir``; return
+    the exit status (0/2/3) and the diagnostic line to print ("" on success).
 
     ``load`` parses the scenario, raising ConfigError, before the run.  The
     kind's solver module and numpy are imported next, and the runner then
@@ -744,16 +706,17 @@ def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int,
     raising, so no inf or nan that an operation produces goes unseen: it
     exits 3 as a numeric overflow.  An array too large to allocate exits 3
     as out of memory.  The parser has already rejected
-    non-finite config numbers, and the kernels do not check again.  A run
-    that exits 3 removes its kind's output files, so a result in
-    ``out_dir`` is never partial (nor left over from an earlier run).
+    non-finite config numbers, and the kernels do not check again.  The
+    runner returns its table and summary, which are written here, under the
+    same guard.  A run that exits 3 removes its kind's output files, so a
+    result in ``out_dir`` is never partial (nor left over from an earlier run).
     """
     try:
         scenario = load()
         out = make_out_dir(out_dir)
     except ConfigError as exc:
         return EXIT_CONFIG, f"config error: {exc}"
-    _, module, run, outputs = _KINDS[scenario.kind]
+    _, module, run, csv_name, json_name = _KINDS[scenario.kind]
     # after the parse, which needs neither, and before the raising errstate,
     # so that no module body runs under it
     importlib.import_module(f".{module}", __package__)
@@ -761,7 +724,10 @@ def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int,
 
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            run(scenario.spec, scenario.seed, out)
+            table, summary = run(scenario.spec, scenario.seed)
+            if table is not None:
+                write_csv(out / csv_name, *table)
+            write_json(out / json_name, {"kind": scenario.kind, "seed": scenario.seed, **summary})
     except (InfeasibleScenario, PlacementError, SchedulingError, SizeLimitError) as exc:
         line = f"infeasible scenario: {exc}"
     except FloatingPointError as exc:
@@ -776,7 +742,7 @@ def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int,
         line = f"non-finite output: {exc}"
     else:
         return EXIT_OK, ""
-    for name in outputs:
+    for name in filter(None, (csv_name, json_name)):
         (out / name).unlink(missing_ok=True)
     return EXIT_INFEASIBLE, line
 
