@@ -99,6 +99,8 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
     taken in logs, which stays finite; the 1 is negligible there.  Below an
     SNR of 1 the log is ``log1p(snr) / ln 2``, so a very wide band, where
     ``1 + snr`` would round to 1, keeps its rate of about g*p/(N0 ln 2).
+    Where N0*B overflows, the SNR is taken as g*p/N0/B, so that rate holds
+    there too instead of falling to 0.
     """
     if bandwidth < 0 or gain < 0 or power < 0:
         raise DomainError("bandwidth, gain and power must be >= 0")
@@ -113,6 +115,8 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
         logs = math.log2(gain) + math.log2(power) - math.log2(noise_density)
         return bandwidth * (logs - math.log2(bandwidth))
     if snr < 1.0:
+        if noise == math.inf:
+            snr = float(gain) * float(power) / float(noise_density) / float(bandwidth)
         return bandwidth * (math.log1p(snr) / _LN2)
     return bandwidth * math.log2(1.0 + snr)
 
@@ -162,6 +166,8 @@ class MinBandwidth:
                 if snr == inf:
                     rate = mid * (logs - log2(mid))
                 elif snr < 1.0:
+                    if noise == inf:
+                        snr = gp / n0 / mid
                     rate = mid * (log1p(snr) / _LN2)
                 else:
                     rate = mid * log2(1.0 + snr)

@@ -65,6 +65,18 @@ class TestShannonRate:
         # a finite SNR keeps the plain formula, bit for bit
         assert shannon_rate(3e5, gain, 0.5, 1e-9) == 3e5 * math.log2(1.0 + 2.0 / (1e-9 * 3e5))
 
+    def test_overflowing_noise_keeps_its_rate(self):
+        # N0*B = 1e310 overflows; the SNR g*p/N0/B does not, so the rate
+        # stays at its wide-band limit g*p/(N0 ln 2) instead of falling to 0
+        limit = 0.5 / (1e10 * math.log(2.0))
+        assert shannon_rate(1e300, 1.0, 0.5, 1e10) == pytest.approx(limit, rel=1e-12)
+
+    def test_never_shrinks_as_the_band_grows_past_the_noise_overflow(self):
+        # N0*B overflows from B = 2^991 on; powers of two keep every SNR
+        # exact and normal, so the rounding cannot move the rate either way
+        rates = [shannon_rate(2.0**k, 2.0**600, 0.5, 2.0**33) for k in range(980, 1024)]
+        assert all(r2 >= r1 > 0.0 for r1, r2 in zip(rates, rates[1:]))
+
     @pytest.mark.parametrize("bandwidth", [1e100, 1e300])
     def test_wide_band_keeps_its_rate(self, bandwidth):
         # the SNR (5e-92 at 1e100 Hz) is below 2^-53, so 1 + snr rounds to 1;
@@ -79,14 +91,14 @@ class TestMinBandwidth:
         # its arithmetic inline, so the two must agree exactly, on each of
         # shannon_rate's branches and at a zero midpoint
         rng = np.random.default_rng(31)
-        seen = dict.fromkeys(
-            ["log_branch", "plain", "zero_mid", "short", "int_gain", "below_unit_snr"], 0)
+        seen = dict.fromkeys(["log_branch", "plain", "zero_mid", "short", "int_gain",
+                              "below_unit_snr", "noise_overflow"], 0)
         for _ in range(400):
             gain = [float(rng.uniform(0.1, 3.0)), 2, np.float64(1.5), 1e200][rng.integers(4)]
             power = [float(rng.uniform(0.1, 1.0)), 1][rng.integers(2)]
-            n0 = [1e-9, 1e-20, 1.0][rng.integers(3)]
+            n0 = [1e-9, 1e-20, 1.0, 1e10][rng.integers(4)]
             b_cap = [float(rng.uniform(1e5, 5e6)), 1e-300, 3e-310, 5e-324,
-                     1e100][rng.integers(5)]
+                     1e100, 1e300][rng.integers(6)]
             link = MinBandwidth(b_cap, gain, power, n0)
             full = shannon_rate(b_cap, gain, power, n0)
             for required in (full * float(rng.uniform(0.01, 1.0)), full * 1.5, -1.0):
@@ -103,6 +115,7 @@ class TestMinBandwidth:
             seen["below_unit_snr"] += snr < 1.0
             seen["zero_mid"] += 0.5 * b_cap == 0.0
             seen["int_gain"] += type(gain) is int
+            seen["noise_overflow"] += noise == math.inf  # the bisection's first steps too
         assert min(seen.values()) >= 10, seen
 
     def test_never_shrinks_as_the_rate_grows(self):
