@@ -192,6 +192,42 @@ def _channel(cfg: dict, where: str = "channel") -> dict:
     }
 
 
+class _Fields(dict):
+    """A config object that records the keys looked up with ``[]`` or ``get``."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _check_all_read(node, where: str = "") -> None:
+    """Raise ConfigError at the first key, in document order, that no parser
+    read: a misplaced or misspelled field would otherwise run with its
+    default.  Paths name the top level ``$.key`` and deeper levels
+    ``block.key`` and ``list[i].key``, as the parsers do."""
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            _check_all_read(item, f"{where}[{i}]")
+    elif isinstance(node, _Fields):
+        for key, value in node.items():
+            path = f"{where}.{key}" if where else key
+            if key not in node.read:
+                raise ConfigError(
+                    "unexpected field: the run does not read it", path if where else f"$.{key}"
+                )
+            _check_all_read(value, path)
+
+
 @dataclass(frozen=True)
 class Scenario:
     kind: str
@@ -200,9 +236,10 @@ class Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate config text; raises ConfigError with diagnostics."""
+    """Parse and validate config text; raises ConfigError with diagnostics,
+    also for a key that the kind's parser does not read."""
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_Fields)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
@@ -215,8 +252,9 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown kind {kind!r}, expected one of {tuple(_KINDS)}", "$.kind")
     seed = _check_seed(_integer(cfg, "seed", "$"), "$.seed")
-    parse = _KINDS[kind][0]
-    return Scenario(kind, seed, parse(cfg))
+    spec = _KINDS[kind][0](cfg)
+    _check_all_read(cfg)
+    return Scenario(kind, seed, spec)
 
 
 def load_scenario(path: str | Path) -> Scenario:

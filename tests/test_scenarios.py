@@ -477,12 +477,36 @@ class TestCliExitCodes:
         ("moe_tradeoff", ("moe", "failed_devices"), ["d0", "d0"], "moe.failed_devices[1]"),
         ("unlearn_optout", ("unlearn", "opt_out"), ["d3", "d3"], "unlearn.opt_out[1]"),
         ("moe_schedule", ("moe", "arrival_prob"), 7.5, "moe.arrival_prob"),
+        ("fedft_hetero", ("devices", 1, "id"), "d0", "devices"),
+        ("fedft_hetero", ("fedft", "true_rank"), 7, "fedft.true_rank"),
+        ("unlearn_optout", ("unlearn", "delta"), 2.0, "unlearn.delta"),
+        ("moe_tradeoff", ("moe", "top_k"), 5, "moe.top_k"),
+        ("cot_place", ("cot", "steps", 0), 1e9, "cot.steps[0]"),
+        ("cot_place", ("cot", "solver"), "greedy", "cot.solver"),
+        ("moe_tradeoff", ("moe", "experts", 1, "replicas"), [], "moe.experts[1]"),
+        ("casestudy_tokens", ("casestudy",),
+         {"budgets": [64], "model": dict(CASESTUDY_MODEL, compute_rate=0)},
+         "casestudy.model.compute_rate"),
+        # a key no parser reads: misplaced, misspelled, or unused by the config
+        ("cot_place", ("cot", "link_bandwidth"), 1e100, "cot.link_bandwidth"),
+        ("fedft_hetero", ("devices", 0, "memry"), 1e9, "devices[0].memry"),
+        ("moe_tradeoff", ("moe", "experts", 1, "x"), 1, "moe.experts[1].x"),
+        ("unlearn_optout", ("channel",), CHANNEL, "$.channel"),
+        ("casestudy_tokens", ("casestudy", "model"), CASESTUDY_MODEL, "casestudy.model"),
+        ("casestudy_tokens", ("casestudy",),
+         {"budgets": [64], "model": CASESTUDY_MODEL, "targets": [0.7, 0.6]},
+         "casestudy.targets"),
     ], ids=["replica-list", "failed-list", "opt-out-list", "expert-id-list",
             "expert-id-empty", "expert-id-repeated", "seed-2^64", "unlearn-feature-dim-2",
             "budget-above-n-total", "t-budget-above-n-total", "load-jitter-3",
             "load-jitter-1", "local-rank-above-dims", "budget-not-positive",
             "v-sweep-negative", "opt-out-empty", "replica-repeated", "failed-repeated",
-            "opt-out-repeated", "arrival-prob-7.5"])
+            "opt-out-repeated", "arrival-prob-7.5", "device-id-repeated",
+            "true-rank-above-dims", "delta-2", "top-k-above-experts", "step-not-object",
+            "cot-solver-unknown", "replicas-empty", "compute-rate-0",
+            "unread-cot-link-bandwidth", "unread-device-key", "unread-expert-key",
+            "unread-top-level-key", "unread-model-when-calibrating",
+            "unread-targets-without-calibrate"])
     def test_config_error_names_field(self, tmp_path, capsys, command, name, path, value,
                                       where):
         # validate and run read a config with the same parser, so both exit 2
