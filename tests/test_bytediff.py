@@ -1,0 +1,75 @@
+"""tools/bytediff.py: the differential byte check between two ``src`` trees."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+from edgelam_sim.scenarios import parse_scenario
+
+from test_scenarios import cot_cfg, fedft_cfg, write_cfg
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+@pytest.fixture(scope="module")
+def bytediff():
+    spec = importlib.util.spec_from_file_location("bytediff", ROOT / "tools" / "bytediff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def copy_src(dest: Path) -> Path:
+    return Path(shutil.copytree(SRC, dest / "src", ignore=shutil.ignore_patterns("__pycache__")))
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    return [write_cfg(tmp_path, fedft_cfg(), "fedft.json"),
+            write_cfg(tmp_path, cot_cfg(), "cot.json")]
+
+
+def test_head_against_a_copy_of_itself_reports_nothing(bytediff, tmp_path, corpus):
+    assert bytediff.compare(copy_src(tmp_path), SRC, corpus) == []
+
+
+def test_nudged_fedft_lr_reports_the_fedft_outputs(bytediff, tmp_path, corpus):
+    head = copy_src(tmp_path)
+    scenarios = head / "edgelam_sim" / "scenarios.py"
+    text = scenarios.read_text(encoding="utf-8")
+    lr = 'lr=_number(block, "lr", "fedft", positive=True),'
+    assert text.count(lr) == 1
+    scenarios.write_text(text.replace(lr, lr[:-1] + " * (1 + 1e-15),"), encoding="utf-8")
+    assert bytediff.compare(SRC, head, corpus) == [
+        "fedft/fedft_rounds.csv: differs", "fedft/fedft_summary.json: differs",
+    ]
+
+
+def test_corpus_covers_every_source(bytediff, tmp_path):
+    paths = bytediff.build_corpus(tmp_path, seeds=(1,), mutations=3)
+    names = [p.stem for p in paths]
+    shipped = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
+    assert names[:6] == shipped
+    assert names[6:10] == ["moe_stress", "unlearn_stress", "cot_stress", "fedft_stress"]
+    assert "fedft_4_loose_seed1" in names and "unlearn_pinned" in names
+    assert [n.split("_")[0] for n in names[-3:]] == ["mutant000", "mutant001", "mutant002"]
+    for path in paths[:-3]:  # every config but the mutants runs as written
+        parse_scenario(path.read_text(encoding="utf-8"))
+
+
+def test_a_traceback_is_a_difference(bytediff, tmp_path, corpus):
+    head = copy_src(tmp_path)
+    scenarios = head / "edgelam_sim" / "scenarios.py"
+    text = scenarios.read_text(encoding="utf-8")
+    runner = "def _run_cot(spec: dict, seed: int):\n"
+    assert text.count(runner) == 1
+    scenarios.write_text(text.replace(runner, runner + '    raise RuntimeError("boom")\n'),
+                         encoding="utf-8")
+    assert bytediff.compare(SRC, head, corpus) == [
+        "cot: traceback on the head side: RuntimeError: boom",
+        "cot: exit 0 (base) != None (head)",
+        "cot/cot_result.json: only on the base side",
+    ]
