@@ -209,7 +209,7 @@ def _ranked_needs(profiles: list[DeviceProfile], upload_bits: dict[str, float],
     compute fits, inf when the compute alone overruns tau, when there are
     bits to send over a dead channel, or when even ``b_cap`` Hz is too slow.
     Otherwise it is ``MinBandwidth.for_rate`` of the upload rate that tau
-    leaves, one 52-step bisection with the rate arithmetic inline.
+    leaves, one 52-step bisection over ``netsim``'s rate kernel.
     """
     devices = [
         (p.id, upload_bits[p.id], comp[p.id],
@@ -328,7 +328,7 @@ def select_devices_and_bandwidth(
     Cost: one ranking at the deadline and 11-15 trial taus in the search
     on the shipped and benchmark configs (at most 3 * 63 by construction),
     each one 52-step bandwidth bisection per device, so about 16 * n * 52
-    steps of in-loop rate arithmetic, and one ``shannon_rate`` call per
+    calls of the unchecked rate kernel, and one ``shannon_rate`` call per
     live device (its rate at the full band) plus one per participant for
     the latency.  Every sum over bandwidths is a left fold, so the bits do
     not depend on the Python version.

@@ -91,6 +91,20 @@ class CotChain:
         return len(self.steps)
 
 
+def _rate(b: float, g: float, p: float, n0: float) -> float:
+    """``shannon_rate`` at ``b > 0`` on a live link, in Python floats, unchecked."""
+    # in Python floats an overflow is inf, not a numpy RuntimeWarning
+    noise = n0 * b
+    snr = g * p / noise if noise > 0.0 else math.inf
+    if snr == math.inf:
+        return b * (math.log2(g) + math.log2(p) - math.log2(n0) - math.log2(b))
+    if snr < 1.0:
+        if noise == math.inf:
+            snr = g * p / n0 / b
+        return b * (math.log1p(snr) / _LN2)
+    return b * math.log2(1.0 + snr)
+
+
 def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: float) -> float:
     """Uplink rate in bit/s: B*log2(1 + g*p/(N0*B)).
 
@@ -100,7 +114,8 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
     SNR of 1 the log is ``log1p(snr) / ln 2``, so a very wide band, where
     ``1 + snr`` would round to 1, keeps its rate of about g*p/(N0 ln 2).
     Where N0*B overflows, the SNR is taken as g*p/N0/B, so that rate holds
-    there too instead of falling to 0.
+    there too instead of falling to 0.  The arguments are taken as Python
+    floats, so the result is one too.
     """
     if bandwidth < 0 or gain < 0 or power < 0:
         raise DomainError("bandwidth, gain and power must be >= 0")
@@ -108,17 +123,7 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
         raise DomainError("noise_density must be > 0")
     if bandwidth == 0.0 or gain * power == 0.0:
         return 0.0
-    # in Python floats an overflow is inf, not a numpy RuntimeWarning
-    noise = float(noise_density) * float(bandwidth)
-    snr = float(gain) * float(power) / noise if noise > 0.0 else math.inf
-    if snr == math.inf:
-        logs = math.log2(gain) + math.log2(power) - math.log2(noise_density)
-        return bandwidth * (logs - math.log2(bandwidth))
-    if snr < 1.0:
-        if noise == math.inf:
-            snr = float(gain) * float(power) / float(noise_density) / float(bandwidth)
-        return bandwidth * (math.log1p(snr) / _LN2)
-    return bandwidth * math.log2(1.0 + snr)
+    return _rate(float(bandwidth), float(gain), float(power), float(noise_density))
 
 
 class MinBandwidth:
@@ -131,13 +136,12 @@ class MinBandwidth:
 
     One object serves many rates.  The rate at ``b_cap`` is one
     ``shannon_rate`` call, made at the first ``for_rate``, so it raises where
-    a direct call would.  The 52 steps repeat ``shannon_rate``'s arithmetic
-    inline, with its float conversions and logs taken once, so every result
-    equals the bisection over ``shannon_rate`` bit for bit at a 52nd of the
-    calls.
+    a direct call would.  The 52 steps call the unchecked kernel ``_rate``
+    that ``shannon_rate`` returns from, with 0 at a zero midpoint, so every
+    result equals the bisection over ``shannon_rate`` bit for bit.
     """
 
-    __slots__ = ("b_cap", "gain", "power", "noise_density", "_full", "_consts")
+    __slots__ = ("b_cap", "gain", "power", "noise_density", "_full")
 
     def __init__(self, b_cap: float, gain: float, power: float, noise_density: float):
         self.b_cap, self.gain, self.power = b_cap, gain, power
@@ -146,32 +150,15 @@ class MinBandwidth:
 
     def for_rate(self, required: float) -> float:
         if self._full is None:
-            gain, power, n0 = self.gain, self.power, self.noise_density
-            self._full = shannon_rate(self.b_cap, gain, power, n0)
-            # shannon_rate has checked the domain; these are its constants
-            self._consts = (float(gain) * float(power), float(n0),
-                            math.log2(gain) + math.log2(power) - math.log2(n0))
+            self._full = shannon_rate(self.b_cap, self.gain, self.power, self.noise_density)
         if self._full < required:
             return math.inf
-        gp, n0, logs = self._consts
-        inf, log2, log1p = math.inf, math.log2, math.log1p
+        # shannon_rate has checked the domain
+        g, p, n0 = float(self.gain), float(self.power), float(self.noise_density)
         lo, hi = 0.0, self.b_cap
         for _ in range(52):
             mid = 0.5 * (lo + hi)
-            if mid == 0.0:
-                rate = 0.0
-            else:
-                noise = n0 * mid
-                snr = gp / noise if noise > 0.0 else inf
-                if snr == inf:
-                    rate = mid * (logs - log2(mid))
-                elif snr < 1.0:
-                    if noise == inf:
-                        snr = gp / n0 / mid
-                    rate = mid * (log1p(snr) / _LN2)
-                else:
-                    rate = mid * log2(1.0 + snr)
-            if rate >= required:
+            if (_rate(mid, g, p, n0) if mid != 0.0 else 0.0) >= required:
                 hi = mid
             else:
                 lo = mid

@@ -10,7 +10,7 @@ projection and noise, and restate the gradient and the retained data.
 The Gram-Schmidt without a screen projects every row exactly, so it checks
 that the screen drops only rows the exact keep test would drop.  The
 nested fedft selection calls ``shannon_rate`` at every bandwidth bisection
-step, so it checks the solver's inline rate arithmetic bit for bit.
+step, so it checks the solver's bisection over the rate kernel bit for bit.
 The placement oracles take assignment tuples and compute step memory
 themselves.  ``PhiloxStream`` restates the uniform, permutation and
 bounded-integer draws of ``rng.stream`` in Python ints, so a change in the

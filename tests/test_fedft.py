@@ -487,7 +487,7 @@ def hetero_selection_inputs():
 
 
 def edge_case_instance(rng):
-    """A small selection instance with the inputs the inline rate must get right.
+    """A small selection instance with the inputs the bisection's rate must get right.
 
     Regimes: an ordinary band; a band so narrow (1e-300 Hz, bits to match)
     that every rate is taken in logs; and a subnormal noise density, where

@@ -87,8 +87,8 @@ class TestShannonRate:
 
 class TestMinBandwidth:
     def test_matches_bisection_over_shannon_rate_bit_for_bit(self):
-        # the oracle calls shannon_rate at every step; the evaluator repeats
-        # its arithmetic inline, so the two must agree exactly, on each of
+        # the oracle calls shannon_rate at every step; the evaluator calls
+        # its unchecked kernel, so the two must agree exactly, on each of
         # shannon_rate's branches and at a zero midpoint
         rng = np.random.default_rng(31)
         seen = dict.fromkeys(["log_branch", "plain", "zero_mid", "short", "int_gain",
