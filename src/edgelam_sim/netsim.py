@@ -98,9 +98,11 @@ def _rate(b: float, g: float, p: float, n0: float) -> float:
     snr = g * p / noise if noise > 0.0 else math.inf
     if snr == math.inf:
         return b * (math.log2(g) + math.log2(p) - math.log2(n0) - math.log2(b))
+    if snr < 2.0**-53:
+        # log1p(snr) == snr, so b * snr cancels to the wide-band limit; an
+        # overflowed N0*B (an SNR of 0) lands here too
+        return g * p / n0 / _LN2
     if snr < 1.0:
-        if noise == math.inf:
-            snr = g * p / n0 / b
         return b * (math.log1p(snr) / _LN2)
     return b * math.log2(1.0 + snr)
 
@@ -111,11 +113,11 @@ def shannon_rate(bandwidth: float, gain: float, power: float, noise_density: flo
     Zero bandwidth or zero received power means zero rate.  Where the SNR
     overflows (N0*B underflowing, say), the rate is B*log2(g*p/(N0*B))
     taken in logs, which stays finite; the 1 is negligible there.  Below an
-    SNR of 1 the log is ``log1p(snr) / ln 2``, so a very wide band, where
-    ``1 + snr`` would round to 1, keeps its rate of about g*p/(N0 ln 2).
-    Where N0*B overflows, the SNR is taken as g*p/N0/B, so that rate holds
-    there too instead of falling to 0.  The arguments are taken as Python
-    floats, so the result is one too.
+    SNR of 1 the log is ``log1p(snr) / ln 2``, so a band where ``1 + snr``
+    would round to 1 keeps its rate.  Below an SNR of 2^-53, where
+    ``log1p(snr)`` equals the SNR, the rate is its wide-band limit
+    g*p/(N0 ln 2) in closed form; that covers an N0*B that overflows too.
+    The arguments are taken as Python floats, so the result is one too.
     """
     if bandwidth < 0 or gain < 0 or power < 0:
         raise DomainError("bandwidth, gain and power must be >= 0")

@@ -66,8 +66,8 @@ class TestShannonRate:
         assert shannon_rate(3e5, gain, 0.5, 1e-9) == 3e5 * math.log2(1.0 + 2.0 / (1e-9 * 3e5))
 
     def test_overflowing_noise_keeps_its_rate(self):
-        # N0*B = 1e310 overflows; the SNR g*p/N0/B does not, so the rate
-        # stays at its wide-band limit g*p/(N0 ln 2) instead of falling to 0
+        # N0*B = 1e310 overflows to an SNR of 0; the rate stays at its
+        # wide-band limit g*p/(N0 ln 2) instead of falling to 0
         limit = 0.5 / (1e10 * math.log(2.0))
         assert shannon_rate(1e300, 1.0, 0.5, 1e10) == pytest.approx(limit, rel=1e-12)
 
@@ -76,6 +76,25 @@ class TestShannonRate:
         # exact and normal, so the rounding cannot move the rate either way
         rates = [shannon_rate(2.0**k, 2.0**600, 0.5, 2.0**33) for k in range(980, 1024)]
         assert all(r2 >= r1 > 0.0 for r1, r2 in zip(rates, rates[1:]))
+
+    def test_never_falls_with_a_subnormal_snr_past_the_noise_overflow(self):
+        # g*p/N0 = 2^-34: the SNR is subnormal from B = 2^989 on and 0 past
+        # the N0*B overflow; below 2^-53 the rate is the closed-form limit
+        rates = [shannon_rate(2.0**k, 1.0, 0.5, 2.0**33) for k in range(960, 1024)]
+        assert all(r2 >= r1 > 0.0 for r1, r2 in zip(rates, rates[1:]))
+        assert rates[-1] == 0.5 / 2.0**33 / math.log(2.0)
+
+    def test_closed_form_limit_is_within_4_ulp_just_below_the_switch(self):
+        # the log1p rate just above an SNR of 2^-53 rounds by single ulps
+        # around the limit (it is not monotone there), but never far from it
+        g, p, n0 = 1.0, 0.5, 1e-9
+        switch = g * p / n0 * 2.0**53  # the bandwidth where the SNR is 2^-53
+        limit = shannon_rate(2.0 * switch, g, p, n0)
+        below = [b for b in (switch * (1.0 - i * 1e-9) for i in range(1, 2001))
+                 if g * p / (n0 * b) >= 2.0**-53]
+        assert len(below) > 1000
+        ulp = math.ulp(limit)
+        assert max(abs(shannon_rate(b, g, p, n0) - limit) for b in below) <= 4 * ulp
 
     @pytest.mark.parametrize("bandwidth", [1e100, 1e300])
     def test_wide_band_keeps_its_rate(self, bandwidth):
