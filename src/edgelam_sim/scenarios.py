@@ -188,18 +188,22 @@ def _channel(cfg: dict, where: str = "channel") -> dict:
     return {
         "total_bandwidth": _number(ch, "total_bandwidth", where, positive=True),
         "noise_density": _number(ch, "noise_density", where, positive=True),
-        "link_bandwidth": _number(ch, "link_bandwidth", where, default=1e6, positive=True),
     }
 
 
 class _Fields(dict):
-    """A config object that records the keys looked up with ``[]`` or ``get``."""
+    """A config object that records the keys looked up with ``[]`` or ``get``,
+    and the first key its text gives twice (decoding keeps only the last)."""
 
-    __slots__ = ("read",)
+    __slots__ = ("read", "repeated")
 
     def __init__(self, pairs):
         super().__init__(pairs)
         self.read = set()
+        self.repeated = None
+        if len(self) < len(pairs):
+            seen = set()
+            self.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
 
     def __getitem__(self, key):
         self.read.add(key)
@@ -213,19 +217,22 @@ class _Fields(dict):
 def _check_all_read(node, where: str = "") -> None:
     """Raise ConfigError at the first key, in document order, that no parser
     read: a misplaced or misspelled field would otherwise run with its
-    default.  Paths name the top level ``$.key`` and deeper levels
-    ``block.key`` and ``list[i].key``, as the parsers do."""
+    default.  An object that gives a key twice raises at that key first,
+    since only its last value was read.  Paths name the top level ``$.key``
+    and deeper levels ``block.key`` and ``list[i].key``, as the parsers do."""
     if isinstance(node, list):
         for i, item in enumerate(node):
             _check_all_read(item, f"{where}[{i}]")
     elif isinstance(node, _Fields):
+        def named(key):
+            return f"{where}.{key}" if where else f"$.{key}"
+
+        if node.repeated is not None:
+            raise ConfigError("field given twice", named(node.repeated))
         for key, value in node.items():
-            path = f"{where}.{key}" if where else key
             if key not in node.read:
-                raise ConfigError(
-                    "unexpected field: the run does not read it", path if where else f"$.{key}"
-                )
-            _check_all_read(value, path)
+                raise ConfigError("unexpected field: the run does not read it", named(key))
+            _check_all_read(value, f"{where}.{key}" if where else key)
 
 
 @dataclass(frozen=True)
@@ -422,6 +429,9 @@ def _parse_cot(cfg: dict) -> dict:
 
     devices = parse_devices(cfg)
     ch = _channel(cfg)
+    # only CoT's device-to-device links read it
+    link_bandwidth = _number(cfg["channel"], "link_bandwidth", "channel", default=1e6,
+                             positive=True)
     block = _object(cfg, "cot", "cot")
     steps = []
     for i, entry in enumerate(_list(block, "steps", "cot.steps")):
@@ -457,7 +467,7 @@ def _parse_cot(cfg: dict) -> dict:
         "devices": devices,
         "chain": CotChain(tuple(steps)),
         "gains": gains,
-        "link_bandwidth": ch["link_bandwidth"],
+        "link_bandwidth": link_bandwidth,
         "noise_density": ch["noise_density"],
         "shard_bytes": _number(block, "shard_bytes", "cot", default=0.0, minimum=0.0),
         "solver": solver,

@@ -32,7 +32,8 @@ DEVICES = [
     {"id": "b", "compute_rate": 2e9, "memory_capacity": 1e9,
      "channel_gain": 0.8, "tx_power": 0.4, "local_rank": 2},
 ]
-CHANNEL = {"total_bandwidth": 1e6, "noise_density": 1e-9, "link_bandwidth": 1e6}
+# fedft and MoE read the shared channel fields; CoT reads its link bandwidth too
+CHANNEL = {"total_bandwidth": 1e6, "noise_density": 1e-9}
 
 
 def fedft_cfg():
@@ -75,7 +76,8 @@ def moe_cfg():
 
 def cot_cfg():
     return {
-        "kind": "cot", "seed": 5, "devices": DEVICES, "channel": CHANNEL,
+        "kind": "cot", "seed": 5, "devices": DEVICES,
+        "channel": dict(CHANNEL, link_bandwidth=1e6),
         "cot": {
             "steps": [
                 {"workload": 1e9, "handoff_size": 1e5},
@@ -492,6 +494,8 @@ class TestCliExitCodes:
         ("fedft_hetero", ("devices", 0, "memry"), 1e9, "devices[0].memry"),
         ("moe_tradeoff", ("moe", "experts", 1, "x"), 1, "moe.experts[1].x"),
         ("unlearn_optout", ("channel",), CHANNEL, "$.channel"),
+        ("fedft_hetero", ("channel", "link_bandwidth"), 1e100, "channel.link_bandwidth"),
+        ("moe_schedule", ("channel", "link_bandwidth"), 1e100, "channel.link_bandwidth"),
         ("casestudy_tokens", ("casestudy", "model"), CASESTUDY_MODEL, "casestudy.model"),
         ("casestudy_tokens", ("casestudy",),
          {"budgets": [64], "model": CASESTUDY_MODEL, "targets": [0.7, 0.6]},
@@ -505,7 +509,8 @@ class TestCliExitCodes:
             "true-rank-above-dims", "delta-2", "top-k-above-experts", "step-not-object",
             "cot-solver-unknown", "replicas-empty", "compute-rate-0",
             "unread-cot-link-bandwidth", "unread-device-key", "unread-expert-key",
-            "unread-top-level-key", "unread-model-when-calibrating",
+            "unread-top-level-key", "unread-fedft-link-bandwidth",
+            "unread-moe-link-bandwidth", "unread-model-when-calibrating",
             "unread-targets-without-calibrate"])
     def test_config_error_names_field(self, tmp_path, capsys, command, name, path, value,
                                       where):
@@ -528,6 +533,28 @@ class TestCliExitCodes:
         argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", str(seed)]
         assert main(argv) == 2
         assert "--seed:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("given,repeated,where", [
+        ('"seed": 3,', '"seed": 999, "seed": 3,', "$.seed"),
+        ('"iters": 10', '"iters": 99, "iters": 10', "cot.iters"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, command, given, repeated,
+                                          where):
+        # decoding keeps the last value, so the first would be dropped unread;
+        # json.dumps cannot repeat a key, so the shipped text is edited
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "cot_place.json"
+        text = path.read_text(encoding="utf-8")
+        assert text.count(given) == 1
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(text.replace(given, repeated), encoding="utf-8")
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {where}: field given twice" in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("raw,where", [
