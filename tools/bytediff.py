@@ -15,7 +15,8 @@ temporary directory, so no git state changes.  The corpus is:
   ``SEEDS``;
 - ``MUTATIONS`` seeded numeric mutations of the shipped configs, cut to a
   size that runs in milliseconds, in the style of ``TestRunProperty`` in
-  ``tests/test_scenarios.py``.
+  ``tests/test_scenarios.py``, whose ``EDGE_NUMBERS`` and ``RUN_CAPS``
+  they use.
 
 Each side runs the whole corpus in one warm worker process that calls
 ``cli.main(["run", ...])``, with BLAS on one thread.  A config differs when
@@ -47,11 +48,6 @@ TOOLS = Path(__file__).resolve().parent
 
 SEEDS = (1, 2, 3, 4, 5)
 MUTATIONS = 200
-# numeric replacements: zero, a subnormal, the bottom and the top of the
-# normal range; an integer field also gets its two neighbours
-EDGE_NUMBERS = (0, 1e-320, 1e-305, 1e300)
-# the shipped configs cut to a size that runs in milliseconds
-RUN_CAPS = {"slots": 50, "rounds": 5, "pretrain_rounds": 5, "unlearn_rounds": 5}
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -93,9 +89,11 @@ def _numeric_paths(node, prefix=()):
         yield from _numeric_paths(child, prefix + (key,))
 
 
-def _mutant(cfg: dict, rng: random.Random) -> dict:
+def _mutant(cfg: dict, rng: random.Random, edge_numbers, run_caps: dict) -> dict:
+    """``cfg`` cut to ``run_caps`` with 1-3 numeric leaves replaced by one of
+    ``edge_numbers`` (an integer leaf also by either neighbour)."""
     block = cfg[cfg["kind"]]
-    for key, cap in RUN_CAPS.items():
+    for key, cap in run_caps.items():
         if key in block:
             block[key] = min(block[key], cap)
     if "steps" in block:
@@ -108,7 +106,7 @@ def _mutant(cfg: dict, rng: random.Random) -> dict:
             node = node[key]
         old = node[last]
         near = [old - 1, old + 1] if isinstance(old, int) else []
-        node[last] = rng.choice([*EDGE_NUMBERS, *near])
+        node[last] = rng.choice([*edge_numbers, *near])
     return cfg
 
 
@@ -126,11 +124,13 @@ def build_corpus(dest: Path, seeds=SEEDS, mutations: int = MUTATIONS) -> list[Pa
             for sc in wl.WORKLOADS[workload].build(seed, "tiny"):
                 # a pinned config is the same for every seed
                 configs[sc.name if sc.pinned else f"{sc.name}_seed{seed}"] = sc.config
+    mutation = _definitions(ROOT / "tests" / "test_scenarios.py", {"EDGE_NUMBERS", "RUN_CAPS"})
     rng = random.Random(0)
     for i in range(mutations):
         name = rng.choice(sorted(shipped))
         cfg = json.loads(shipped[name].read_text(encoding="utf-8"))
-        configs[f"mutant{i:03d}_{name}"] = _mutant(cfg, rng)
+        configs[f"mutant{i:03d}_{name}"] = _mutant(
+            cfg, rng, mutation["EDGE_NUMBERS"], mutation["RUN_CAPS"])
     dest.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, cfg in configs.items():
