@@ -5,7 +5,9 @@ The channel is a standard FDMA link budget: a device allocated bandwidth B
 sees noise power N0*B, so its uplink rate is B*log2(1 + g*p/(N0*B)); this
 is a deliberate Shannon-capacity stand-in, not a measured radio model.
 Channels are static here; the MoE scheduler's optional per-slot fading
-scales a device's gain by a seeded sequence of its own.
+scales a device's gain by a seeded sequence of its own.  The rate is
+written once, in the unchecked kernel ``_rate``: ``shannon_rate`` checks
+its domain and zero cases around it, and ``MinBandwidth`` bisects over it.
 
 The module also holds the value types a scenario config describes, so the
 config parser builds them without loading a solver or numpy: the device
