@@ -88,15 +88,15 @@ def unlearning_run(seed, n_devices, n_opt_out, pretrain_rounds, rounds=25):
 
 @pytest.fixture
 def projections(monkeypatch):
-    """The basis size at each exact MGS projection ``gram_schmidt`` runs."""
+    """The basis size at each second MGS pass ``gram_schmidt`` runs."""
     sizes = []
-    real = numerics._mgs_residual
+    real = numerics._second_pass
 
-    def counted(v, basis):
+    def counted(residual, basis):
         sizes.append(len(basis))
-        return real(v, basis)
+        return real(residual, basis)
 
-    monkeypatch.setattr(numerics, "_mgs_residual", counted)
+    monkeypatch.setattr(numerics, "_second_pass", counted)
     return sizes
 
 
@@ -145,6 +145,54 @@ class TestScreenedGramSchmidtMatchesUnscreened:
         basis = same_basis(rows)
         assert len(basis) == 3 + (ratio >= 1.0)
         assert projections == [0, 1, 2] + [3] * (ratio >= SCREEN_FRACTION)
+
+
+def scaled_family(seed, lo, hi, count):
+    """``count`` seeded rank-deficient inputs of 2-16 rows of 2-16 entries,
+    each row nudged off the span by 0.2-2x the drop line with even odds, and
+    each input scaled by 10**e for e uniform in [lo, hi].  Inputs where a
+    row's ``v.dot(v)`` overflows are skipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, dim = (int(x) for x in rng.integers(2, 17, size=2))
+        rank = int(rng.integers(1, min(n, dim) + 1))
+        vectors = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, dim))
+        nudge = rng.standard_normal((n, dim))
+        nudge *= (rng.uniform(0.2, 2.0, n) * DROP_TOL * np.linalg.norm(vectors, axis=1)
+                  / np.linalg.norm(nudge, axis=1))[:, None]
+        vectors += nudge * (rng.random(n) < 0.5)[:, None]
+        vectors *= 10.0 ** rng.uniform(lo, hi)
+        with np.errstate(over="ignore"):
+            if all(np.isfinite(v.dot(v)) for v in vectors):
+                yield vectors
+
+
+@pytest.mark.parametrize(
+    "seed, lo, hi, count",
+    [(0, -5, 5, 500), (0, 100, 150, 500), (4, -175, -140, 3000), (6, -300, 300, 1000)],
+    ids=["desk", "huge", "subnormal-squares", "full-range"],
+)
+def test_scaled_families_match_unscreened(seed, lo, hi, count):
+    # near 1e-161 the squared norms are subnormal, a kept row's norm is off
+    # by up to tens of percent, and a screen that trusts the basis to be
+    # orthonormal can drop a row the exact test keeps; the last two seeds
+    # each draw such inputs (4 and 2 of them)
+    for vectors in scaled_family(seed, lo, hi, count):
+        same_basis(vectors)
+
+
+def test_stacked_matmul_is_per_row_dot():
+    # gram_schmidt's batched first pass rests on this: each (1, d) @ (d, 1)
+    # slice of a stacked matmul is the BLAS dot that ``ndarray.dot`` runs
+    rng = np.random.default_rng(12)
+    for dim in range(1, 65):
+        block = rng.standard_normal((41, dim))
+        u = rng.standard_normal((3, dim))[1]
+        for start in (1, 3, 17, 40):
+            rows = block[start:]
+            got = (rows[:, None, :] @ u[:, None])[:, 0]
+            want = np.array([[r.dot(u)] for r in rows])
+            assert got.tobytes() == want.tobytes(), (dim, start)
 
 
 def test_screen_leaves_exact_projection_to_kept_rows(monkeypatch, projections):
