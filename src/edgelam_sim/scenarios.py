@@ -522,8 +522,8 @@ def _parse_casestudy(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def fmt(value) -> str:
-    """Shortest round-trip decimal text for a float, int or str cell (stable
-    across runs)."""
+    """Shortest round-trip decimal text for a float, ``str`` of any other
+    value: the text ``write_csv`` gives a cell (stable across runs)."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NonFiniteOutput(f"a cell is {float(value)!r}")
@@ -532,16 +532,31 @@ def fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Stream the rows out; raise at a float cell that is inf or nan, leaving
-    the part already written for ``run_guarded`` to remove."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([fmt(v) for v in row])
-    except NonFiniteOutput as exc:
-        raise NonFiniteOutput(f"{path}: {exc}") from None
+    """Write the header and rows, or nothing when a float cell is inf or nan.
+
+    ``csv`` writes a float cell with ``repr`` and any other cell with
+    ``str``, the text ``fmt`` gives.  One scan before the file is opened
+    raises at the first non-finite float cell in row order.  A row holding a
+    float subclass (``np.float64``, whose ``repr`` names its type) is written
+    from a copy with plain floats; ``rows`` is never changed.
+    """
+    out = rows
+    for i, row in enumerate(rows):
+        for v in row:
+            if isinstance(v, float) and (type(v) is not float or not math.isfinite(v)):
+                break
+        else:
+            continue
+        for v in row:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NonFiniteOutput(f"{path}: a cell is {float(v)!r}")
+        if out is rows:
+            out = list(rows)
+        out[i] = [float(v) if isinstance(v, float) else v for v in row]
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(out)
 
 
 def write_json(path: Path, payload) -> None:
