@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,10 @@ from .scenarios import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first ``main`` call and reused by
+    later calls in the process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="edgelam-sim",
         description="Deterministic edge-LAM deployment simulator",
