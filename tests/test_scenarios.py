@@ -265,6 +265,16 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "casestudy_sweep.csv").exists()
 
+    def test_runs_around_an_argparse_error_write_the_same_bytes(self, tmp_path, capsys):
+        # the parser is built once per process and reused by every call
+        path = write_cfg(tmp_path, unlearn_cfg())
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(path), "--seed", "x"])
+        assert exc.value.code == 2
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+        assert read_outputs(tmp_path / "a") == read_outputs(tmp_path / "b")
+
     def test_casestudy_subcommand(self, tmp_path, capsys):
         # the subcommand writes what `run` writes for the same calibration
         out = tmp_path / "cs"
@@ -340,6 +350,20 @@ def test_writers_refuse_non_finite_values(tmp_path, value):
     with pytest.raises(NonFiniteOutput, match="s.json"):
         write_json(json_path, {"a": [1.0, {"b": value}]})
     assert not json_path.exists()
+
+
+def test_csv_writes_a_numpy_float_as_its_plain_repr(tmp_path):
+    rows = [[1, np.float64(0.1)], ["x", 2.5], [np.float64(-3e-310), 7]]
+    write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+    assert (tmp_path / "t.csv").read_text() == "a,b\n1,0.1\nx,2.5\n-3e-310,7\n"
+    assert [type(v) for row in rows for v in row] == [int, np.float64, str, float, np.float64, int]
+
+
+def test_csv_with_a_non_finite_cell_leaves_no_file(tmp_path):
+    rows = [[float(i), "x"] for i in range(1000)] + [[math.nan, "y"]]
+    with pytest.raises(NonFiniteOutput, match="a cell is nan"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def shipped_cfg(name):
