@@ -14,8 +14,8 @@ from .scenarios import (
     EXIT_CONFIG,
     EXIT_OK,
     Scenario,
-    _parse_casestudy,
     load_scenario,
+    parse_scenario,
     run_guarded,
     run_scenario,
 )
@@ -79,24 +79,23 @@ def _cmd_casestudy(args) -> int:
             mem_t, lat_t = (float(t) for t in args.targets.split(","))
         except ValueError as exc:
             raise ConfigError(str(exc), flag) from None
-        block = {
-            "budgets": budgets,
-            "calibrate": args.calibrate,
-            "targets": [mem_t, lat_t],
-            # the uncalibrated sweep's model, read without --calibrate; an
-            # empty budget list is left for the parser to name
-            "model": dict(
+        if args.calibrate:
+            block = {"budgets": budgets, "calibrate": True, "targets": [mem_t, lat_t]}
+        else:
+            # the uncalibrated sweep's model; an empty budget list is left
+            # for the parser to name
+            block = {"budgets": budgets, "model": dict(
                 n_total=608, t_budget=min(budgets, default=1),
                 alpha_mem=cs.DEFAULT_ALPHA_MEM, beta_comp=cs.DEFAULT_BETA_COMP,
                 gamma_handoff=0.03, base_mem=1e4,
-            ),
-        }
+            )}
+        # seed 0: the model draws no random numbers
+        config = {"kind": "casestudy", "seed": 0, "casestudy": block}
         try:
-            spec = _parse_casestudy({"casestudy": block})
+            return parse_scenario(json.dumps(config))
         except ConfigError as exc:
             flag = "--targets" if exc.where == "casestudy.targets" else "--budgets"
             raise ConfigError(str(exc).removeprefix(f"{exc.where}: "), flag) from None
-        return Scenario("casestudy", 0, spec)  # the model draws no random numbers
 
     # the run always writes its outputs, and the table is read back from
     # them; without --out they go to a directory that is removed afterwards

@@ -150,14 +150,6 @@ def _check_seed(seed: int, where: str) -> int:
     return seed
 
 
-def _build(cls, where: str, **fields):
-    """``cls(**fields)``, with a ValueError from its own checks as a ConfigError."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc), where) from exc
-
-
 def parse_devices(cfg: dict, where: str = "devices") -> list[DeviceProfile]:
     from .netsim import DeviceProfile
 
@@ -167,9 +159,7 @@ def parse_devices(cfg: dict, where: str = "devices") -> list[DeviceProfile]:
         if not isinstance(entry, dict):
             raise ConfigError("device entry must be an object", w)
         out.append(
-            _build(
-                DeviceProfile,
-                w,
+            DeviceProfile(
                 id=_string(entry, "id", w),
                 compute_rate=_number(entry, "compute_rate", w, positive=True),
                 memory_capacity=_number(entry, "memory_capacity", w, positive=True),
@@ -192,8 +182,9 @@ def _channel(cfg: dict, where: str = "channel") -> dict:
 
 
 class _Fields(dict):
-    """A config object that records the keys looked up with ``[]`` or ``get``,
-    and the first key its text gives twice (decoding keeps only the last)."""
+    """A config object that records the keys looked up with ``[]``, ``get``
+    or ``in`` (a parser reads every present key it tests with ``in``), and
+    the first key its text gives twice (decoding keeps only the last)."""
 
     __slots__ = ("read", "repeated")
 
@@ -212,6 +203,10 @@ class _Fields(dict):
     def get(self, key, default=None):
         self.read.add(key)
         return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
 
 
 def _check_all_read(node, where: str = "") -> None:
@@ -371,16 +366,12 @@ def _parse_moe(cfg: dict) -> dict:
         if not isinstance(entry, dict):
             raise ConfigError("expert entry must be an object", w)
         replicas = _device_ids(_require(entry, "replicas", w), known, f"{w}.replicas")
-        experts.append(
-            _build(
-                ExpertMicroservice,
-                w,
-                id=_string(entry, "id", w),
-                workload_per_call=_number(entry, "workload", w, positive=True),
-                output_size=_number(entry, "output_size", w, minimum=0.0),
-                replicas=tuple(replicas),
-            )
-        )
+        expert_id = _string(entry, "id", w)
+        workload = _number(entry, "workload", w, positive=True)
+        output_size = _number(entry, "output_size", w, minimum=0.0)
+        if not replicas:
+            raise ConfigError(f"expert {expert_id}: replica set must be nonempty", w)
+        experts.append(ExpertMicroservice(expert_id, workload, output_size, tuple(replicas)))
     if len({e.id for e in experts}) != len(experts):
         raise ConfigError("expert ids must be unique", "moe.experts")
     k = _integer(block, "top_k", "moe", minimum=1)
@@ -439,9 +430,7 @@ def _parse_cot(cfg: dict) -> dict:
         if not isinstance(entry, dict):
             raise ConfigError("step entry must be an object", w)
         steps.append(
-            _build(
-                CotStep,
-                w,
+            CotStep(
                 workload=_number(entry, "workload", w, positive=True),
                 handoff_size=_number(entry, "handoff_size", w, minimum=0.0),
             )
@@ -521,24 +510,14 @@ def _parse_casestudy(cfg: dict) -> dict:
 # deterministic output writers
 # ---------------------------------------------------------------------------
 
-def fmt(value) -> str:
-    """Shortest round-trip decimal text for a float, ``str`` of any other
-    value: the text ``write_csv`` gives a cell (stable across runs)."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteOutput(f"a cell is {float(value)!r}")
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     """Write the header and rows, or nothing when a float cell is inf or nan.
 
-    ``csv`` writes a float cell with ``repr`` and any other cell with
-    ``str``, the text ``fmt`` gives.  One scan before the file is opened
-    raises at the first non-finite float cell in row order.  A row holding a
-    float subclass (``np.float64``, whose ``repr`` names its type) is written
-    from a copy with plain floats; ``rows`` is never changed.
+    ``csv`` writes a float cell with ``repr``, its shortest round-trip
+    text, and any other cell with ``str``.  One scan before the file is
+    opened raises at the first non-finite float cell in row order.  A row
+    holding a float subclass (``np.float64``, whose ``repr`` names its type)
+    is written from a copy with plain floats; ``rows`` is never changed.
     """
     out = rows
     for i, row in enumerate(rows):
@@ -593,9 +572,10 @@ def _run_fedft(spec: dict, seed: int):
             f"training diverged in round {state.round_index + 1} ({exc}); "
             f"lower fedft.lr (now {train['lr']:g})"
         ) from None
-    # the selection is fixed for the run: its two cells are the same on every row
+    # the selection is fixed for the run: its two cells are the same on every
+    # row; its bandwidths are finite Python floats, written as csv writes a float
     selected = ";".join(selection.selected)
-    bandwidth = ";".join(f"{dev}={fmt(b)}" for dev, b in sorted(selection.bandwidth.items()))
+    bandwidth = ";".join(f"{dev}={b!r}" for dev, b in sorted(selection.bandwidth.items()))
     header = ["round", "global_loss", "round_latency_s", "selected_devices", "bandwidth_hz"]
     rows = [[i, loss, latency, selected, bandwidth] for i, loss in enumerate(losses, 1)]
     return (header, rows), {
