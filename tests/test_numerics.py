@@ -61,13 +61,20 @@ class TestGramSchmidt:
         assert vectors.tobytes() == before.tobytes()
 
 
+def power_of_two_scaled(vectors):
+    """Each row times the power of two that puts its largest |entry| in
+    [0.5, 1), an exact scaling: the rows ``gram_schmidt`` orthonormalizes."""
+    _, exponents = np.frexp(np.abs(vectors).max(axis=1, initial=0.0))
+    return np.ldexp(vectors, -exponents[:, None])
+
+
 def same_basis(vectors):
     """``gram_schmidt`` on ``vectors``, checked bit for bit against the
-    unscreened two-pass MGS at the same drop line: the same number of rows,
-    each with the same bytes."""
+    unscreened two-pass MGS of the same exactly scaled rows at the same drop
+    line: the same number of rows, each with the same bytes."""
     vectors = np.array(vectors)
     basis = gram_schmidt(vectors)
-    oracle = gram_schmidt_unscreened(vectors, DROP_TOL)
+    oracle = gram_schmidt_unscreened(power_of_two_scaled(vectors), DROP_TOL)
     assert len(basis) == len(oracle)
     for got, want in zip(basis, oracle):
         assert got.tobytes() == want.tobytes()
@@ -169,16 +176,37 @@ def scaled_family(seed, lo, hi, count):
 
 @pytest.mark.parametrize(
     "seed, lo, hi, count",
-    [(0, -5, 5, 500), (0, 100, 150, 500), (4, -175, -140, 3000), (6, -300, 300, 1000)],
-    ids=["desk", "huge", "subnormal-squares", "full-range"],
+    [(0, -5, 5, 500), (0, 100, 150, 500), (4, -175, -140, 3000), (6, -300, 300, 1000),
+     (7, -320, -300, 500)],
+    ids=["desk", "huge", "subnormal-squares", "full-range", "subnormal-entries"],
 )
 def test_scaled_families_match_unscreened(seed, lo, hi, count):
-    # near 1e-161 the squared norms are subnormal, a kept row's norm is off
-    # by up to tens of percent, and a screen that trusts the basis to be
-    # orthonormal can drop a row the exact test keeps; the last two seeds
-    # each draw such inputs (4 and 2 of them)
+    # unscaled, the squared norms near 1e-161 are subnormal, a kept row's
+    # norm is off by up to tens of percent, and a screen that trusts the
+    # basis to be orthonormal can drop a row the exact test keeps; seeds 4
+    # and 6 draw such inputs (4 and 2 of them), and at 1e-320..1e-300 every
+    # entry is subnormal
     for vectors in scaled_family(seed, lo, hi, count):
         same_basis(vectors)
+
+
+def test_subnormal_squares_give_a_unit_row():
+    # 3e-162**2 and 4e-162**2 are subnormal, and normalized from those
+    # squares the row had a norm of 1.006; the scaled row's squares are not
+    basis = gram_schmidt(np.array([[3e-162, 4e-162, 0.0]]))
+    assert basis.shape == (1, 3)
+    assert np.max(np.abs(basis - [0.6, 0.8, 0.0])) <= 2.0**-52
+
+
+@pytest.mark.parametrize("seed, lo, hi, count", [(4, -175, -140, 3000), (7, -320, -300, 500)],
+                         ids=["subnormal-squares", "subnormal-entries"])
+def test_every_kept_row_is_a_unit_vector(seed, lo, hi, count):
+    # the first nonzero row is always kept, however small its squared norm
+    for vectors in scaled_family(seed, lo, hi, count):
+        basis = gram_schmidt(vectors)
+        assert len(basis) >= vectors.any()
+        for row in basis:
+            assert abs(np.linalg.norm(row) - 1.0) <= 1e-15
 
 
 def test_stacked_matmul_is_per_row_dot():
