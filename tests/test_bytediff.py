@@ -73,3 +73,19 @@ def test_a_traceback_is_a_difference(bytediff, tmp_path, corpus):
         "cot: exit 0 (base) != None (head)",
         "cot/cot_result.json: only on the base side",
     ]
+
+
+def test_casestudy_subcommand_runs_are_compared(bytediff, tmp_path):
+    # the uncalibrated model's handoff latency: only the flag lists that
+    # run that model to exit 0 change
+    head = copy_src(tmp_path)
+    cli = head / "edgelam_sim" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    handoff = "gamma_handoff=0.03,"
+    assert text.count(handoff) == 1
+    cli.write_text(text.replace(handoff, "gamma_handoff=0.04,"), encoding="utf-8")
+    diffs = bytediff.compare(SRC, head, [])
+    assert {line.split(":")[0].split("/")[0] for line in diffs} == {
+        "casestudy_cli_defaults", "casestudy_cli_empty_budget",
+    }
+    assert "casestudy_cli_defaults/casestudy_sweep.csv: differs" in diffs

@@ -18,11 +18,14 @@ temporary directory, so no git state changes.  The corpus is:
   ``tests/test_scenarios.py``, whose ``EDGE_NUMBERS`` and ``RUN_CAPS``
   they use.
 
-Each side runs the whole corpus in one warm worker process that calls
-``cli.main(["run", ...])``, with BLAS on one thread.  A config differs when
-its exit code, the lines it prints or the sha256 of any output file differ,
-or when it raises on either side.  The exit status is 1 on any difference,
-else 0.  The tool uses the standard library only.
+Beside the configs, each side runs the ``casestudy`` subcommand on the flag
+lists of ``CASESTUDY_ARGV``.  Each side runs the whole corpus in one warm
+worker process that calls ``cli.main(["run", ...])`` and
+``cli.main(["casestudy", ...])``, each with ``--out``, with BLAS on one
+thread.  A run differs when its exit code, the lines it prints or the
+sha256 of any output file differ, or when it raises on either side.  The
+exit status is 1 on any difference, else 0.  The tool uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -49,6 +52,18 @@ TOOLS = Path(__file__).resolve().parent
 SEEDS = (1, 2, 3, 4, 5)
 MUTATIONS = 200
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# ``edgelam-sim casestudy`` flags, by run name: the defaults, the
+# calibration, and flag text that exits 2 or 3
+CASESTUDY_ARGV = {
+    "casestudy_cli_defaults": [],
+    "casestudy_cli_calibrate": ["--calibrate"],
+    "casestudy_cli_target_nan": ["--calibrate", "--targets", "0.5,nan"],
+    "casestudy_cli_one_target": ["--targets", "0.5"],
+    "casestudy_cli_empty_budget": ["--budgets", "64,,128"],
+    "casestudy_cli_budget_700": ["--budgets", "700"],
+    "casestudy_cli_calibrated_700": ["--calibrate", "--budgets", "128,700"],
+    "casestudy_cli_device_limit": ["--budgets", "1,2,3"],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +160,20 @@ def build_corpus(dest: Path, seeds=SEEDS, mutations: int = MUTATIONS) -> list[Pa
 # ---------------------------------------------------------------------------
 
 def worker(jobs_path: str, result_path: str) -> None:
-    """Run every config of the job list in this process, writing outputs
-    under ``out/`` in the working directory, and record what each gave."""
+    """Run every command line of the job list (by run name, without
+    ``--out``) in this process, writing outputs under ``out/`` in the
+    working directory, and record what each gave."""
     import edgelam_sim
     from edgelam_sim import cli
 
     runs = {}
-    for config in json.loads(Path(jobs_path).read_text(encoding="utf-8")):
-        name = Path(config).stem
+    for name, argv in json.loads(Path(jobs_path).read_text(encoding="utf-8")).items():
         out = Path("out") / name  # relative, so both sides print the same paths
         printed = io.StringIO()
         code, trace = None, None
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
             try:
-                code = cli.main(["run", "--config", config, "--out", str(out)])
+                code = cli.main([*argv, "--out", str(out)])
             except Exception:
                 trace = traceback.format_exc()
         files = {}
@@ -199,15 +214,18 @@ def _finish(proc: subprocess.Popen, src: Path, work: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def compare(base_src: Path, head_src: Path, configs: list[Path]) -> list[str]:
-    """Run ``configs`` on both ``src`` directories; one line per difference."""
+    """Run ``configs`` and the ``casestudy`` flag lists on both ``src``
+    directories; one line per difference."""
+    runs = {p.stem: ["run", "--config", str(p.resolve())] for p in configs}
+    runs.update((name, ["casestudy", *argv]) for name, argv in CASESTUDY_ARGV.items())
     with tempfile.TemporaryDirectory(prefix="bytediff-") as tmp:
-        jobs = Path(tmp) / "jobs.json"
-        jobs.write_text(json.dumps([str(p.resolve()) for p in configs]), encoding="utf-8")
+        jobs_path = Path(tmp) / "jobs.json"
+        jobs_path.write_text(json.dumps(runs), encoding="utf-8")
         sides = [(src, Path(tmp) / side) for side, src in (("base", base_src), ("head", head_src))]
-        procs = [_start(src, jobs, work) for src, work in sides]
+        procs = [_start(src, jobs_path, work) for src, work in sides]
         base, head = (_finish(proc, *side) for proc, side in zip(procs, sides))
     diffs = []
-    for name in (p.stem for p in configs):
+    for name in runs:
         a, b = base[name], head[name]
         for side, run in (("base", a), ("head", b)):
             if run["traceback"]:
@@ -251,7 +269,8 @@ def main(argv=None) -> int:
         diffs = compare(base_src, ROOT / "src", configs)
     for line in diffs:
         print(line)
-    print(f"bytediff: {len(configs)} configs, {len(diffs)} differences against {args.base}")
+    print(f"bytediff: {len(configs)} configs and {len(CASESTUDY_ARGV)} casestudy flag lists, "
+          f"{len(diffs)} differences against {args.base}")
     return 1 if diffs else 0
 
 
