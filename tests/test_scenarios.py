@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgelam_sim
-from edgelam_sim import fedft
+from edgelam_sim import casestudy, fedft, scenarios
 from edgelam_sim.cli import main
 from edgelam_sim.errors import ConfigError
 from edgelam_sim.scenarios import (
@@ -99,6 +100,66 @@ def casestudy_cfg():
 
 CASESTUDY_MODEL = {"n_total": 2048, "t_budget": 128, "alpha_mem": 2.0, "beta_comp": 2.0,
                    "gamma_handoff": 0.0, "base_mem": 0.0}
+
+# one config per kind, and per casestudy branch, that sets every field of
+# README's config reference, small enough to run in milliseconds
+MAXIMAL_CONFIGS = {
+    "fedft_maximal": {
+        "kind": "fedft", "seed": 5, "devices": DEVICES, "channel": CHANNEL,
+        "fedft": {"rounds": 3, "lr": 0.05, "feature_dim": 6, "output_dim": 4,
+                  "true_rank": 1, "samples_per_device": 12, "noise_std": 0.01,
+                  "deadline_s": 30.0, "bits_per_param": 32.0},
+    },
+    "unlearn_maximal": {
+        "kind": "unlearn", "seed": 5, "devices": DEVICES + [dict(DEVICES[0], id="c")],
+        "unlearn": {"classes": 3, "feature_dim": 6, "samples_per_device": 20,
+                    "opt_out": ["c"], "pretrain_rounds": 20, "unlearn_rounds": 3,
+                    "lr": 0.5, "delta": 0.05, "dp": {"clip_norm": 1.0, "sigma": 0.1}},
+    },
+    "moe_maximal": {
+        "kind": "moe", "seed": 5, "devices": DEVICES + [dict(DEVICES[0], id="c")],
+        "channel": CHANNEL,
+        "moe": {
+            "experts": [
+                {"id": "e0", "workload": 0.8, "output_size": 1e5, "replicas": ["a", "b", "c"]},
+                {"id": "e1", "workload": 0.6, "output_size": 2e5, "replicas": ["a", "b"]},
+            ],
+            "top_k": 2, "slots": 20, "v": 1.0, "v_sweep": [0.5, 5.0], "layers_per_task": 2,
+            "load_jitter": 0.2, "w_lat": 1.0, "w_energy": 0.5, "failed_devices": ["c"],
+            "arrival_prob": 0.9, "fading_sigma": 0.2,
+        },
+    },
+    "cot_maximal": {
+        "kind": "cot", "seed": 5, "devices": DEVICES,
+        "channel": dict(CHANNEL, link_bandwidth=2e6),
+        "cot": {
+            "steps": [
+                {"workload": 1e9, "handoff_size": 1e5},
+                {"workload": 2e9, "handoff_size": 0.0},
+            ],
+            "gains": [[0.0, 0.8], [0.5, 0.0]], "solver": "both", "shard_bytes": 1e3,
+            "iters": 5,
+        },
+    },
+    "casestudy_calibrated_maximal": {
+        "kind": "casestudy", "seed": 5,
+        "casestudy": {"budgets": [64, 128, 256], "calibrate": True, "targets": [0.7, 0.6]},
+    },
+    "casestudy_model_maximal": {
+        "kind": "casestudy", "seed": 5,
+        "casestudy": {"budgets": [64, 128, 256], "calibrate": False,
+                      "model": {"n_total": 608, "t_budget": 64, "alpha_mem": 2.0,
+                                "beta_comp": 2.0, "gamma_handoff": 0.03, "base_mem": 1e4,
+                                "compute_rate": 2e6}},
+    },
+}
+
+
+SHIPPED_NAMES = sorted(
+    p.stem for p in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")
+)
+# the fuzz bases: the shipped configs set only some optional fields
+BASE_NAMES = SHIPPED_NAMES + sorted(MAXIMAL_CONFIGS)
 
 
 ALL_CONFIGS = {
@@ -248,6 +309,88 @@ class TestParseDiagnostics:
             parse_scenario(json.dumps(cfg))
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def reference_fields(kind):
+    """The field paths README's config reference lists for ``kind``: its
+    own table, the every-kind table, and the device table if it lists
+    ``devices``."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Config reference\n")[1].split("\n## ")[0]
+    tables = {}
+    for part in section.split("\n### ")[1:]:
+        heading, _, body = part.partition("\n")
+        tables[heading.strip("`")] = set(re.findall(r"^\| `([^`]+)` \|", body, re.M))
+    fields = tables["Every kind"] | tables[kind]
+    if "devices" in fields:
+        fields |= tables["Devices"]
+    return fields
+
+
+def key_paths(node, prefix=""):
+    """``(path, is_leaf)`` for every key of a config, list indices as ``[]``;
+    an object, or a list holding one, is not a leaf."""
+    if isinstance(node, list):
+        for item in node:
+            yield from key_paths(item, prefix + "[]")
+    elif isinstance(node, dict):
+        for key, value in dict.items(node):
+            path = f"{prefix}.{key}" if prefix else key
+            objects = value if isinstance(value, list) else [value]
+            yield path, not any(isinstance(v, dict) for v in objects)
+            yield from key_paths(value, path)
+
+
+def looked_up(node, prefix=""):
+    """The path of every key the parser looked up in a decoded config."""
+    if isinstance(node, list):
+        for item in node:
+            yield from looked_up(item, prefix + "[]")
+    elif isinstance(node, dict):
+        for key in node.read:
+            yield f"{prefix}.{key}" if prefix else key
+        for key, value in dict.items(node):
+            yield from looked_up(value, f"{prefix}.{key}" if prefix else key)
+
+
+class TestConfigReference:
+    """README's config reference lists every field a parser reads."""
+
+    @pytest.mark.parametrize("kind", sorted(ALL_CONFIGS))
+    def test_maximal_configs_set_exactly_the_listed_fields(self, kind):
+        fields = reference_fields(kind)
+        paths = dict(p for cfg in MAXIMAL_CONFIGS.values() if cfg["kind"] == kind
+                     for p in key_paths(cfg))
+        assert {path for path, leaf in paths.items() if leaf} <= fields
+        assert fields <= paths.keys()
+
+    @pytest.mark.parametrize("name", BASE_NAMES)
+    def test_parser_looks_up_only_listed_fields(self, monkeypatch, name):
+        roots = []
+        real = scenarios._check_all_read
+
+        def capture(node, where=""):
+            roots.append(node)
+            real(node, where)
+
+        monkeypatch.setattr(scenarios, "_check_all_read", capture)
+        cfg = base_cfg(name)
+        parse_scenario(json.dumps(cfg))
+        fields = reference_fields(cfg["kind"])
+        # the objects and lists that hold a listed field
+        holders = {
+            ".".join(parts[:i]).removesuffix("[]")
+            for parts in (f.split(".") for f in fields) for i in range(1, len(parts))
+        }
+        assert set(looked_up(roots[0])) <= fields | holders
+
+    @pytest.mark.parametrize("name", sorted(MAXIMAL_CONFIGS))
+    def test_maximal_config_runs(self, tmp_path, name):
+        path = write_cfg(tmp_path, MAXIMAL_CONFIGS[name])
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         path = write_cfg(tmp_path, moe_cfg())
@@ -291,6 +434,22 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
         sweep = (tmp_path / "run" / "casestudy_sweep.csv").read_bytes()
         assert (out / "casestudy_sweep.csv").read_bytes() == sweep
+
+    @pytest.mark.parametrize("calibrate", [False, True], ids=["model", "calibrate"])
+    def test_casestudy_subcommand_writes_what_run_of_its_config_writes(self, tmp_path, capsys,
+                                                                       calibrate):
+        if calibrate:
+            block = {"budgets": [64, 128, 256], "calibrate": True, "targets": [0.708, 0.596]}
+        else:
+            block = {"budgets": [64, 128, 256], "model": {
+                "n_total": 608, "t_budget": 64, "alpha_mem": casestudy.DEFAULT_ALPHA_MEM,
+                "beta_comp": casestudy.DEFAULT_BETA_COMP, "gamma_handoff": 0.03,
+                "base_mem": 1e4}}
+        path = write_cfg(tmp_path, {"kind": "casestudy", "seed": 0, "casestudy": block})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        flags = ["--calibrate"] if calibrate else []
+        assert main(["casestudy", *flags, "--out", str(tmp_path / "cs")]) == 0
+        assert read_outputs(tmp_path / "cs") == read_outputs(tmp_path / "run")
 
     def test_casestudy_exit_3_empties_out(self, tmp_path, capsys):
         # the failing run also removes what an earlier run left in --out
@@ -369,6 +528,13 @@ def test_csv_with_a_non_finite_cell_leaves_no_file(tmp_path):
 def shipped_cfg(name):
     path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def base_cfg(name):
+    """A shipped config, or a copy of a maximal one, by name."""
+    if name in MAXIMAL_CONFIGS:
+        return copy.deepcopy(MAXIMAL_CONFIGS[name])
+    return shipped_cfg(name)
 
 
 # JSON numbers that parse but have no finite float value
@@ -550,6 +716,20 @@ class TestCliExitCodes:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"{where}:" in captured.out + captured.err
+
+    def test_empty_replica_set_is_named_after_the_expert_fields(self, tmp_path, capsys):
+        # the expert's own fields are checked first, then its replica set
+        cfg = shipped_cfg("moe_tradeoff")
+        cfg["moe"]["experts"][1]["replicas"] = []
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().out == (
+            "config error: moe.experts[1]: expert e1: replica set must be nonempty\n"
+        )
+        cfg["moe"]["experts"][1]["workload"] = 0
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().out == (
+            "config error: moe.experts[1].workload: must be > 0, got 0.0\n"
+        )
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_run_seed_out_of_range_is_config_error(self, tmp_path, capsys, seed):
@@ -864,10 +1044,6 @@ class TestCliExitCodes:
         assert "budget 700" in capsys.readouterr().out
 
 
-SHIPPED_NAMES = sorted(
-    p.stem for p in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")
-)
-
 # replacement values: every other JSON type, NaN, an integer beyond u64 and float
 # precision, and a nested list where an id or a number is expected
 MUTANTS = [None, True, "x", {}, [], 0, -1, 1.5, float("nan"), 2**70, [["d0"]]]
@@ -890,13 +1066,13 @@ class TestParseProperty:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.data())
     def test_mutated_shipped_config_parses_or_is_config_error(self, data):
-        cfg = copy.deepcopy(shipped_cfg(data.draw(st.sampled_from(SHIPPED_NAMES))))
+        cfg = base_cfg(data.draw(st.sampled_from(BASE_NAMES)))
         for _ in range(data.draw(st.integers(1, 3))):
             path = data.draw(st.sampled_from(list(json_paths(cfg))))
             drop = bool(path) and data.draw(st.booleans())
             value = None if drop else data.draw(st.sampled_from(MUTANTS))
             if not path:
-                cfg = value
+                cfg = copy.deepcopy(value)
                 continue
             parent = cfg
             for key in path[:-1]:
@@ -914,12 +1090,12 @@ class TestParseProperty:
 # numeric replacements: zero, a subnormal, the bottom and the top of the
 # normal range; an integer field also gets its two neighbours
 EDGE_NUMBERS = [0, 1e-320, 1e-305, 1e300]
-# the shipped configs cut to a size that runs in milliseconds
+# the base configs cut to a size that runs in milliseconds
 RUN_CAPS = {"slots": 50, "rounds": 5, "pretrain_rounds": 5, "unlearn_rounds": 5}
 
 
-def small_shipped_cfg(name):
-    cfg = shipped_cfg(name)
+def small_cfg(name):
+    cfg = base_cfg(name)
     block = cfg[cfg["kind"]]
     for key, cap in RUN_CAPS.items():
         if key in block:
@@ -961,7 +1137,7 @@ class TestRunProperty:
     def test_mutated_small_config_exits_cleanly(self, tmp_path_factory, data):
         """A run ends in exit 0 with finite outputs, 2, or 3 with none; no
         exception and no warning."""
-        cfg = small_shipped_cfg(data.draw(st.sampled_from(SHIPPED_NAMES)))
+        cfg = small_cfg(data.draw(st.sampled_from(BASE_NAMES)))
         numbers = [p for p in json_paths(cfg) if type(value_at(cfg, p)) in (int, float)]
         for _ in range(data.draw(st.integers(1, 3))):
             path = data.draw(st.sampled_from(numbers))
