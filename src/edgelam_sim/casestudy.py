@@ -7,10 +7,12 @@ delay per hop.  The model captures exactly that trade-off:
     devices        m  = ceil(N / T)
     split memory      = m * (alpha_mem * T^2 + base_mem)
     monolithic memory = alpha_mem * N^2 + base_mem
-    split latency     = m * beta_comp * T^2 / compute_rate + (m - 1) * gamma_handoff
+    split latency     = m * (beta_comp * T^2 / compute_rate) + (m - 1) * gamma_handoff
     monolithic latency= beta_comp * N^2 / compute_rate
 
-Absolute GPU measurements are not reproducible at desk scale; instead
+``_costs`` is the one place these are computed, in this operation order,
+for a sweep row and for the calibration grid alike.  Absolute GPU
+measurements are not reproducible at desk scale; instead
 ``calibrate_casestudy`` grid-searches (N, gamma_handoff, base_mem) so the
 model reproduces the reported reduction percentages at the 128-token budget
 while 128 stays the best of {64, 128, 256} under the combined normalized
@@ -87,6 +89,19 @@ class SweepRow:
         )
 
 
+def _costs(n_total, t_budget, alpha_mem, beta_comp, gamma_handoff, base_mem, compute_rate):
+    """(split memory, monolithic memory, split latency, monolithic latency)
+    at one budget, for Python floats or numpy arrays of ``gamma_handoff``
+    and ``base_mem`` alike."""
+    m = device_count(n_total, t_budget)
+    return (
+        m * (alpha_mem * t_budget**2 + base_mem),
+        alpha_mem * n_total**2 + base_mem,
+        m * (beta_comp * t_budget**2 / compute_rate) + (m - 1) * gamma_handoff,
+        beta_comp * n_total**2 / compute_rate,
+    )
+
+
 def evaluate_budget(model: TokenBudgetModel, t_budget: int) -> SweepRow:
     """Model forward pass at one per-device token budget.
 
@@ -100,21 +115,12 @@ def evaluate_budget(model: TokenBudgetModel, t_budget: int) -> SweepRow:
             f"budget {t_budget} needs {m} devices, limit is {MAX_DEVICES}"
         )
     try:
-        total_memory = m * (model.alpha_mem * t_budget**2 + model.base_mem)
-        mono_memory = model.alpha_mem * model.n_total**2 + model.base_mem
-        comp = model.beta_comp * t_budget**2 / model.compute_rate
-        total_latency = m * comp + (m - 1) * model.gamma_handoff
-        mono_latency = model.beta_comp * model.n_total**2 / model.compute_rate
-        row = SweepRow(
-            t_budget,
-            m,
-            total_memory,
-            mono_memory,
-            total_latency,
-            mono_latency,
-            1.0 - total_memory / mono_memory,
-            1.0 - total_latency / mono_latency,
+        mem, mono_mem, lat, mono_lat = _costs(
+            model.n_total, t_budget, model.alpha_mem, model.beta_comp,
+            model.gamma_handoff, model.base_mem, model.compute_rate,
         )
+        row = SweepRow(t_budget, m, mem, mono_mem, lat, mono_lat,
+                       1.0 - mem / mono_mem, 1.0 - lat / mono_lat)
         values = (*astuple(row)[2:], row.combined_normalized_cost)
     except (OverflowError, ZeroDivisionError):
         values = (math.nan,)
@@ -145,18 +151,21 @@ class CalibrationResult:
 def calibrate_casestudy(targets: tuple[float, float]) -> CalibrationResult:
     """Fit (N, gamma_handoff, base_mem) to the target reductions at ``T_STAR``.
 
-    Grid: N in [256, 2048] step 16 (restricted to chains every budget can
-    host on <= 10 devices), gamma_handoff and base_mem on log grids with an
-    explicit zero.  Candidate points must keep ``T_STAR`` the strict argmin
-    of the combined normalized cost among ``BUDGETS``; among those the
-    squared residual to the two targets is minimized.  Which points qualify
-    does not depend on the targets, and every admissible N (256 to 640)
-    has thousands, so there is always a best point.  The two log-grid
-    parameters can absorb both targets at many N, so near-ties (within 4x
-    of the best squared residual) resolve to the largest N, a fixed
-    identifiability rule that keeps the returned N stable under small
-    target perturbations.  A best residual above ``RESIDUAL_LIMIT`` per
-    target is reported as a calibration failure, not raised.
+    Grid: N in [256, 640] step 16 (the chains every budget in ``BUDGETS``
+    can host on <= ``MAX_DEVICES`` devices), gamma_handoff and base_mem on
+    log grids with an explicit zero.  Each cell is scored with
+    ``evaluate_budget``'s formulas and operation order: it must keep
+    ``T_STAR`` the strict argmin of ``combined_normalized_cost`` among
+    ``BUDGETS``, and among those cells the squared residual to the two
+    targets is minimized.  Which cells qualify does not depend on the
+    targets, and every N has thousands, so there is always a best cell.
+    The two log-grid parameters can absorb both targets at many N, so
+    near-ties (within 4x of the best squared residual) resolve to the
+    largest N, a fixed identifiability rule that keeps the returned N
+    stable under small target perturbations.  The achieved reductions are
+    the calibrated model's ``T_STAR`` sweep row.  A residual above
+    ``RESIDUAL_LIMIT`` per target is reported as a calibration failure,
+    not raised.
     """
     mem_target, lat_target = targets
     if not (0 < mem_target < 1 and 0 < lat_target < 1):
@@ -170,53 +179,36 @@ def calibrate_casestudy(targets: tuple[float, float]) -> CalibrationResult:
     gamma = gamma_grid[:, None]
     base = base_grid[None, :]
 
-    candidates = []  # (sq_residual, n, gamma, base, mem_red, lat_red)
-    for n in range(256, 2049, 16):
-        counts = [device_count(n, t) for t in BUDGETS]
-        if max(counts) > MAX_DEVICES:
-            continue
-        mono_mem = alpha * n**2 + base
-        mono_lat = beta * n**2 / rate
-        # each budget's (memory, latency), normalized by the monolithic run
-        norm = [
-            (m * (alpha * t**2 + base) / mono_mem,
-             (m * beta * t**2 / rate + (m - 1) * gamma) / mono_lat)
-            for t, m in zip(BUDGETS, counts)
-        ]
-        star_mem, star_lat = norm[BUDGETS.index(T_STAR)]
+    candidates = []  # (sq_residual, n, gamma, base)
+    for n in range(256, min(BUDGETS) * MAX_DEVICES + 1, 16):
+        # each budget's normalized memory (1, 161) and latency (161, 1)
+        norm = {}
+        for t in BUDGETS:
+            mem, mono_mem, lat, mono_lat = _costs(n, t, alpha, beta, gamma, base, rate)
+            norm[t] = (mem / mono_mem, lat / mono_lat)
+        star_mem, star_lat = norm.pop(T_STAR)
         cost_star = star_mem + star_lat
-        star_mem_red = 1.0 - star_mem
-        star_lat_red = 1.0 - star_lat
-        strictly_best = np.ones((gamma_grid.size, base_grid.size), dtype=bool)
-        for t, (mem, lat) in zip(BUDGETS, norm):
-            if t != T_STAR:
-                strictly_best &= cost_star < mem + lat
+        strictly_best = np.ones(cost_star.shape, dtype=bool)
+        for mem, lat in norm.values():
+            strictly_best &= cost_star < mem + lat
         if not strictly_best.any():
             continue
-        star_mem_red = np.broadcast_to(star_mem_red, strictly_best.shape)
-        star_lat_red = np.broadcast_to(star_lat_red, strictly_best.shape)
-        sq = (star_mem_red - mem_target) ** 2 + (star_lat_red - lat_target) ** 2
+        sq = (1.0 - star_mem - mem_target) ** 2 + (1.0 - star_lat - lat_target) ** 2
         sq = np.where(strictly_best, sq, np.inf)
         gi, bi = np.unravel_index(int(np.argmin(sq)), sq.shape)
-        candidates.append(
-            (
-                float(sq[gi, bi]),
-                n,
-                float(gamma_grid[gi]),
-                float(base_grid[bi]),
-                float(star_mem_red[gi, bi]),
-                float(star_lat_red[gi, bi]),
-            )
-        )
+        candidates.append((float(sq[gi, bi]), n, float(gamma_grid[gi]), float(base_grid[bi])))
 
     sq_best = min(c[0] for c in candidates)
     tied = [c for c in candidates if c[0] <= 4.0 * sq_best + 1e-18]
-    _, n, g, b, mem_red, lat_red = max(tied, key=lambda c: c[1])
+    _, n, g, b = max(tied, key=lambda c: c[1])
     model = TokenBudgetModel(n, T_STAR, alpha, beta, g, b, rate)
-    res_mem = abs(mem_red - mem_target)
-    res_lat = abs(lat_red - lat_target)
+    row = evaluate_budget(model, T_STAR)
+    res_mem = abs(row.mem_reduction - mem_target)
+    res_lat = abs(row.lat_reduction - lat_target)
     ok = res_mem <= RESIDUAL_LIMIT and res_lat <= RESIDUAL_LIMIT
     message = "calibrated" if ok else (
         f"best residuals ({res_mem:.4f}, {res_lat:.4f}) exceed {RESIDUAL_LIMIT}"
     )
-    return CalibrationResult(model, mem_red, lat_red, res_mem, res_lat, ok, message)
+    return CalibrationResult(
+        model, row.mem_reduction, row.lat_reduction, res_mem, res_lat, ok, message
+    )

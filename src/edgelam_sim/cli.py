@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="calibrate the model to the reported reductions before sweeping",
     )
     case_p.add_argument(
-        "--targets", default="0.708,0.596",
-        help="mem,lat reduction targets used with --calibrate",
+        "--targets", default=None,
+        help="mem,lat reduction targets used with --calibrate (default: the paper's)",
     )
     case_p.add_argument("--out", default=None, help="optional output directory")
     return parser
@@ -76,11 +76,14 @@ def _cmd_casestudy(args) -> int:
             flag = "--budgets"
             budgets = [int(b) for b in args.budgets.split(",") if b]
             flag = "--targets"
-            mem_t, lat_t = (float(t) for t in args.targets.split(","))
+            if args.targets is not None:  # else the parser's default targets
+                mem_t, lat_t = (float(t) for t in args.targets.split(","))
         except ValueError as exc:
             raise ConfigError(str(exc), flag) from None
         if args.calibrate:
-            block = {"budgets": budgets, "calibrate": True, "targets": [mem_t, lat_t]}
+            block = {"budgets": budgets, "calibrate": True}
+            if args.targets is not None:
+                block["targets"] = [mem_t, lat_t]
         else:
             # the uncalibrated sweep's model; an empty budget list is left
             # for the parser to name

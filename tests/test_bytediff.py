@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from edgelam_sim.scenarios import parse_scenario
+from edgelam_sim.scenarios import parse_scenario, run_scenario
 
 from test_scenarios import cot_cfg, fedft_cfg, write_cfg
 
@@ -58,6 +58,19 @@ def test_corpus_covers_every_source(bytediff, tmp_path):
     assert [n.split("_")[0] for n in names[-3:]] == ["mutant000", "mutant001", "mutant002"]
     for path in paths[:-3]:  # every config but the mutants runs as written
         parse_scenario(path.read_text(encoding="utf-8"))
+
+
+def test_corpus_calibrates_seeded_targets(bytediff, tmp_path):
+    paths = bytediff.build_corpus(tmp_path / "corpus", seeds=(1,), mutations=0)
+    caltargets = [p for p in paths if p.stem.startswith("caltarget")]
+    assert [p.stem for p in caltargets] == [f"caltarget{i:02d}" for i in range(40)]
+    targets = set()
+    for path in caltargets:
+        spec = parse_scenario(path.read_text(encoding="utf-8")).spec
+        targets.add(spec["targets"])
+        assert all(0.3 <= t <= 0.9 and t == round(t, 6) for t in spec["targets"])
+        assert run_scenario(str(path), str(tmp_path / "out" / path.stem)) == 0
+    assert len(targets) == 40
 
 
 def test_a_traceback_is_a_difference(bytediff, tmp_path, corpus):

@@ -1,10 +1,15 @@
 """Token-budget cost model and its calibration."""
 
+import csv
+import json
 import math
+import random
 
 import pytest
 
 from edgelam_sim.casestudy import (
+    BUDGETS,
+    T_STAR,
     TokenBudgetModel,
     calibrate_casestudy,
     casestudy_sweep,
@@ -12,6 +17,31 @@ from edgelam_sim.casestudy import (
     evaluate_budget,
 )
 from edgelam_sim.errors import SizeLimitError
+from edgelam_sim.scenarios import run_scenario
+
+
+# calibrated (n_total, gamma_handoff.hex(), base_mem.hex(), success) by target:
+# the shipped one, the ones the tests above use, and eight seeded in
+# (0.3, 0.9)^2; each holds with numpy's AVX-512 ``power`` on and off
+PINNED_MODELS = {
+    (0.708, 0.596): (640, "0x1.52a49dcbdf5cep-5", "0x1.e2891652b64bcp+13", True),
+    (0.718, 0.606): (640, "0x1.3f957b6de40b1p-5", "0x1.ba60bdbc9ea97p+13", True),
+    (0.999, 0.001): (640, "0x1.53fb5ad075ecfp-3", "0x0.0p+0", False),
+    (0.5778044146890129, 0.5239871588370253):
+        (464, "0x1.921f0b9822a1fp-6", "0x1.ba60bdbc9ea97p+13", True),
+    (0.3831236475086731, 0.8199371099918049): (640, "0x0.0p+0", "0x1.3a5ae3288d0d2p+16", True),
+    (0.30386103244867396, 0.601669248031325):
+        (528, "0x1.dd7f9913b5a5dp-7", "0x1.972a69e583aadp+15", True),
+    (0.838978782019163, 0.3484887883098006): (640, "0x1.7cfd66e32c574p-4", "0x0.0p+0", False),
+    (0.6325622809069718, 0.6699900256101712):
+        (624, "0x1.7b7d52b4dce05p-6", "0x1.965cfa4f01023p+14", True),
+    (0.3245374592908869, 0.5274117626372614):
+        (512, "0x1.3f957b6de40b1p-5", "0x1.0835ad250cff6p+16", True),
+    (0.7220882353762483, 0.5712125522700155):
+        (592, "0x1.1c9f9076dfd18p-5", "0x1.94c351e31d8b2p+12", True),
+    (0.7350392211493255, 0.3942942969579755):
+        (512, "0x1.fbf9baee5ea40p-5", "0x1.059dc31aac025p+11", True),
+}
 
 
 def model(n=512, t=128, gamma=0.0, base=0.0):
@@ -117,3 +147,47 @@ class TestCalibration:
     def test_target_validation(self):
         with pytest.raises(ValueError):
             calibrate_casestudy((1.2, 0.5))
+
+    @pytest.mark.parametrize("targets", list(PINNED_MODELS), ids=str)
+    def test_calibrated_model_is_pinned(self, targets):
+        res = calibrate_casestudy(targets)
+        m = res.model
+        got = (m.n_total, m.gamma_handoff.hex(), m.base_mem.hex(), res.success)
+        assert got == PINNED_MODELS[targets]
+
+    def test_achieved_is_the_sweep_row_at_t_star(self):
+        # the grid is scored with the sweep's own formulas, so what the
+        # calibration reports is the row the CSV writes, bit for bit
+        rng = random.Random(7)
+        for _ in range(50):
+            targets = (rng.uniform(0.3, 0.9), rng.uniform(0.3, 0.9))
+            res = calibrate_casestudy(targets)
+            rows = {t: evaluate_budget(res.model, t) for t in BUDGETS}
+            star = rows[T_STAR]
+            assert (res.achieved_mem_reduction, res.achieved_lat_reduction) == (
+                star.mem_reduction, star.lat_reduction), targets
+            assert res.residual_mem == abs(res.achieved_mem_reduction - targets[0])
+            assert res.residual_lat == abs(res.achieved_lat_reduction - targets[1])
+            for t, row in rows.items():
+                if t != T_STAR:
+                    assert star.combined_normalized_cost < row.combined_normalized_cost
+
+    def test_summary_achieved_equals_the_csv_row(self, tmp_path):
+        # a target whose latency reduction the grid once rounded differently
+        targets = [0.70824, 0.556555]
+        config = tmp_path / "casestudy.json"
+        config.write_text(json.dumps({"kind": "casestudy", "seed": 0, "casestudy": {
+            "budgets": list(BUDGETS), "calibrate": True, "targets": targets}}))
+        out = tmp_path / "out"
+        assert run_scenario(str(config), str(out)) == 0
+        cal = json.loads((out / "casestudy_summary.json").read_text())["calibration"]
+        with open(out / "casestudy_sweep.csv", newline="") as f:
+            row = next(r for r in csv.DictReader(f) if r["max_tokens"] == str(T_STAR))
+        assert cal["achieved"] == {
+            "mem_reduction": float(row["mem_reduction"]),
+            "lat_reduction": float(row["lat_reduction"]),
+        }
+        assert cal["residuals"] == {
+            "mem": abs(cal["achieved"]["mem_reduction"] - targets[0]),
+            "lat": abs(cal["achieved"]["lat_reduction"] - targets[1]),
+        }

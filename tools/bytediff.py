@@ -13,6 +13,8 @@ temporary directory, so no git state changes.  The corpus is:
 - the stress configs of ``tests/test_byte_contract.py``;
 - the ``perfbench/workloads.py`` generators at their ``tiny`` sizes, over
   ``SEEDS``;
+- ``CALTARGETS`` copies of ``scenarios/casestudy_tokens.json`` with seeded
+  calibration ``targets`` in [0.3, 0.9], rounded to 6 digits;
 - ``MUTATIONS`` seeded numeric mutations of the shipped configs, cut to a
   size that runs in milliseconds, in the style of ``TestRunProperty`` in
   ``tests/test_scenarios.py``, whose ``EDGE_NUMBERS`` and ``RUN_CAPS``
@@ -51,6 +53,7 @@ TOOLS = Path(__file__).resolve().parent
 
 SEEDS = (1, 2, 3, 4, 5)
 MUTATIONS = 200
+CALTARGETS = 40
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # ``edgelam-sim casestudy`` flags, by run name: the defaults, the
 # calibration, and flag text that exits 2 or 3
@@ -139,6 +142,11 @@ def build_corpus(dest: Path, seeds=SEEDS, mutations: int = MUTATIONS) -> list[Pa
             for sc in wl.WORKLOADS[workload].build(seed, "tiny"):
                 # a pinned config is the same for every seed
                 configs[sc.name if sc.pinned else f"{sc.name}_seed{seed}"] = sc.config
+    rng = random.Random(1)
+    for i in range(CALTARGETS):
+        cfg = json.loads(shipped["casestudy_tokens"].read_text(encoding="utf-8"))
+        cfg["casestudy"]["targets"] = [round(rng.uniform(0.3, 0.9), 6) for _ in range(2)]
+        configs[f"caltarget{i:02d}"] = cfg
     mutation = _definitions(ROOT / "tests" / "test_scenarios.py", {"EDGE_NUMBERS", "RUN_CAPS"})
     rng = random.Random(0)
     for i in range(mutations):
