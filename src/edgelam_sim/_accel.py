@@ -1,11 +1,11 @@
 """Kernels for the two hot inner loops.
 
-``placement_scan`` solves exact CoT placement without scoring all D^S
-placements: a depth-first branch-and-bound finds the cheapest feasible one,
-accumulating each candidate's cost sequentially over steps, so costs and
-tie decisions are reproducible bit for bit, and a subset DP over devices
-counts the feasible placements.  ``assignment_scores`` places each expert
-call of an MoE slot on its best replica, in plain Python floats.
+``placement_scan`` finds the cheapest feasible CoT placement by a recursive
+branch-and-bound (at most 19 deep under the 10^6 guard; one device's one
+placement is scored directly), summing costs step by step so that costs and
+ties are reproducible bit for bit, and counts the feasible placements by a
+subset DP over devices.  ``assignment_scores`` places each expert call of
+an MoE slot on its best replica, in plain Python floats.
 """
 
 from __future__ import annotations
@@ -33,8 +33,18 @@ def placement_scan(comp, comm, mem, cap):
     assignment lists the device of each step of the cheapest feasible
     placement; among equal costs the lexicographically smallest wins.
     assignment is None (and cost inf) when no feasible placement has a
-    finite cost.  n_feasible counts the feasible placements.
+    finite cost.  n_feasible counts the feasible placements.  The search
+    recurses one level per step, at most 19 on two or more devices.
     """
+    if len(cap) == 1:  # one placement, folded here: 1^S passes the guard for any S
+        load = cost = 0.0
+        for s, m in enumerate(mem):
+            load += m
+            cost += comm[s - 1][0][0] if s else 0.0
+            cost += comp[s][0]
+        if load > cap[0] or cost == math.inf:
+            return None, math.inf, int(load <= cap[0])
+        return [0] * len(mem), cost, 1
     n_feasible = _count_feasible(mem, cap)
     assignment, cost = _cheapest(comp, comm, mem, cap)
     return assignment, cost, n_feasible
@@ -56,7 +66,7 @@ def _cost_to_go(comp, comm):
 
 
 def _cheapest(comp, comm, mem, cap):
-    """Depth-first branch-and-bound over steps in order, devices ascending.
+    """Recursive branch-and-bound over steps (S <= 19 deep), devices ascending.
 
     A device whose load would exceed its capacity is skipped (loads only
     grow, since mem >= 0).  A partial placement is pruned when its cost plus
@@ -68,41 +78,28 @@ def _cheapest(comp, comm, mem, cap):
     n_steps, n_dev = len(comp), len(cap)
     last = n_steps - 1
     togo = _cost_to_go(comp, comm)
-    devices = range(n_dev)
     loads = [0.0] * n_dev
     path = [0] * n_steps
     best_path, best, limit = None, math.inf, math.inf
-    # per step on the current path: devices left to try, handoff row into
-    # the step, cost of the steps before it, the load its device had; step 0
-    # gets a zero row, and 0.0 + 0.0 + comp[0][d] is comp[0][d] bit for bit
-    todo = [iter(devices)] + [None] * last
-    into = [[0.0] * n_dev] + [None] * last
-    before = [0.0] * n_steps
-    saved = [0.0] * n_steps
-    s = 0
-    while s >= 0:
-        m, work, hop, partial, bound = mem[s], comp[s], into[s], before[s], togo[s]
-        for d in todo[s]:
+
+    def visit(s, partial, hop):  # hop: the handoff row into step s
+        nonlocal best_path, best, limit
+        m, work, bound = mem[s], comp[s], togo[s]
+        for d in range(n_dev):
             old = loads[d]
             if old + m > cap[d]:
                 continue
             cost = partial + hop[d]
             cost += work[d]
+            path[s] = d
             if s == last:
                 if cost < best:
-                    path[s] = d
                     best_path, best, limit = path.copy(), cost, cost * _MARGIN
-                continue
-            if cost + bound[d] > limit:
-                continue
-            saved[s], loads[d], path[s] = old, old + m, d
-            s += 1
-            todo[s], into[s], before[s] = iter(devices), comm[s - 1][d], cost
-            break
-        else:
-            s -= 1
-            if s >= 0:
-                loads[path[s]] = saved[s]
+            elif not cost + bound[d] > limit:
+                loads[d] = old + m
+                visit(s + 1, cost, comm[s][d])
+                loads[d] = old  # the saved bits, not a subtraction
+    visit(0, 0.0, [0.0] * n_dev)  # 0.0 + 0.0 + comp[0][d] is comp[0][d] bit for bit
     return best_path, best
 
 
@@ -118,11 +115,6 @@ def _count_feasible(mem, cap):
     the capacity tests agree bit for bit.
     """
     n_steps, n_dev = len(mem), len(cap)
-    if n_dev == 1:  # 1^S passes the guard for any S, so build no 2^S table
-        total = 0.0
-        for m in mem:
-            total += m
-        return int(total <= cap[0])
     load = np.zeros(1 << n_steps)
     # an overflowing load is inf, which the capacity test below rejects
     with np.errstate(over="ignore"):

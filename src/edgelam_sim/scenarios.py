@@ -744,11 +744,12 @@ def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int,
     the exit status (0/2/3) and the diagnostic line to print ("" on success).
 
     ``load`` parses the scenario, raising ConfigError, before the run.  The
-    kind's solver module and numpy are imported next, and the runner then
-    executes with numpy's overflow, divide-by-zero and invalid operations
-    raising, so no inf or nan that an operation produces goes unseen: it
-    exits 3 as a numeric overflow.  An array too large to allocate exits 3
-    as out of memory.  The parser has already rejected
+    kind's solver module and numpy are imported next; where numpy is not
+    installed, the run exits 3 with one line naming the kind and numpy.  The
+    runner then executes with numpy's overflow, divide-by-zero and invalid
+    operations raising, so no inf or nan that an operation produces goes
+    unseen: it exits 3 as a numeric overflow.  An array too large to
+    allocate exits 3 as out of memory.  The parser has already rejected
     non-finite config numbers, and the kernels do not check again.  The
     runner returns its table and summary, which are written here, under the
     same guard.  A run that exits 3 removes its kind's output files, so a
@@ -760,17 +761,21 @@ def run_guarded(load: Callable[[], Scenario], out_dir: str | Path) -> tuple[int,
     except ConfigError as exc:
         return EXIT_CONFIG, f"config error: {exc}"
     _, module, run, csv_name, json_name = _KINDS[scenario.kind]
-    # after the parse, which needs neither, and before the raising errstate,
-    # so that no module body runs under it
-    importlib.import_module(f".{module}", __package__)
-    import numpy as np
-
     try:
+        # after the parse, which needs neither, and before the raising
+        # errstate, so that no module body runs under it
+        importlib.import_module(f".{module}", __package__)
+        import numpy as np
+
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             table, summary = run(scenario.spec, scenario.seed)
             if table is not None:
                 write_csv(out / csv_name, *table)
             write_json(out / json_name, {"kind": scenario.kind, "seed": scenario.seed, **summary})
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        line = f"missing dependency: a {scenario.kind} run needs numpy, which is not installed"
     except (InfeasibleScenario, PlacementError, SchedulingError, SizeLimitError) as exc:
         line = f"infeasible scenario: {exc}"
     except FloatingPointError as exc:

@@ -7,6 +7,7 @@ import pytest
 
 from edgelam_sim import _accel
 from edgelam_sim._accel import assignment_scores, placement_scan
+from edgelam_sim.cot_placement import ENUMERATION_GUARD
 from edgelam_sim.errors import SchedulingError
 
 from oracles import scan_placements
@@ -87,6 +88,41 @@ def test_placement_scan_all_infinite_is_infeasible():
     comp, comm, mem, cap = tie_tables(3, 2, 3)
     comp[2] = [math.inf] * 2  # the last step runs nowhere
     assert placement_scan(comp, comm, mem, cap) == (None, math.inf, 8)
+
+
+def step_fold(comp, comm, assignment):
+    """A placement's cost: comp[0], then += comm, += comp, step by step."""
+    cost = comp[0][assignment[0]]
+    for s in range(1, len(assignment)):
+        cost += comm[s - 1][assignment[s - 1]][assignment[s]]
+        cost += comp[s][assignment[s]]
+    return cost
+
+
+def test_placement_scan_one_device_at_any_length():
+    """1^S passes the guard for any S: a 5,000-step chain on one device is
+    its one placement, whose cost is the step-by-step fold bit for bit."""
+    rng = np.random.default_rng(3)
+    comp, comm, mem, _ = random_placement_tables(rng, 5000, 1)
+    room = [float(sum(mem)) * 1.01]
+    assignment, cost, n_feasible = placement_scan(comp, comm, mem, room)
+    assert (assignment, n_feasible) == ([0] * 5000, 1)
+    assert cost.hex() == step_fold(comp, comm, assignment).hex()
+    assert placement_scan(comp, comm, mem, [mem[0]]) == (None, math.inf, 0)
+    comp[2500] = [math.inf]
+    assert placement_scan(comp, comm, mem, room) == (None, math.inf, 1)
+
+
+def test_placement_scan_deepest_chain_under_the_guard():
+    """Two devices admit 19 steps, the deepest search the guard allows."""
+    assert 2**19 <= ENUMERATION_GUARD < 2**20
+    rng = np.random.default_rng(4)
+    comp, comm, mem, _ = random_placement_tables(rng, 19, 2)
+    cap = [0.6 * float(sum(mem))] * 2  # neither device holds the whole chain
+    assignment, cost, n_feasible = placement_scan(comp, comm, mem, cap)
+    assert len(assignment) == 19 and 0 < assignment.count(0) < 19
+    assert 0 < n_feasible < 2**19
+    assert cost.hex() == step_fold(comp, comm, assignment).hex()
 
 
 def test_placement_scan_count_blocks_match_enumeration(monkeypatch):

@@ -55,8 +55,9 @@ def test_corpus_covers_every_source(bytediff, tmp_path):
     assert names[:6] == shipped
     assert names[6:10] == ["moe_stress", "unlearn_stress", "cot_stress", "fedft_stress"]
     assert "fedft_4_loose_seed1" in names and "unlearn_pinned" in names
-    assert [n.split("_")[0] for n in names[-3:]] == ["mutant000", "mutant001", "mutant002"]
-    for path in paths[:-3]:  # every config but the mutants runs as written
+    assert [n.split("_")[0] for n in names[-5:-2]] == ["mutant000", "mutant001", "mutant002"]
+    assert names[-2:] == ["cot_1^5000", "cot_2^19_tight"]
+    for path in paths[:-5] + paths[-2:]:  # every config but the mutants runs as written
         parse_scenario(path.read_text(encoding="utf-8"))
 
 

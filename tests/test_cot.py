@@ -1,6 +1,10 @@
 """Placement cost oracle, exact solver, and the local-search heuristic."""
 
+import copy
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from edgelam_sim.cot_placement import (
 )
 from edgelam_sim.errors import PlacementError, SizeLimitError
 from edgelam_sim.netsim import DeviceProfile
+from edgelam_sim.scenarios import run_scenario
 
 from oracles import (
     brute_force_placement,
@@ -270,6 +275,104 @@ class TestMonotonicity:
                 )
                 new_cost = solve_exact(chain, boosted, links, shard).cost
                 assert new_cost <= base_cost + 1e-12
+
+
+def chain_cfg(seed, n_devices, n_steps, tight):
+    """A seeded ``cot`` config on a full mesh.  Loose: every device holds
+    the whole chain.  Tight: each holds ceil(S/D) + 1 of the largest steps,
+    so capacity binds, but some placement fits."""
+    rng = random.Random(seed)
+    steps = [{"workload": rng.uniform(0.5e9, 4e9), "handoff_size": rng.uniform(1e5, 2e6)}
+             for _ in range(n_steps)]
+    shard = rng.uniform(1e5, 1e6)
+    mem = [step["handoff_size"] / 8.0 + shard for step in steps]
+    room = (math.ceil(n_steps / n_devices) + 1) * max(mem) if tight else math.fsum(mem)
+    devices = [{"id": f"d{i}", "compute_rate": rng.uniform(0.5e9, 5e9),
+                "memory_capacity": room * rng.uniform(1.0, 1.1), "channel_gain": 1.0,
+                "tx_power": rng.uniform(0.2, 1.0)} for i in range(n_devices)]
+    gains = [[0.0 if a == b else rng.uniform(0.05, 1.0) for b in range(n_devices)]
+             for a in range(n_devices)]
+    return {"kind": "cot", "seed": seed, "devices": devices,
+            "channel": {"total_bandwidth": 1e6, "noise_density": 1e-9, "link_bandwidth": 1e6},
+            "cot": {"steps": steps, "gains": gains, "shard_bytes": shard, "solver": "both",
+                    "iters": 10}}
+
+
+def twins_cfg():
+    """Three identical devices on equal links, each with room for two of the
+    five equal steps: every permutation of the devices maps an optimum to
+    another optimum, so the exact placement ties."""
+    cfg = chain_cfg(0, 3, 5, tight=False)
+    cfg["cot"]["steps"] = [{"workload": 1e9, "handoff_size": 1e5} for _ in range(5)]
+    cfg["cot"]["shard_bytes"] = 1e6  # a step takes 1.0125e6 bytes
+    cfg["cot"]["gains"] = [[0.0 if a == b else 0.5 for b in range(3)] for a in range(3)]
+    cfg["devices"] = [{"id": f"d{i}", "compute_rate": 1e9, "memory_capacity": 2.5e6,
+                       "channel_gain": 1.0, "tx_power": 0.5} for i in range(3)]
+    return cfg
+
+
+# the shipped config, seeded chains alternately loose and tight (one device
+# included), and one with an exact tie
+METAMORPHIC = {
+    "cot_place": json.loads(
+        (Path(__file__).resolve().parents[1] / "scenarios" / "cot_place.json").read_text()),
+    **{f"chain{i}_{d}^{s}_{'tight' if i % 2 else 'loose'}": chain_cfg(40 + i, d, s, i % 2 == 1)
+       for i, (d, s) in enumerate([(2, 8), (2, 8), (3, 6), (3, 6), (4, 5), (4, 5), (5, 4),
+                                   (5, 4), (1, 12), (6, 4)])},
+    "twins": twins_cfg(),
+}
+# continuous draws: no permutation of the other instances moves their optimum
+TIED = {"twins"}
+
+
+def run_cot(cfg, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run_scenario(str(path), str(tmp_path / name)) == 0
+    return json.loads((tmp_path / name / "cot_result.json").read_text(encoding="utf-8"))
+
+
+class TestMetamorphic:
+    """Relations that need no oracle: a power-of-two scaling is exact in
+    floats (no value here overflows or goes subnormal), and the devices'
+    order is a labelling."""
+
+    @pytest.mark.parametrize("k", [1, -3, 20])
+    def test_power_of_two_scaling(self, k, tmp_path):
+        """workload, handoff_size, shard_bytes and every memory_capacity
+        x2^k: every cost x2^k exactly, everything else unchanged."""
+        for name, cfg in METAMORPHIC.items():
+            want = run_cot(cfg, tmp_path, name)
+            for entry in (want["exact"], want["local_search"]):
+                entry["cost_s"] = math.ldexp(entry["cost_s"], k)
+            scaled = copy.deepcopy(cfg)
+            for step in scaled["cot"]["steps"]:
+                step["workload"] = math.ldexp(step["workload"], k)
+                step["handoff_size"] = math.ldexp(step["handoff_size"], k)
+            scaled["cot"]["shard_bytes"] = math.ldexp(scaled["cot"]["shard_bytes"], k)
+            for dev in scaled["devices"]:
+                dev["memory_capacity"] = math.ldexp(dev["memory_capacity"], k)
+            assert run_cot(scaled, tmp_path, f"{name}_scaled") == want, name
+
+    def test_device_permutation(self, tmp_path):
+        """Permuting the devices with the rows and columns of gains gives
+        the same exact cost bits and n_feasible, and the permuted placement
+        (on an exact tie, another optimum may win the lexicographic rule)."""
+        for name, cfg in METAMORPHIC.items():
+            want = run_cot(cfg, tmp_path, name)["exact"]
+            rng = random.Random(name)
+            n = len(cfg["devices"])
+            for i in range(4):
+                perm = rng.sample(range(n), n)  # position p holds old device perm[p]
+                permuted = copy.deepcopy(cfg)
+                permuted["devices"] = [cfg["devices"][d] for d in perm]
+                permuted["cot"]["gains"] = [[cfg["cot"]["gains"][a][b] for b in perm]
+                                            for a in perm]
+                got = run_cot(permuted, tmp_path, f"{name}_perm{i}")["exact"]
+                assert (got["cost_s"].hex(), got["n_feasible"]) == (
+                    want["cost_s"].hex(), want["n_feasible"]), name
+                if name not in TIED:
+                    assert got["placement"] == [perm.index(d) for d in want["placement"]], name
 
 
 class TestLinkRates:

@@ -19,6 +19,9 @@ temporary directory, so no git state changes.  The corpus is:
   size that runs in milliseconds, in the style of ``TestRunProperty`` in
   ``tests/test_scenarios.py``, whose ``EDGE_NUMBERS`` and ``RUN_CAPS``
   they use.
+- two CoT chains from the ``perfbench/workloads.py`` generator at the
+  exact search's depth limits: 5,000 steps on one device and 19 steps on
+  two.
 
 Beside the configs, each side runs the ``casestudy`` subcommand on the flag
 lists of ``CASESTUDY_ARGV``.  Each side runs the whole corpus in one warm
@@ -154,6 +157,10 @@ def build_corpus(dest: Path, seeds=SEEDS, mutations: int = MUTATIONS) -> list[Pa
         cfg = json.loads(shipped[name].read_text(encoding="utf-8"))
         configs[f"mutant{i:03d}_{name}"] = _mutant(
             cfg, rng, mutation["EDGE_NUMBERS"], mutation["RUN_CAPS"])
+    # the deepest chains the exact CoT search meets: one device, whose 1^S
+    # passes the guard at any length, and two devices at the guard's 19 steps
+    configs["cot_1^5000"] = wl.gen_cot(random.Random(2), 1, 5000, tight=False)
+    configs["cot_2^19_tight"] = wl.gen_cot(random.Random(3), 2, 19, tight=True)
     dest.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, cfg in configs.items():
