@@ -1,9 +1,10 @@
 """Byte contract: scenario outputs match recorded sha256 digests.
 
-Covers the six shipped scenarios plus seeded stress configs for paths the
-shipped set misses: MoE with several calls per slot, fading and random
-arrivals, unlearning with DP noise, a CoT chain whose memory capacities
-bind, and fedft on a band that carries only four of its six devices.
+Covers the six shipped scenarios plus the seeded stress configs of
+``tests/corpus.py``, for paths the shipped set misses: MoE with several
+calls per slot, fading and random arrivals, unlearning with DP noise, a CoT
+chain whose memory capacities bind, fedft on a band that carries only four
+of its six devices, and MoE uplinks whose SNR is below 1.
 
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (SkylakeX
 core).  fedft and unlearn outputs change with the BLAS kernel and with
@@ -23,80 +24,11 @@ import pytest
 
 from edgelam_sim.scenarios import run_scenario
 
+from corpus import STRESS
 from test_scenarios import write_cfg
 
 SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
 
-
-def _device(dev_id, gain, rate=1.0, memory=1e9, power=0.5, rank=1):
-    return {"id": dev_id, "compute_rate": rate, "memory_capacity": memory,
-            "channel_gain": gain, "tx_power": power, "local_rank": rank}
-
-
-STRESS = {
-    "moe_stress": {
-        "kind": "moe", "seed": 17,
-        "devices": [_device("d0", 2.0), _device("d1", 1.0), _device("d2", 0.5),
-                    _device("d3", 0.3)],
-        "channel": {"total_bandwidth": 1e6, "noise_density": 1e-9},
-        "moe": {
-            "experts": [
-                {"id": "e0", "workload": 0.5, "output_size": 1e5,
-                 "replicas": ["d0", "d1", "d2"]},
-                {"id": "e1", "workload": 0.3, "output_size": 2e5,
-                 "replicas": ["d1", "d2", "d3"]},
-                {"id": "e2", "workload": 0.4, "output_size": 1.5e5,
-                 "replicas": ["d0", "d2", "d3"]},
-                {"id": "e3", "workload": 0.6, "output_size": 5e4,
-                 "replicas": ["d0", "d1", "d3"]},
-                {"id": "e4", "workload": 0.2, "output_size": 3e5,
-                 "replicas": ["d0", "d1", "d2", "d3"]},
-            ],
-            "top_k": 2, "layers_per_task": 2, "slots": 400, "v": 2.0,
-            "load_jitter": 0.3, "w_energy": 0.5, "fading_sigma": 0.3,
-            "arrival_prob": 0.7, "v_sweep": [0.0, 20.0],
-        },
-    },
-    "unlearn_stress": {
-        "kind": "unlearn", "seed": 23,
-        "devices": [_device(f"u{i}", 1.0, rate=1e9) for i in range(6)],
-        "unlearn": {
-            "classes": 3, "feature_dim": 7, "samples_per_device": 25,
-            "opt_out": ["u2", "u5"], "pretrain_rounds": 60, "unlearn_rounds": 20,
-            "lr": 0.4, "delta": 0.05, "dp": {"clip_norm": 0.5, "sigma": 0.2},
-        },
-    },
-    # 2,555 of the 4^6 placements fit; c0 and c1 hold two steps at most
-    "cot_stress": {
-        "kind": "cot", "seed": 29,
-        "devices": [_device("c0", 1.0, 3e9, 1.3e6, 0.4), _device("c1", 1.0, 2e9, 1.3e6, 0.6),
-                    _device("c2", 1.0, 1e9, 1.9e6, 0.5), _device("c3", 1.0, 5e8, 2.5e6, 0.3)],
-        "channel": {"total_bandwidth": 1e6, "noise_density": 1e-9, "link_bandwidth": 1e6},
-        "cot": {
-            "steps": [{"workload": 2e9, "handoff_size": 8e5},
-                      {"workload": 3e9, "handoff_size": 6e5},
-                      {"workload": 1e9, "handoff_size": 1.2e6},
-                      {"workload": 2.5e9, "handoff_size": 4e5},
-                      {"workload": 1.5e9, "handoff_size": 9e5},
-                      {"workload": 2e9, "handoff_size": 0.0}],
-            "gains": [[0.0, 0.7, 0.2, 0.4], [0.7, 0.0, 0.5, 0.3],
-                      [0.2, 0.5, 0.0, 0.8], [0.4, 0.3, 0.8, 0.0]],
-            "shard_bytes": 5e5, "solver": "both", "iters": 10,
-        },
-    },
-    # the band lies between what the 4 and the 5 cheapest devices need at
-    # the deadline, so the selection drops f1 and f5
-    "fedft_stress": {
-        "kind": "fedft", "seed": 37,
-        "devices": [_device("f0", 0.6, 1.0e9, rank=1), _device("f1", 1.9, 0.9e9, power=0.3, rank=4),
-                    _device("f2", 1.2, 1.1e9, power=0.6, rank=2),
-                    _device("f3", 0.8, 1.2e9, power=0.4, rank=2),
-                    _device("f4", 1.5, 0.8e9, power=0.7, rank=1), _device("f5", 1.0, 1.0e9, rank=4)],
-        "channel": {"total_bandwidth": 6.2e5, "noise_density": 1e-9},
-        "fedft": {"rounds": 30, "lr": 0.05, "feature_dim": 8, "output_dim": 6, "true_rank": 2,
-                  "samples_per_device": 32, "noise_std": 0.01, "deadline_s": 1e-3},
-    },
-}
 
 DIGESTS = {
     "casestudy_tokens/casestudy_summary.json":
@@ -135,6 +67,10 @@ DIGESTS = {
         "65415943a6ccb575300ca31cb45f4cb904a0501eb48c365e89480b2e13de5e1a",
     "fedft_stress/fedft_summary.json":
         "deabcdca3f34bfd1d01ac64cdaf2b39fe2db0580c17bebc4453fb39db2580dd6",
+    "moe_low_snr/moe_summary.json":
+        "d298e0168d30da03e1d715547be556438c5859d21d9ddc3ccadba8a27da2fe0f",
+    "moe_low_snr/moe_trace.csv":
+        "5aca9806dacdc9b5ec7ad6ab73ce22cdfa80924c89bc8c25d8f96ce632e15d4f",
 }
 
 

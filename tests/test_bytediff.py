@@ -1,6 +1,6 @@
 """tools/bytediff.py: the differential byte check between two ``src`` trees."""
 
-import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -8,18 +8,12 @@ import pytest
 
 from edgelam_sim.scenarios import parse_scenario, run_scenario
 
-from test_scenarios import cot_cfg, fedft_cfg, write_cfg
+from corpus import MAXIMAL_CONFIGS
+from test_scenarios import (ALL_CONFIGS, cot_cfg, fedft_cfg, key_paths, reference_fields,
+                            write_cfg)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-
-
-@pytest.fixture(scope="module")
-def bytediff():
-    spec = importlib.util.spec_from_file_location("bytediff", ROOT / "tools" / "bytediff.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def copy_src(dest: Path) -> Path:
@@ -53,12 +47,23 @@ def test_corpus_covers_every_source(bytediff, tmp_path):
     names = [p.stem for p in paths]
     shipped = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
     assert names[:6] == shipped
-    assert names[6:10] == ["moe_stress", "unlearn_stress", "cot_stress", "fedft_stress"]
+    assert names[6:11] == ["moe_stress", "unlearn_stress", "cot_stress", "fedft_stress",
+                           "moe_low_snr"]
+    assert names[11:17] == list(MAXIMAL_CONFIGS)
     assert "fedft_4_loose_seed1" in names and "unlearn_pinned" in names
     assert [n.split("_")[0] for n in names[-5:-2]] == ["mutant000", "mutant001", "mutant002"]
     assert names[-2:] == ["cot_1^5000", "cot_2^19_tight"]
     for path in paths[:-5] + paths[-2:]:  # every config but the mutants runs as written
         parse_scenario(path.read_text(encoding="utf-8"))
+
+
+def test_corpus_sets_every_field_of_the_config_reference(bytediff, tmp_path):
+    set_by_kind = {}
+    for path in bytediff.build_corpus(tmp_path):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        set_by_kind.setdefault(cfg["kind"], set()).update(p for p, _ in key_paths(cfg))
+    for kind in ALL_CONFIGS:
+        assert reference_fields(kind) <= set_by_kind[kind], kind
 
 
 def test_corpus_calibrates_seeded_targets(bytediff, tmp_path):

@@ -1,5 +1,6 @@
 """Federated fine-tuning: rank projection, aggregation, gradients, selection."""
 
+import csv
 import math
 import sys
 from pathlib import Path
@@ -23,8 +24,9 @@ from edgelam_sim.fedft import (
     select_devices_and_bandwidth,
 )
 from edgelam_sim.netsim import DeviceProfile, comm_latency, shannon_rate
-from edgelam_sim.scenarios import load_scenario
+from edgelam_sim.scenarios import load_scenario, run_scenario
 from oracles import exhaustive_selection, left_sum, min_bandwidth, nested_selection
+from test_scenarios import base_cfg, write_cfg
 
 HETERO = Path(__file__).resolve().parents[1] / "scenarios" / "fedft_hetero.json"
 
@@ -904,3 +906,31 @@ class TestFedFtRound:
         assert len(losses) == 60
         assert losses[-1] < 0.1 * initial
         assert len(selection.selected) == 6
+
+
+def round_rows(tmp_path, cfg, name):
+    out = tmp_path / name
+    assert run_scenario(write_cfg(tmp_path, cfg, f"{name}.json"), out) == 0
+    with open(out / "fedft_rounds.csv", newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
+@pytest.mark.parametrize("k", [1, -2, 7])
+@pytest.mark.parametrize("name", ["fedft_hetero", "fedft_maximal", "fedft_stress"])
+def test_power_of_two_time_scaling(tmp_path, name, k):
+    """Every compute_rate /2^k, with bits_per_param and deadline_s x2^k: the
+    selection, the bandwidth cells and the losses are unchanged, and the
+    round latency is exactly x2^k (a power of two scales floats exactly)."""
+    cfg = base_cfg(name)
+    want = round_rows(tmp_path, cfg, "want")
+    for dev in cfg["devices"]:
+        dev["compute_rate"] = math.ldexp(dev["compute_rate"], -k)
+    block = cfg["fedft"]
+    block["bits_per_param"] = math.ldexp(block.get("bits_per_param", 64), k)
+    block["deadline_s"] = math.ldexp(block["deadline_s"], k)
+    got = round_rows(tmp_path, cfg, "scaled")
+    assert len(got) == len(want) == block["rounds"]
+    for a, b in zip(want, got):
+        latency = float(a.pop("round_latency_s"))
+        assert float(b.pop("round_latency_s")) == math.ldexp(latency, k), a["round"]
+        assert b == a

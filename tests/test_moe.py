@@ -10,6 +10,7 @@ import pytest
 from edgelam_sim.errors import SchedulingError
 from edgelam_sim.moe_orchestrator import ExpertMicroservice, gate_select, orchestrate
 from edgelam_sim.netsim import DeviceProfile, comm_latency, shannon_rate
+from edgelam_sim.scenarios import run_scenario
 
 from oracles import (
     VirtualQueue,
@@ -19,6 +20,7 @@ from oracles import (
     queue_update,
     slot_records,
 )
+from test_scenarios import base_cfg, read_outputs, write_cfg
 
 
 class TestGateSelect:
@@ -424,3 +426,19 @@ def test_orchestrate_matches_per_slot_reference():
         checked += 1
         big += len(res.device_ids) >= 8 and res.calls.shape[1] >= 8
     assert checked >= 150 and big >= 1
+
+
+@pytest.mark.parametrize("name", ["moe_schedule", "moe_tradeoff", "moe_maximal", "moe_stress"])
+def test_device_list_order_leaves_every_output_byte(tmp_path, name):
+    """The scheduler sorts the devices by id, so four seeded reorderings of
+    a config's device list write the same bytes as the config itself."""
+    cfg = base_cfg(name)
+    assert run_scenario(write_cfg(tmp_path, cfg), tmp_path / "want") == 0
+    want = read_outputs(tmp_path / "want")
+    devices = cfg["devices"]
+    reorders = [p for p in itertools.permutations(devices) if p != tuple(devices)]
+    for i, reorder in enumerate(random.Random(name).sample(reorders, 4)):
+        cfg["devices"] = list(reorder)
+        out = tmp_path / f"perm{i}"
+        assert run_scenario(write_cfg(tmp_path, cfg), out) == 0
+        assert read_outputs(out) == want, [d["id"] for d in reorder]

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import edgelam_sim
 from edgelam_sim import casestudy, fedft, scenarios
@@ -27,14 +26,7 @@ from edgelam_sim.scenarios import (
     write_json,
 )
 
-DEVICES = [
-    {"id": "a", "compute_rate": 1e9, "memory_capacity": 1e9,
-     "channel_gain": 1.0, "tx_power": 0.5, "local_rank": 1},
-    {"id": "b", "compute_rate": 2e9, "memory_capacity": 1e9,
-     "channel_gain": 0.8, "tx_power": 0.4, "local_rank": 2},
-]
-# fedft and MoE read the shared channel fields; CoT reads its link bandwidth too
-CHANNEL = {"total_bandwidth": 1e6, "noise_density": 1e-9}
+from corpus import CHANNEL, DEVICES, MAXIMAL_CONFIGS, STRESS, structural_mutant
 
 
 def fedft_cfg():
@@ -100,60 +92,6 @@ def casestudy_cfg():
 
 CASESTUDY_MODEL = {"n_total": 2048, "t_budget": 128, "alpha_mem": 2.0, "beta_comp": 2.0,
                    "gamma_handoff": 0.0, "base_mem": 0.0}
-
-# one config per kind, and per casestudy branch, that sets every field of
-# README's config reference, small enough to run in milliseconds
-MAXIMAL_CONFIGS = {
-    "fedft_maximal": {
-        "kind": "fedft", "seed": 5, "devices": DEVICES, "channel": CHANNEL,
-        "fedft": {"rounds": 3, "lr": 0.05, "feature_dim": 6, "output_dim": 4,
-                  "true_rank": 1, "samples_per_device": 12, "noise_std": 0.01,
-                  "deadline_s": 30.0, "bits_per_param": 32.0},
-    },
-    "unlearn_maximal": {
-        "kind": "unlearn", "seed": 5, "devices": DEVICES + [dict(DEVICES[0], id="c")],
-        "unlearn": {"classes": 3, "feature_dim": 6, "samples_per_device": 20,
-                    "opt_out": ["c"], "pretrain_rounds": 20, "unlearn_rounds": 3,
-                    "lr": 0.5, "delta": 0.05, "dp": {"clip_norm": 1.0, "sigma": 0.1}},
-    },
-    "moe_maximal": {
-        "kind": "moe", "seed": 5, "devices": DEVICES + [dict(DEVICES[0], id="c")],
-        "channel": CHANNEL,
-        "moe": {
-            "experts": [
-                {"id": "e0", "workload": 0.8, "output_size": 1e5, "replicas": ["a", "b", "c"]},
-                {"id": "e1", "workload": 0.6, "output_size": 2e5, "replicas": ["a", "b"]},
-            ],
-            "top_k": 2, "slots": 20, "v": 1.0, "v_sweep": [0.5, 5.0], "layers_per_task": 2,
-            "load_jitter": 0.2, "w_lat": 1.0, "w_energy": 0.5, "failed_devices": ["c"],
-            "arrival_prob": 0.9, "fading_sigma": 0.2,
-        },
-    },
-    "cot_maximal": {
-        "kind": "cot", "seed": 5, "devices": DEVICES,
-        "channel": dict(CHANNEL, link_bandwidth=2e6),
-        "cot": {
-            "steps": [
-                {"workload": 1e9, "handoff_size": 1e5},
-                {"workload": 2e9, "handoff_size": 0.0},
-            ],
-            "gains": [[0.0, 0.8], [0.5, 0.0]], "solver": "both", "shard_bytes": 1e3,
-            "iters": 5,
-        },
-    },
-    "casestudy_calibrated_maximal": {
-        "kind": "casestudy", "seed": 5,
-        "casestudy": {"budgets": [64, 128, 256], "calibrate": True, "targets": [0.7, 0.6]},
-    },
-    "casestudy_model_maximal": {
-        "kind": "casestudy", "seed": 5,
-        "casestudy": {"budgets": [64, 128, 256], "calibrate": False,
-                      "model": {"n_total": 608, "t_budget": 64, "alpha_mem": 2.0,
-                                "beta_comp": 2.0, "gamma_handoff": 0.03, "base_mem": 1e4,
-                                "compute_rate": 2e6}},
-    },
-}
-
 
 SHIPPED_NAMES = sorted(
     p.stem for p in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")
@@ -531,9 +469,9 @@ def shipped_cfg(name):
 
 
 def base_cfg(name):
-    """A shipped config, or a copy of a maximal one, by name."""
-    if name in MAXIMAL_CONFIGS:
-        return copy.deepcopy(MAXIMAL_CONFIGS[name])
+    """A shipped config, or a copy of a stress or maximal one, by name."""
+    if name in STRESS or name in MAXIMAL_CONFIGS:
+        return copy.deepcopy({**STRESS, **MAXIMAL_CONFIGS}[name])
     return shipped_cfg(name)
 
 
@@ -1044,71 +982,15 @@ class TestCliExitCodes:
         assert "budget 700" in capsys.readouterr().out
 
 
-# replacement values: every other JSON type, NaN, an integer beyond u64 and float
-# precision, and a nested list where an id or a number is expected
-MUTANTS = [None, True, "x", {}, [], 0, -1, 1.5, float("nan"), 2**70, [["d0"]]]
-
-
-def json_paths(node, prefix=()):
-    """Every key/index path in a JSON tree, the root included."""
-    yield prefix
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, child in items:
-        yield from json_paths(child, prefix + (key,))
-
-
 class TestParseProperty:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.data())
-    def test_mutated_shipped_config_parses_or_is_config_error(self, data):
-        cfg = base_cfg(data.draw(st.sampled_from(BASE_NAMES)))
-        for _ in range(data.draw(st.integers(1, 3))):
-            path = data.draw(st.sampled_from(list(json_paths(cfg))))
-            drop = bool(path) and data.draw(st.booleans())
-            value = None if drop else data.draw(st.sampled_from(MUTANTS))
-            if not path:
-                cfg = copy.deepcopy(value)
-                continue
-            parent = cfg
-            for key in path[:-1]:
-                parent = parent[key]
-            if drop:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = copy.deepcopy(value)
-        try:
-            parse_scenario(json.dumps(cfg))
-        except ConfigError:
-            pass
-
-
-# numeric replacements: zero, a subnormal, the bottom and the top of the
-# normal range; an integer field also gets its two neighbours
-EDGE_NUMBERS = [0, 1e-320, 1e-305, 1e300]
-# the base configs cut to a size that runs in milliseconds
-RUN_CAPS = {"slots": 50, "rounds": 5, "pretrain_rounds": 5, "unlearn_rounds": 5}
-
-
-def small_cfg(name):
-    cfg = base_cfg(name)
-    block = cfg[cfg["kind"]]
-    for key, cap in RUN_CAPS.items():
-        if key in block:
-            block[key] = min(block[key], cap)
-    if "steps" in block:
-        block["steps"] = block["steps"][:5]
-    return cfg
-
-
-def value_at(node, path):
-    for key in path:
-        node = node[key]
-    return node
+    def test_mutated_shipped_config_parses_or_is_config_error(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            cfg = structural_mutant(base_cfg(rng.choice(BASE_NAMES)), rng)
+            try:
+                parse_scenario(json.dumps(cfg))
+            except ConfigError:
+                pass
 
 
 def reject_constant(name):
@@ -1132,26 +1014,19 @@ def assert_outputs_finite(out: Path):
 
 
 class TestRunProperty:
-    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
-    @given(st.data())
-    def test_mutated_small_config_exits_cleanly(self, tmp_path_factory, data):
-        """A run ends in exit 0 with finite outputs, 2, or 3 with none; no
-        exception and no warning."""
-        cfg = small_cfg(data.draw(st.sampled_from(BASE_NAMES)))
-        numbers = [p for p in json_paths(cfg) if type(value_at(cfg, p)) in (int, float)]
-        for _ in range(data.draw(st.integers(1, 3))):
-            path = data.draw(st.sampled_from(numbers))
-            parent = value_at(cfg, path[:-1])
-            old = parent[path[-1]]
-            near = [old - 1, old + 1] if isinstance(old, int) else []
-            parent[path[-1]] = data.draw(st.sampled_from(EDGE_NUMBERS + near))
-        tmp = tmp_path_factory.mktemp("run")
-        out = tmp / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["run", "--config", str(write_cfg(tmp, cfg)), "--out", str(out)])
-        assert code in (0, 2, 3)
-        if code == 0:
-            assert_outputs_finite(out)
-        else:
-            assert not out.exists() or list(out.iterdir()) == []
+    def test_mutated_small_config_exits_cleanly(self, bytediff, tmp_path):
+        """Each numeric mutant of bytediff's corpus ends in exit 0 with
+        finite outputs, 2, or 3 with none; no exception and no warning."""
+        paths = bytediff.build_corpus(tmp_path / "corpus", seeds=())
+        mutants = [p for p in paths if p.stem.startswith("mutant")]
+        assert len(mutants) == bytediff.MUTATIONS >= 200
+        for path in mutants:
+            out = tmp_path / path.stem
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["run", "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3), path.stem
+            if code == 0:
+                assert_outputs_finite(out)
+            else:
+                assert not out.exists() or list(out.iterdir()) == [], path.stem
