@@ -1,6 +1,6 @@
 """Deterministic desk-scale simulator for collaborative edge LAM deployment.
 
-Subpackages map to the functional areas: ``numerics`` (shared linear
+Modules map to the functional areas: ``numerics`` (shared linear
 algebra), ``netsim`` (devices/channels/latency), ``fedft`` (heterogeneous
 federated LoRA fine-tuning), ``unlearn`` (projection-based federated
 unlearning), ``moe_orchestrator`` (drift-plus-penalty expert scheduling),

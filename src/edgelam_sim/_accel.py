@@ -1,10 +1,11 @@
 """Kernels for the two hot inner loops.
 
 ``placement_scan`` finds the cheapest feasible CoT placement by a recursive
-branch-and-bound (at most 19 deep under the 10^6 guard; one device's one
-placement is scored directly), summing costs step by step so that costs and
-ties are reproducible bit for bit, and counts the feasible placements by a
-subset DP over devices.  ``assignment_scores`` places each expert call of
+branch-and-bound (at most 19 deep under the 10^6 guard), summing costs step
+by step so that costs and ties are reproducible bit for bit, and counts the
+feasible placements by a subset DP over devices.  ``placement_fold`` sums
+one placement's cost and device loads in that order; it scores the one
+placement of one device.  ``assignment_scores`` places each expert call of
 an MoE slot on its best replica, in plain Python floats.
 """
 
@@ -36,18 +37,28 @@ def placement_scan(comp, comm, mem, cap):
     finite cost.  n_feasible counts the feasible placements.  The search
     recurses one level per step, at most 19 on two or more devices.
     """
-    if len(cap) == 1:  # one placement, folded here: 1^S passes the guard for any S
-        load = cost = 0.0
-        for s, m in enumerate(mem):
-            load += m
-            cost += comm[s - 1][0][0] if s else 0.0
-            cost += comp[s][0]
+    if len(cap) == 1:  # one placement, folded directly: 1^S passes the guard for any S
+        cost, (load,) = placement_fold(comp, comm, mem, cap, [0] * len(mem))
         if load > cap[0] or cost == math.inf:
             return None, math.inf, int(load <= cap[0])
         return [0] * len(mem), cost, 1
     n_feasible = _count_feasible(mem, cap)
     assignment, cost = _cheapest(comp, comm, mem, cap)
     return assignment, cost, n_feasible
+
+
+def placement_fold(comp, comm, mem, cap, assignment):
+    """(cost, loads) of one placement on ``placement_scan``'s tables: left
+    folds in step order, as the search adds them.  The cost starts at the
+    first step's compute and adds each handoff, then the next step's
+    compute; ``loads[d]`` sums the ``mem`` of d's steps from 0.0."""
+    cost, loads = comp[0][assignment[0]], [0.0] * len(cap)
+    for s, d in enumerate(assignment):
+        if s:
+            cost += comm[s - 1][assignment[s - 1]][d]
+            cost += comp[s][d]
+        loads[d] += mem[s]
+    return cost, loads
 
 
 def _cost_to_go(comp, comm):

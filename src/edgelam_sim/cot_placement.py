@@ -4,11 +4,9 @@ A reasoning chain is a path graph of steps, each with a compute workload
 and a handoff payload to its successor.  Placing steps on heterogeneous
 devices trades compute speed against inter-device handoff latency under
 per-device memory capacity.  ``solve_exact`` finds the optimum by
-branch-and-bound under a capacity-relaxed cost-to-go bound and counts the
-feasible placements with a subset DP over devices, without enumerating
+branch-and-bound and counts the feasible placements without enumerating
 them (guarded at 10^6 placements); ``solve_local_search`` is the greedy +
-hill-climbing heuristic whose optimality gap tests measure against the
-exact solver.
+hill-climbing heuristic whose optimality gap is measured against it.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._accel import placement_scan
+from ._accel import placement_fold, placement_scan
 from .errors import PlacementError, SizeLimitError
 from .netsim import CotChain, CotStep, DeviceProfile, shannon_rate
 from .rng import stream
@@ -116,8 +114,11 @@ def solve_local_search(
 
     ``iters=1`` returns the greedy placement; each further iteration is one
     improvement pass over the steps in a seeded order, moving a step to its
-    best strictly-better feasible device.  Sideways moves are disallowed, so
-    the search terminates; the result is deterministic per seed.  Raises
+    best strictly-better device that fits.  Sideways moves are disallowed,
+    so the search terminates; the result is deterministic per seed.  A load
+    fits as in ``solve_exact``: ``placement_fold`` sums it in step order (a
+    move tests its target only: a left fold of terms >= 0 never falls when
+    one is dropped), so the gap to the exact cost is never negative.  Raises
     ``PlacementError`` when the greedy construction finds no device for a
     step: none has room for it, or each that has room costs inf, as behind
     a dead link from the previous step's device.
@@ -125,9 +126,8 @@ def solve_local_search(
     if iters < 1:
         raise ValueError("iters must be >= 1")
     n_steps, n_dev = len(chain), len(devices)
-    # Python floats, as in the exact search: a load or a cost that overflows
-    # is inf, which no capacity admits and no placement prefers, not a numpy
-    # overflow error
+    # Python floats, as in the exact search: an overflowing load or cost is
+    # inf, which no capacity admits and no placement prefers
     comp, comm, mem, cap = _cost_tables(chain, devices, link_rates, shard_bytes)
 
     loads = [0.0] * n_dev
@@ -155,34 +155,23 @@ def solve_local_search(
         assignment.append(best_d)
         loads[best_d] += mem[s]
 
-    def total_cost(assign) -> float:
-        cost = comp[0][assign[0]]
-        for s in range(1, n_steps):
-            cost += comm[s - 1][assign[s - 1]][assign[s]]
-            cost += comp[s][assign[s]]
-        return cost
-
     rng = stream(seed, "cot.local_search")
-    current = total_cost(assignment)
+    current = placement_fold(comp, comm, mem, cap, assignment)[0]
     for _ in range(iters - 1):
-        improved = False
+        start = current
         for s in rng.permutation(n_steps):
             here = assignment[s]
             best_d, best_cost = here, current
             for d in range(n_dev):
-                if d == here or loads[d] + mem[s] > cap[d]:
+                if d == here:
                     continue
                 trial = assignment.copy()
                 trial[s] = d
-                c = total_cost(trial)
-                if c < best_cost:
+                c, trial_loads = placement_fold(comp, comm, mem, cap, trial)
+                if c < best_cost and trial_loads[d] <= cap[d]:
                     best_cost, best_d = c, d
             if best_d != here:
-                loads[here] -= mem[s]
-                loads[best_d] += mem[s]
-                assignment[s] = best_d
-                current = best_cost
-                improved = True
-        if not improved:
+                assignment[s], current = best_d, best_cost
+        if current == start:  # no move, as each move lowers the cost
             break
     return PlacementResult(tuple(assignment), current)

@@ -93,6 +93,17 @@ STRESS = {
             "v_sweep": [0.1, 1.0, 10.0, 100.0],
         },
     },
+    # the last step takes 1e16 bytes, a whole device's capacity, and the
+    # other two 1 byte each: summed in step order, 1 + 1 + 1e16 rounds above
+    # 1e16, so no device holds the whole chain, though 1e16 + 1 + 1 is 1e16
+    "cot_mixed_scale": {
+        "kind": "cot", "seed": 8,
+        "devices": [_device(f"d{i}", 1.0, 4e8, 1e16, 1.0) for i in range(2)],
+        "channel": {"total_bandwidth": 1e6, "noise_density": 1e-9, "link_bandwidth": 1e6},
+        "cot": {"steps": [{"workload": 3e8, "handoff_size": 8.0},
+                          {"workload": 1e9, "handoff_size": 8.0},
+                          {"workload": 1e8, "handoff_size": 8e16}]},
+    },
 }
 
 DEVICES = [
@@ -160,9 +171,10 @@ MAXIMAL_CONFIGS = {
 # structural replacements: every other JSON type, NaN, an integer beyond u64
 # and float precision, and a nested list where an id or a number is expected
 MUTANTS = [None, True, "x", {}, [], 0, -1, 1.5, float("nan"), 2**70, [["d0"]]]
-# numeric replacements: zero, a subnormal, the bottom and the top of the
-# normal range; an integer field also gets its two neighbours
-EDGE_NUMBERS = [0, 1e-320, 1e-305, 1e300]
+# numeric replacements for a float field: zero of either sign, a subnormal,
+# the bottom and the top of the normal range (an integer field gets zero or
+# one of its two neighbours instead)
+EDGE_NUMBERS = [0, -0.0, 1e-320, 1e-305, 1e300]
 # a numeric mutant's base is cut to a size that runs in milliseconds
 RUN_CAPS = {"slots": 50, "rounds": 5, "pretrain_rounds": 5, "unlearn_rounds": 5}
 
@@ -188,8 +200,8 @@ def _value_at(node, path):
 
 def numeric_mutant(cfg, rng):
     """A copy of ``cfg`` cut to ``RUN_CAPS`` and five CoT steps, with 1-3
-    numeric leaves replaced by one of ``EDGE_NUMBERS`` (an integer leaf
-    also by either neighbour)."""
+    numeric leaves replaced: a float by one of ``EDGE_NUMBERS``, an integer
+    by 0 or either neighbour."""
     cfg = copy.deepcopy(cfg)
     block = cfg[cfg["kind"]]
     for key, cap in RUN_CAPS.items():
@@ -202,8 +214,7 @@ def numeric_mutant(cfg, rng):
         *parents, last = rng.choice(numbers)
         parent = _value_at(cfg, parents)
         old = parent[last]
-        near = [old - 1, old + 1] if isinstance(old, int) else []
-        parent[last] = rng.choice([*EDGE_NUMBERS, *near])
+        parent[last] = rng.choice([0, old - 1, old + 1] if isinstance(old, int) else EDGE_NUMBERS)
     return cfg
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgelam_sim import _accel
-from edgelam_sim._accel import assignment_scores, placement_scan
+from edgelam_sim._accel import assignment_scores, placement_fold, placement_scan
 from edgelam_sim.cot_placement import ENUMERATION_GUARD
 from edgelam_sim.errors import SchedulingError
 
@@ -123,6 +123,25 @@ def test_placement_scan_deepest_chain_under_the_guard():
     assert len(assignment) == 19 and 0 < assignment.count(0) < 19
     assert 0 < n_feasible < 2**19
     assert cost.hex() == step_fold(comp, comm, assignment).hex()
+
+
+def test_placement_fold_is_the_scan_s_cost_and_capacity():
+    """The fold's cost of the scan's optimum is the scan's cost bit for bit,
+    and its loads, summed in step order, are the ones the scan admits."""
+    checked = 0
+    for case in random_cases(5, 200, cap_scale=0.6):
+        assignment, cost, _ = placement_scan(*case)
+        if assignment is None:
+            continue
+        got, loads = placement_fold(*case, assignment)
+        assert got.hex() == cost.hex() == step_fold(case[0], case[1], assignment).hex()
+        assert all(load <= c for load, c in zip(loads, case[3]))
+        checked += 1
+    assert checked >= 100
+    # 1 + 1 + 1e16 rounds up to 1e16 + 2, though 1e16 + 1 + 1 is 1e16
+    tables = [[1.0]] * 3, [[[0.0]]] * 2, [1.0, 1.0, 1e16], [1e16]
+    assert placement_fold(*tables, [0, 0, 0]) == (3.0, [1e16 + 2])
+    assert placement_scan(*tables) == (None, math.inf, 0)
 
 
 def test_placement_scan_count_blocks_match_enumeration(monkeypatch):

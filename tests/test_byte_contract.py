@@ -4,7 +4,9 @@ Covers the six shipped scenarios plus the seeded stress configs of
 ``tests/corpus.py``, for paths the shipped set misses: MoE with several
 calls per slot, fading and random arrivals, unlearning with DP noise, a CoT
 chain whose memory capacities bind, fedft on a band that carries only four
-of its six devices, and MoE uplinks whose SNR is below 1.
+of its six devices, MoE uplinks whose SNR is below 1, and a CoT chain whose
+step memories span 1 to 1e16 bytes, so that a device's load depends on the
+order in which its steps are summed.
 
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (SkylakeX
 core).  fedft and unlearn outputs change with the BLAS kernel and with
@@ -71,6 +73,8 @@ DIGESTS = {
         "d298e0168d30da03e1d715547be556438c5859d21d9ddc3ccadba8a27da2fe0f",
     "moe_low_snr/moe_trace.csv":
         "5aca9806dacdc9b5ec7ad6ab73ce22cdfa80924c89bc8c25d8f96ce632e15d4f",
+    "cot_mixed_scale/cot_result.json":
+        "52ccd133da7f1eecd0815a877661b19d8d075e9394757c7f6d09d0a1b4646311",
 }
 
 

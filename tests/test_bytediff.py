@@ -47,9 +47,9 @@ def test_corpus_covers_every_source(bytediff, tmp_path):
     names = [p.stem for p in paths]
     shipped = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
     assert names[:6] == shipped
-    assert names[6:11] == ["moe_stress", "unlearn_stress", "cot_stress", "fedft_stress",
-                           "moe_low_snr"]
-    assert names[11:17] == list(MAXIMAL_CONFIGS)
+    assert names[6:12] == ["moe_stress", "unlearn_stress", "cot_stress", "fedft_stress",
+                           "moe_low_snr", "cot_mixed_scale"]
+    assert names[12:18] == list(MAXIMAL_CONFIGS)
     assert "fedft_4_loose_seed1" in names and "unlearn_pinned" in names
     assert [n.split("_")[0] for n in names[-5:-2]] == ["mutant000", "mutant001", "mutant002"]
     assert names[-2:] == ["cot_1^5000", "cot_2^19_tight"]

@@ -1,5 +1,6 @@
 """Token-budget cost model and its calibration."""
 
+import copy
 import csv
 import json
 import math
@@ -18,6 +19,8 @@ from edgelam_sim.casestudy import (
 )
 from edgelam_sim.errors import SizeLimitError
 from edgelam_sim.scenarios import run_scenario
+
+from corpus import MAXIMAL_CONFIGS
 
 
 # calibrated (n_total, gamma_handoff.hex(), base_mem.hex(), success) by target:
@@ -191,3 +194,33 @@ class TestCalibration:
             "mem": abs(cal["achieved"]["mem_reduction"] - targets[0]),
             "lat": abs(cal["achieved"]["lat_reduction"] - targets[1]),
         }
+
+
+def casestudy_outputs(tmp_path, cfg, name):
+    """(sweep rows as dicts of strings, summary) of one run of ``cfg``."""
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run_scenario(str(config), str(tmp_path / name)) == 0
+    with open(tmp_path / name / "casestudy_sweep.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    return rows, json.loads((tmp_path / name / "casestudy_summary.json").read_text())
+
+
+@pytest.mark.parametrize("k", [1, -3, 20])
+def test_power_of_two_time_scaling(tmp_path, k):
+    """``casestudy_model_maximal`` with compute_rate x2^k and gamma_handoff
+    x2^-k (a handoff's seconds do not depend on the compute rate): both
+    latency columns are exactly x2^-k, and every other cell and the best
+    budget are unchanged (a power of two scales floats exactly)."""
+    cfg = copy.deepcopy(MAXIMAL_CONFIGS["casestudy_model_maximal"])
+    want_rows, want = casestudy_outputs(tmp_path, cfg, "want")
+    model = cfg["casestudy"]["model"]
+    model["compute_rate"] = math.ldexp(model["compute_rate"], k)
+    model["gamma_handoff"] = math.ldexp(model["gamma_handoff"], -k)
+    rows, got = casestudy_outputs(tmp_path, cfg, "scaled")
+    assert len(rows) == len(want_rows) == len(cfg["casestudy"]["budgets"])
+    for a, b in zip(want_rows, rows):
+        for column in ("total_latency_s", "monolithic_latency_s"):
+            assert float(b.pop(column)) == math.ldexp(float(a.pop(column)), -k), a["max_tokens"]
+        assert b == a
+    assert got["best_budget"] == want["best_budget"]

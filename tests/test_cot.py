@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgelam_sim.cli import main
 from edgelam_sim.cot_placement import (
     CotChain,
     CotStep,
@@ -26,6 +27,7 @@ from oracles import (
     placement_cost,
     validate_placement,
 )
+from corpus import STRESS
 
 
 def full_mesh(n_devices, link):
@@ -224,6 +226,49 @@ class TestLocalSearch:
             ls = solve_local_search(chain, devices, links, seed=seed, iters=10, shard_bytes=shard)
             validate_placement(chain, ls.assignment, devices, shard)
             assert exact.cost <= ls.cost + 1e-12
+
+    def test_mixed_scale_stress_config_fits_in_step_order(self, tmp_path):
+        """``cot_mixed_scale`` through ``edgelam-sim run``: on d1, 1e16 + 1 + 1
+        rounds to its 1e16 capacity, but its load summed in step order,
+        1 + 1 + 1e16, does not, so the chain cannot sit on d1 alone."""
+        cfg = STRESS["cot_mixed_scale"]
+        path = tmp_path / "cot_mixed_scale.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        got = json.loads((tmp_path / "out" / "cot_result.json").read_text(encoding="utf-8"))
+        chain = CotChain(tuple(CotStep(s["workload"], s["handoff_size"])
+                               for s in cfg["cot"]["steps"]))
+        devices = [DeviceProfile(d["id"], d["compute_rate"], d["memory_capacity"],
+                                 d["channel_gain"], d["tx_power"]) for d in cfg["devices"]]
+        validate_placement(chain, tuple(got["local_search"]["placement"]), devices, 0.0)
+        assert got["local_search"]["gap_to_exact"] >= 0.0
+
+    def test_mixed_scale_family_fits_and_never_beats_exact(self):
+        """10,000 seeded chains whose step memories span 1 to 1e16 bytes, on
+        devices of 1e16-scale capacity, so that a load's bits depend on the
+        order its steps are summed in: every local-search placement fits as
+        validate_placement sums it, in step order, and costs no less than
+        the exact optimum."""
+        rng = random.Random(0)
+        checked = 0
+        for i in range(10_000):
+            n_dev, n_steps = rng.choice((2, 3)), rng.randint(3, 5)
+            mem = [rng.choice((1.0, 2.0, 3.0, 10 ** rng.uniform(0, 16), 1e16))
+                   for _ in range(n_steps)]
+            chain = CotChain(tuple(CotStep(rng.choice((1e8, 3e8, 1e9)), 8 * m) for m in mem))
+            devices = [DeviceProfile(f"d{d}", rng.choice((4e8, 1e9)),
+                                     rng.choice((1e16, 1e16 + 2, 2e16)), 1.0, 0.5)
+                       for d in range(n_dev)]
+            links = full_mesh(n_dev, rng.choice((1e7, 8.97e6, 3e6)))
+            try:
+                exact = solve_exact(chain, devices, links)
+                ls = solve_local_search(chain, devices, links, seed=i, iters=10)
+            except PlacementError:
+                continue
+            validate_placement(chain, ls.assignment, devices, 0.0)
+            assert ls.cost >= exact.cost, i
+            checked += 1
+        assert checked >= 8_000
 
     def test_deterministic_per_seed(self):
         chain, devices, links, shard = make_random_instance(5, 5, 5)

@@ -1,6 +1,8 @@
 """Gate selection, virtual queues, and drift-plus-penalty scheduling."""
 
+import csv
 import itertools
+import json
 import math
 import random
 
@@ -442,3 +444,47 @@ def test_device_list_order_leaves_every_output_byte(tmp_path, name):
         out = tmp_path / f"perm{i}"
         assert run_scenario(write_cfg(tmp_path, cfg), out) == 0
         assert read_outputs(out) == want, [d["id"] for d in reorder]
+
+
+def moe_outputs(tmp_path, cfg, name):
+    """(trace rows as dicts of strings, summary) of one run of ``cfg``."""
+    assert run_scenario(write_cfg(tmp_path, cfg, name=f"{name}.json"), tmp_path / name) == 0
+    with open(tmp_path / name / "moe_trace.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    return rows, json.loads((tmp_path / name / "moe_summary.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("k", [1, -2, 5])
+@pytest.mark.parametrize("name", ["moe_schedule", "moe_tradeoff", "moe_maximal", "moe_stress"])
+def test_power_of_two_load_scaling(tmp_path, name, k):
+    """Every compute_rate and expert workload x2^k, with v and each v_sweep
+    entry x4^k: a drift term queue*load grows by 4^k, as the penalty does,
+    so the assignments, slot costs and time_avg_cost are unchanged and every
+    backlog is exactly x2^k (a power of two scales floats exactly)."""
+    cfg = base_cfg(name)
+    want_rows, want = moe_outputs(tmp_path, cfg, "want")
+    for dev in cfg["devices"]:
+        dev["compute_rate"] = math.ldexp(dev["compute_rate"], k)
+    block = cfg["moe"]
+    for expert in block["experts"]:
+        expert["workload"] = math.ldexp(expert["workload"], k)
+    block["v"] = math.ldexp(block["v"], 2 * k)
+    if "v_sweep" in block:
+        block["v_sweep"] = [math.ldexp(v, 2 * k) for v in block["v_sweep"]]
+    rows, got = moe_outputs(tmp_path, cfg, "scaled")
+    assert len(rows) == len(want_rows) > 0
+    for a, b in zip(want_rows, rows):
+        for column, cell in a.items():
+            if column.startswith("backlog_"):
+                assert float(b[column]) == math.ldexp(float(cell), k), (a["slot"], column)
+            else:
+                assert b[column] == cell, (a["slot"], column)
+
+    def scaled(entry):
+        return dict(entry, max_backlog=math.ldexp(entry["max_backlog"], k),
+                    time_avg_backlog=math.ldexp(entry["time_avg_backlog"], k),
+                    v=math.ldexp(entry["v"], 2 * k))
+    want = scaled(want)
+    if "v_sweep" in want:
+        want["v_sweep"] = [scaled(entry) for entry in want["v_sweep"]]
+    assert got == want

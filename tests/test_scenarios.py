@@ -1015,18 +1015,22 @@ def assert_outputs_finite(out: Path):
 
 class TestRunProperty:
     def test_mutated_small_config_exits_cleanly(self, bytediff, tmp_path):
-        """Each numeric mutant of bytediff's corpus ends in exit 0 with
-        finite outputs, 2, or 3 with none; no exception and no warning."""
-        paths = bytediff.build_corpus(tmp_path / "corpus", seeds=())
-        mutants = [p for p in paths if p.stem.startswith("mutant")]
-        assert len(mutants) == bytediff.MUTATIONS >= 200
-        for path in mutants:
-            out = tmp_path / path.stem
+        """Every run of bytediff's corpus (each config it writes, at the
+        default seeds, and each casestudy flag list) ends in exit 0 with
+        finite outputs, 2, or 3 with none; no exception and no warning.  Of
+        the configs, only the numeric mutants may exit 2 or 3."""
+        paths = bytediff.build_corpus(tmp_path / "corpus")
+        assert sum(p.stem.startswith("mutant") for p in paths) == bytediff.MUTATIONS >= 200
+        runs = {p.stem: ["run", "--config", str(p)] for p in paths}
+        runs.update((name, ["casestudy", *argv]) for name, argv in bytediff.CASESTUDY_ARGV.items())
+        for name, argv in runs.items():
+            out = tmp_path / name
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code = main(["run", "--config", str(path), "--out", str(out)])
-            assert code in (0, 2, 3), path.stem
+                code = main([*argv, "--out", str(out)])
+            assert code in (0, 2, 3), name
             if code == 0:
                 assert_outputs_finite(out)
             else:
-                assert not out.exists() or list(out.iterdir()) == [], path.stem
+                assert name.startswith(("mutant", "casestudy_cli_")), name
+                assert not out.exists() or list(out.iterdir()) == [], name

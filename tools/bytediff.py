@@ -10,7 +10,7 @@ REV's tree is extracted with ``git archive REV src | tar -x`` into a
 temporary directory, so no git state changes.  The corpus is:
 
 - the shipped configs in ``scenarios/``;
-- the stress configs (five) and the maximal configs (six, one per kind and
+- the stress configs (six) and the maximal configs (six, one per kind and
   two for casestudy) of ``tests/corpus.py``;
 - the ``perfbench/workloads.py`` generators at their ``tiny`` sizes, over
   ``SEEDS``;
