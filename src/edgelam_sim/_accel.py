@@ -123,7 +123,8 @@ def _count_feasible(mem, cap):
     disjoint (M, T) pair, one block per pair of the steps above the lowest
     ``_BLOCK_STEPS``, and the last device takes the rest.  load(T) sums mem
     in ascending step order from 0.0, as a placement's device load does, so
-    the capacity tests agree bit for bit.
+    the capacity tests agree bit for bit.  A chain whose whole load fits
+    on every device takes no DP: all D**S placements fit.
     """
     n_steps, n_dev = len(mem), len(cap)
     load = np.zeros(1 << n_steps)
@@ -131,6 +132,10 @@ def _count_feasible(mem, cap):
     with np.errstate(over="ignore"):
         for s in range(n_steps):
             load[1 << s : 2 << s] = load[: 1 << s] + mem[s]
+    # a rounded left fold of terms >= 0 never grows when a term is dropped,
+    # so if the whole chain fits on every device, every placement fits
+    if all(load[-1] <= c for c in cap):
+        return n_dev**n_steps
     ways = (load <= cap[0]).astype(np.int64)
     if n_dev > 2:
         low = min(n_steps, _BLOCK_STEPS)

@@ -48,17 +48,21 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class LoraAdapter:
-    """Low-rank update factors: effective delta is A @ B, shape d x k."""
+    """Low-rank update factors: effective delta is A @ B, shape d x k.
 
-    A: np.ndarray  # d x r
-    B: np.ndarray  # r x k
+    Factors with leading axes hold a stack of adapters, as ``lora_sgd_step``
+    steps them; the checks and properties read the last two axes.
+    """
+
+    A: np.ndarray  # (..., d, r)
+    B: np.ndarray  # (..., r, k)
 
     def __post_init__(self):
         # contiguous: BLAS multiplies a strided view (a slice, say) on
         # another path with other rounding
         object.__setattr__(self, "A", np.ascontiguousarray(self.A, dtype=np.float64))
         object.__setattr__(self, "B", np.ascontiguousarray(self.B, dtype=np.float64))
-        if self.A.shape[1] != self.B.shape[0]:
+        if self.A.shape[-1] != self.B.shape[-2]:
             raise ShapeError(
                 f"factor ranks disagree: A is {self.A.shape}, B is {self.B.shape}"
             )
@@ -69,15 +73,15 @@ class LoraAdapter:
 
     @property
     def d(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-2]
 
     @property
     def k(self) -> int:
-        return self.B.shape[1]
+        return self.B.shape[-1]
 
     @property
     def rank(self) -> int:
-        return self.A.shape[1]
+        return self.A.shape[-1]
 
     def delta(self) -> np.ndarray:
         """Effective weight update A @ B."""
@@ -107,14 +111,35 @@ def project_rank(adapter: LoraAdapter, target_rank: int) -> LoraAdapter:
     return LoraAdapter(a, b)
 
 
+def _padded_sum(parts, n: int, d: int, k: int, r_max: int) -> LoraAdapter:
+    """The sum of n weighted adapters zero-padded to rank ``r_max``.
+
+    ``parts`` yields (at, A, B): the weighted factors of the adapters at
+    positions ``at``, one write per part (a position and 2-D factors, or an
+    array of positions and stacks).  Each factor stack is then folded in
+    position order by one cumsum, a left fold: the loop that adds each
+    adapter into zeros from +0.0 gives the same bits, as padded zeros add
+    nothing and the closing ``+ 0.0`` turns a -0.0, left only where every
+    term is -0.0, into that loop's +0.0.  ``np.add.reduce`` would not do:
+    over a trailing axis of length 1 it sums pairwise.
+    """
+    a = np.zeros((n, d, r_max))
+    b = np.zeros((n, r_max, k))
+    for at, wa, wb in parts:
+        r = wa.shape[-1]
+        a[at, :, :r] = wa
+        b[at, :r] = wb
+    return LoraAdapter(a.cumsum(axis=0)[-1] + 0.0, b.cumsum(axis=0)[-1] + 0.0)
+
+
 def aggregate_hetero(adapters: list[LoraAdapter], weights: list[float]) -> LoraAdapter:
     """Average the factors of all adapters zero-padded to the max rank.
 
-    Each adapter adds into the leading columns of A and rows of B only: a
-    padded zero would add exactly nothing, since the sums start at +0.0.
-    A- and B-factors are averaged separately (server storage stays
-    O(d * r_max)); the induced bias versus averaging the products A @ B is
-    a documented property of the scheme, measured in tests.
+    Each adapter fills the leading columns of A and rows of B only, and
+    the sum is ``_padded_sum``'s, in list order.  A- and B-factors are
+    averaged separately (server storage stays O(d * r_max)); the induced
+    bias versus averaging the products A @ B is a documented property of
+    the scheme, measured in tests.
     """
     if not adapters:
         raise ValueError("cannot aggregate an empty adapter list")
@@ -130,12 +155,8 @@ def aggregate_hetero(adapters: list[LoraAdapter], weights: list[float]) -> LoraA
         if (a.d, a.k) != (d, k):
             raise ShapeError(f"adapter dims {(a.d, a.k)} do not match {(d, k)}")
     r_max = max(a.rank for a in adapters)
-    a_sum = np.zeros((d, r_max))
-    b_sum = np.zeros((r_max, k))
-    for wi, ad in zip(w, adapters):
-        a_sum[:, : ad.rank] += wi * ad.A
-        b_sum[: ad.rank] += wi * ad.B
-    return LoraAdapter(a_sum, b_sum)
+    parts = ((i, wi * ad.A, wi * ad.B) for i, (wi, ad) in enumerate(zip(w, adapters)))
+    return _padded_sum(parts, len(adapters), d, k, r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +180,27 @@ def lora_sgd_step(
     """One full-batch gradient step on the factors A and B; W0 untouched.
 
     Loss is ``mse_loss``; the gradient w.r.t. the effective update is
-    (2/m) err^T X, chained into dA = dW B^T and dB = A^T dW.
+    (2/m) err^T X, chained into dA = dW B^T and dB = A^T dW.  Leading axes
+    broadcast, and the 2-D call is the one-device case: n datasets stacked
+    as ``(n, m, k)`` and ``(n, m, d)`` step from one adapter or from a
+    stack of n, and each slice of the result is that slice's 2-D call bit
+    for bit.  A stacked matmul runs the 2-D call's BLAS product on each
+    slice, with the transposes passed as views, as in 2-D.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    if x.shape[0] == 0:
+    m = x.shape[-2]
+    if m == 0:
         raise ValueError("batch must be nonempty")
     w = w0 + adapter.delta()
-    if x.shape[1] != w.shape[1] or y.shape != (x.shape[0], w.shape[0]):
+    if x.shape[-1] != w.shape[-1] or y.shape[-2:] != (m, w.shape[-2]):
         raise ShapeError(
             f"batch shapes {x.shape}/{y.shape} do not fit model {w.shape}"
         )
-    err = x @ w.T - y  # m x d
-    d_w = (2.0 / x.shape[0]) * (err.T @ x)  # d x k
-    d_a = d_w @ adapter.B.T
-    d_b = adapter.A.T @ d_w
+    err = x @ w.swapaxes(-1, -2) - y  # (..., m, d)
+    d_w = (2.0 / m) * (err.swapaxes(-1, -2) @ x)  # (..., d, k)
+    d_a = d_w @ adapter.B.swapaxes(-1, -2)
+    d_b = adapter.A.swapaxes(-1, -2) @ d_w
     return LoraAdapter(adapter.A - lr * d_a, adapter.B - lr * d_b)
 
 
@@ -456,34 +483,87 @@ def global_loss(state: FedFtState) -> float:
     return mse_loss(state.base, state.global_adapter, state.pooled_x, state.pooled_y)
 
 
-def fedft_round(
-    state: FedFtState,
-    participants: tuple[str, ...],
-    weights: list[float],
-    ranks: dict[str, int],
-    lr: float,
-) -> float:
+@dataclass(frozen=True)
+class RankGroup:
+    """The participants of one rank and dataset size, stacked once."""
+
+    ids: tuple[str, ...]
+    at: np.ndarray  # their positions among the plan's participants
+    x: np.ndarray  # (n_g, m, k), in the order of ``ids``
+    y: np.ndarray  # (n_g, m, d)
+    weights: np.ndarray  # (n_g, 1, 1) aggregation weights
+
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """What every round of a run reuses: the participants, grouped."""
+
+    participants: tuple[str, ...]
+    ranks: Mapping[str, int]  # every device's rank, for the dissemination
+    groups: tuple[RankGroup, ...]
+    r_max: int  # the largest participant rank, the aggregate's
+
+
+def round_plan(
+    state: FedFtState, participants: tuple[str, ...], ranks: Mapping[str, int]
+) -> RoundPlan:
+    """The plan of ``fedft_round`` for ``participants``, aggregated in that order.
+
+    A participant's weight is its dataset size over the participants'
+    total.  The participants are grouped by (rank, dataset size), each
+    group's datasets stacked in participant order and its weights kept as
+    a column.  ``ranks`` gives every device's rank, participant or not,
+    and each participant's adapter has its rank.
+    """
+    sizes = state.dataset_sizes()
+    total = float(sum(sizes[dev] for dev in participants))
+    w = np.array([sizes[dev] / total for dev in participants])
+    keyed: dict[tuple[int, int], list[int]] = {}
+    for i, dev in enumerate(participants):
+        keyed.setdefault((ranks[dev], sizes[dev]), []).append(i)
+    groups = []
+    for at in keyed.values():
+        ids = tuple(participants[i] for i in at)
+        groups.append(RankGroup(
+            ids, np.array(at),
+            np.stack([state.datasets[dev][0] for dev in ids]),
+            np.stack([state.datasets[dev][1] for dev in ids]),
+            w[at][:, None, None],
+        ))
+    r_max = max(ranks[dev] for dev in participants)
+    return RoundPlan(tuple(participants), MappingProxyType(dict(ranks)), tuple(groups), r_max)
+
+
+def fedft_round(state: FedFtState, plan: RoundPlan, lr: float) -> float:
     """One federated round: local step, aggregate, redistribute; returns the loss.
 
-    Each participant, in ascending id order, takes one local SGD step, and
-    the server aggregates the stepped factors with ``weights`` (one per
-    participant, in the same order), so parallel local steps stay
-    bit-reproducible.  Every device in ``ranks`` then receives the new
-    global projected to its rank: one ``project_rank`` copy per distinct
-    rank, shared by the devices of that rank (adapters are never written).
-    Returns the global loss after the round.
+    Each group of ``plan`` takes one stacked local SGD step: from its
+    devices' adapters stacked, or from the one copy they share (every round
+    after the first) as it is.  The server sums the weighted stepped
+    factors in participant order with ``_padded_sum``, so the round equals
+    a loop of per-device steps and adds bit for bit.  Every device in
+    ``plan.ranks`` then receives the new global projected to its rank: one
+    ``project_rank`` copy per distinct rank, shared by the devices of that
+    rank (adapters are never written).  Returns the global loss after the
+    round.
     """
-    stepped = []
-    for dev in participants:
-        x, y = state.datasets[dev]
-        stepped.append(lora_sgd_step(state.base, state.device_adapters[dev], x, y, lr))
-    new_global = aggregate_hetero(stepped, weights)
+    adapters = state.device_adapters
+    parts = []
+    for g in plan.groups:
+        start = adapters[g.ids[0]]
+        if any(adapters[dev] is not start for dev in g.ids[1:]):
+            start = LoraAdapter(np.stack([adapters[dev].A for dev in g.ids]),
+                                np.stack([adapters[dev].B for dev in g.ids]))
+        stepped = lora_sgd_step(state.base, start, g.x, g.y, lr)
+        parts.append((g.at, g.weights * stepped.A, g.weights * stepped.B))
+    d, k = state.base.shape
+    new_global = _padded_sum(parts, len(plan.participants), d, k, plan.r_max)
 
     copies: dict[int, LoraAdapter] = {}
-    for dev, rank in ranks.items():
+    for dev, rank in plan.ranks.items():
         if rank not in copies:
             copies[rank] = project_rank(new_global, rank)
-        state.device_adapters[dev] = copies[rank]
+        adapters[dev] = copies[rank]
 
     state.global_adapter = new_global
     # count the round only once its loss exists, so an error while
@@ -508,14 +588,14 @@ def run_fedft(
     The selection inputs (device set, ranks, dataset sizes) are constant
     across a run, and dissemination keeps each device's rank, so everything
     the selection fixes is computed once, before the first round: the
-    joint selection/allocation, the participants in ascending id order,
-    their dataset-size-proportional aggregation weights, and the round
-    latency.  A device uploads and downloads ``local_rank * (d + k)``
-    parameters on its own band, so the round latency is the selection's
-    compute-plus-upload latency plus its slowest upload again for the
-    downlink.  ``losses[i]`` is the global loss after round i + 1.  When no
-    device subset meets the deadline, ``SchedulingError`` is raised before
-    the first round.
+    joint selection/allocation, the round latency, and the round plan (the
+    participants in ascending id order, grouped by rank with their data
+    stacked, and their dataset-size-proportional aggregation weights).  A
+    device uploads and downloads ``local_rank * (d + k)`` parameters on its
+    own band, so the round latency is the selection's compute-plus-upload
+    latency plus its slowest upload again for the downlink.  ``losses[i]``
+    is the global loss after round i + 1.  When no device subset meets the
+    deadline, ``SchedulingError`` is raised before the first round.
     """
     d, k = state.base.shape
     sizes = state.dataset_sizes()
@@ -529,8 +609,6 @@ def run_fedft(
     selection = select_devices_and_bandwidth(
         profiles, total_bandwidth, upload_bits, local_flops, deadline, noise_density
     )
-    participants = selection.selected  # ascending ids
-    total = float(sum(sizes[dev] for dev in participants))
-    weights = [sizes[dev] / total for dev in participants]
-    losses = [fedft_round(state, participants, weights, ranks, lr) for _ in range(rounds)]
+    plan = round_plan(state, selection.selected, ranks)  # ascending ids
+    losses = [fedft_round(state, plan, lr) for _ in range(rounds)]
     return selection, selection.round_latency + selection.upload_latency, losses

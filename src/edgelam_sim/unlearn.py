@@ -226,16 +226,16 @@ def make_classification_task(
 def pretrain(state: UnlearnState, lr: float, rounds: int, delta: float) -> None:
     """Plain federated descent over all devices (size-weighted full batch).
 
-    One stacked gradient call per round; the weighted gradients are still
-    added one device at a time in id order.
+    One stacked gradient call per round.  The weighted gradients are summed
+    in id order by one cumsum, a left fold: the per-device adds into zeros
+    give the same bits, as the closing ``+ 0.0`` turns a -0.0 (left only
+    where every term is -0.0) into their +0.0.
     """
     n_devices, m = state.labels.shape
     share = m / float(n_devices * m)  # one device's size over the total
     for _ in range(rounds):
         grads = bce_dataset_grad(state.global_weights, state.x, state.labels, delta)
-        grad = np.zeros_like(state.global_weights)
-        for g in grads:
-            grad += share * g
+        grad = np.cumsum(share * grads, axis=0)[-1] + 0.0
         state.global_weights = state.global_weights - lr * grad
 
 

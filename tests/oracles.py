@@ -11,6 +11,9 @@ The Gram-Schmidt without a screen projects every row exactly, so it checks
 that the screen drops only rows the exact keep test would drop.  The
 nested fedft selection calls ``shannon_rate`` at every bandwidth bisection
 step, so it checks the solver's bisection over the rate kernel bit for bit.
+The per-device fedft round steps each participant with the 2-D
+``lora_sgd_step`` and adds the weighted factors into zeros one participant
+at a time, so it checks how the round stacks its steps and folds its sums.
 The placement oracles take assignment tuples and compute step memory
 themselves.  ``PhiloxStream`` restates the uniform, permutation and
 bounded-integer draws of ``rng.stream`` in Python ints, so a change in the
@@ -26,6 +29,7 @@ import numpy as np
 
 from edgelam_sim.cot_placement import CotChain, CotStep, link_rates_from_gains
 from edgelam_sim.errors import PlacementError, SchedulingError, ShapeError
+from edgelam_sim.fedft import LoraAdapter, global_loss, lora_sgd_step, project_rank
 from edgelam_sim.netsim import (
     DeviceProfile,
     comm_latency,
@@ -581,6 +585,38 @@ def orchestrate_per_slot(
         records.append(SlotRecord(slot, tuple(assignment), slot_cost,
                                   dict(zip(ids, queues.tolist()))))
     return ReferenceRun(records, cost_sum / n_slots, backlog_sum / n_slots, max_backlog)
+
+
+# ---------------------------------------------------------------------------
+# federated fine-tuning, one device at a time
+# ---------------------------------------------------------------------------
+
+
+def fedft_round_per_device(state, participants, weights, ranks, lr):
+    """One fedft round with one 2-D local step per participant, in the order
+    given; the weighted factors are added into zero factors of the largest
+    rank one participant at a time, each into its leading columns of A and
+    rows of B.  Every device in ``ranks`` then gets the new global projected
+    to its rank, one copy per distinct rank.  Returns the global loss."""
+    stepped = [
+        lora_sgd_step(state.base, state.device_adapters[dev], *state.datasets[dev], lr)
+        for dev in participants
+    ]
+    d, k = state.base.shape
+    r_max = max(a.rank for a in stepped)
+    a_sum, b_sum = np.zeros((d, r_max)), np.zeros((r_max, k))
+    for wi, a in zip(np.asarray(weights, dtype=np.float64), stepped):
+        a_sum[:, : a.rank] += wi * a.A
+        b_sum[: a.rank] += wi * a.B
+    state.global_adapter = LoraAdapter(a_sum, b_sum)
+    copies = {}
+    for dev, rank in ranks.items():
+        if rank not in copies:
+            copies[rank] = project_rank(state.global_adapter, rank)
+        state.device_adapters[dev] = copies[rank]
+    loss = global_loss(state)
+    state.round_index += 1
+    return loss
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,46 @@ def test_assignment_scores_raises_on_overflow(queue, load, cost, v, error, match
     scored inf: every such replica would tie and the first would win."""
     with pytest.raises(error, match=match):
         assignment_scores([[0, 1]], queue, [load], [cost], v)
+
+
+def count_cases():
+    """Seeded chains for the feasible count: loose, tight, fitting on every
+    device but one, at the exact whole-chain load, and overflowing."""
+    rng = np.random.default_rng(45)
+    cases = []
+    for _ in range(30):
+        n_steps, n_dev = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+        mem = rng.uniform(0.1, 1.0, n_steps).tolist()
+        whole = 0.0
+        for m in mem:
+            whole += m  # the step-order fold of the whole chain
+        cases.append((mem, [whole * float(rng.uniform(1.0, 3.0)) for _ in range(n_dev)]))
+        cases.append((mem, [whole] * n_dev))  # fits exactly
+        short = [whole * 2.0] * n_dev
+        short[int(rng.integers(n_dev))] = whole * float(rng.uniform(0.3, 0.99))
+        cases.append((mem, short))  # every device but one
+        cases.append((mem, (whole * rng.uniform(0.2, 0.8, n_dev)).tolist()))
+    # 1e16 + 1 rounds to 1e16, but 1 + 1 + 1e16 does not
+    cases.append(([1e16, 1.0, 1.0], [1e16, 1e16]))
+    cases.append(([1.0, 1.0, 1e16], [1e16, 1e16, 1e16]))
+    # a whole-chain load that overflows is inf: the DP counts the splits
+    cases.append(([1e308, 1e308, 1.0], [1.5e308, 1.5e308]))
+    cases.append(([1e308, 1e308, 1e308], [math.inf, 1.5e308, 1.5e308]))
+    return cases
+
+
+def test_feasible_count_matches_enumeration():
+    """The count, closed-form D**S when the whole chain fits on every
+    device, equals scoring all D^S placements."""
+    cases = count_cases()
+    loose = 0
+    for mem, cap in cases:
+        n_steps, n_dev = len(mem), len(cap)
+        comp = [[1.0] * n_dev for _ in range(n_steps)]
+        comm = [[[0.0] * n_dev for _ in range(n_dev)] for _ in range(n_steps - 1)]
+        want = scan_placements(comp, comm, mem, cap)[2]
+        with np.errstate(over="raise", invalid="raise"):
+            got = _accel._count_feasible(mem, cap)
+        assert got == want
+        loose += want == n_dev**n_steps
+    assert 30 <= loose <= len(cases) - 30  # both ways of counting ran

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -20,12 +21,19 @@ from edgelam_sim.fedft import (
     make_synthetic_task,
     mse_loss,
     project_rank,
+    round_plan,
     run_fedft,
     select_devices_and_bandwidth,
 )
 from edgelam_sim.netsim import DeviceProfile, comm_latency, shannon_rate
 from edgelam_sim.scenarios import load_scenario, run_scenario
-from oracles import exhaustive_selection, left_sum, min_bandwidth, nested_selection
+from oracles import (
+    exhaustive_selection,
+    fedft_round_per_device,
+    left_sum,
+    min_bandwidth,
+    nested_selection,
+)
 from test_scenarios import base_cfg, write_cfg
 
 HETERO = Path(__file__).resolve().parents[1] / "scenarios" / "fedft_hetero.json"
@@ -237,6 +245,28 @@ class TestLoraSgdStep:
                     - mse_loss(base, LoraAdapter(adapter.A, down), x, y)
                 ) / (2 * h)
                 assert grad_b[idx] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    def test_stacked_step_is_each_slice_s_2d_step(self):
+        # n datasets step as one call, from a shared adapter or a stack of
+        # n; each slice is the 2-D call on it bit for bit
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            d, k = (int(v) for v in rng.integers(1, 7, size=2))
+            r = int(rng.integers(1, min(d, k) + 1))
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            base = rng.standard_normal((d, k))
+            x, y = rng.standard_normal((n, m, k)), rng.standard_normal((n, m, d))
+            shared = random_adapter(rng, d, k, r)
+            own = [random_adapter(rng, d, k, r) for _ in range(n)]
+            stack = LoraAdapter(np.stack([a.A for a in own]), np.stack([a.B for a in own]))
+            assert (stack.d, stack.k, stack.rank) == (d, k, r)
+            for start, per_slice in ((shared, [shared] * n), (stack, own)):
+                out = lora_sgd_step(base, start, x, y, 0.1)
+                assert out.A.shape == (n, d, r) and out.B.shape == (n, r, k)
+                for i, a in enumerate(per_slice):
+                    want = lora_sgd_step(base, a, x[i], y[i], 0.1)
+                    assert out.A[i].tobytes() == want.A.tobytes()
+                    assert out.B[i].tobytes() == want.B.tobytes()
 
 
 def make_devices(specs):
@@ -782,11 +812,8 @@ def hetero_state(seed=42, noise=0.01):
 
 
 def round_inputs(state, devices, sel):
-    """``fedft_round``'s participants, weights and ranks, as ``run_fedft`` makes them."""
-    sizes = state.dataset_sizes()
-    total = float(sum(sizes[dev] for dev in sel.selected))
-    return sel.selected, [sizes[dev] / total for dev in sel.selected], {
-        p.id: p.local_rank for p in devices}
+    """``fedft_round``'s plan, as ``run_fedft`` makes it."""
+    return round_plan(state, sel.selected, {p.id: p.local_rank for p in devices})
 
 
 def run_selection(state, devices, deadline):
@@ -809,7 +836,7 @@ class TestFedFtRound:
         expected = lora_sgd_step(state.base, before, x, y, 0.1)
         sel = run_selection(state, [dev], 100.0)
         assert sel.selected == ("a",)
-        loss = fedft_round(state, sel.selected, [1.0], {"a": 2}, 0.1)
+        loss = fedft_round(state, round_inputs(state, [dev], sel), 0.1)
         assert state.round_index == 1
         assert loss == global_loss(state)
         assert np.max(np.abs(state.global_adapter.A - expected.A)) <= 1e-12
@@ -834,7 +861,7 @@ class TestFedFtRound:
         central = mse_loss(state.base, single, shared_x, shared_y)
         sel = run_selection(state, devices, 100.0)
         assert sel.selected == ("d0", "d1", "d2")
-        loss = fedft_round(state, *round_inputs(state, devices, sel), 0.1)
+        loss = fedft_round(state, round_inputs(state, devices, sel), 0.1)
         assert abs(loss - central) <= 1e-9
 
     def test_cached_selection_matches_per_round_solve(self):
@@ -843,7 +870,7 @@ class TestFedFtRound:
         sel, latency, _ = run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=0)
         inputs = round_inputs(state, devices, sel)
         for _ in range(3):
-            fedft_round(state, *inputs, 0.05)
+            fedft_round(state, inputs, 0.05)
             assert run_fedft(state, devices, 1e6, 30.0, 0.05, 1e-9, rounds=0)[:2] == (
                 sel, latency)
         _, state = hetero_state(seed=3)
@@ -864,7 +891,7 @@ class TestFedFtRound:
             return project_rank(adapter, target_rank)
 
         monkeypatch.setattr(fedft, "project_rank", counted)
-        fedft_round(state, *round_inputs(state, devices, sel), 0.05)
+        fedft_round(state, round_inputs(state, devices, sel), 0.05)
         assert sorted(calls) == [1, 2, 4]
         for rank in (1, 2, 4):
             shared = [state.device_adapters[p.id] for p in devices if p.local_rank == rank]
@@ -906,6 +933,87 @@ class TestFedFtRound:
         assert len(losses) == 60
         assert losses[-1] < 0.1 * initial
         assert len(selection.selected) == 6
+
+
+def round_oracle_configs():
+    """Seeded fedft states for the stacked round, the edge cases first."""
+    base = dict(seed=5, d=6, k=8, ranks=[1, 1, 2, 2, 4, 4], sizes=[16] * 6, n_part=5,
+                rounds=6, lr=0.05, neg_zero=False)
+    configs = [
+        dict(base, ranks=[3] * 6),  # a single group
+        dict(base, ranks=[1, 2, 3, 4, 5, 6], n_part=6),  # every group of one
+        dict(base, n_part=1),
+        dict(base, neg_zero=True),  # an A column whose terms are all -0.0
+        dict(base, sizes=[16, 9, 16, 9, 30, 16]),  # groups keyed by rank and size
+        # d or k of 1: (P, 1, 1) stacks, which np.add.reduce sums pairwise
+        dict(base, d=1, k=7, ranks=[1] * 12, sizes=[9] * 12, n_part=12),
+        dict(base, d=5, k=1, ranks=[1] * 13, sizes=[4] * 13, n_part=12, neg_zero=True),
+        dict(base, d=1, k=1, ranks=[1] * 12, sizes=[3] * 12, n_part=11),
+    ]
+    rng = random.Random(45)
+    for _ in range(40):
+        d, k = rng.choice([1, 2, 3, 6]), rng.choice([1, 2, 5, 8])
+        n = rng.randint(1, 14)
+        size = rng.choice([3, 8, 20])
+        configs.append(dict(
+            seed=rng.randrange(2**31), d=d, k=k,
+            ranks=[rng.randint(1, min(d, k)) for _ in range(n)],
+            sizes=[size] * n if rng.random() < 0.7 else [rng.randint(1, 20) for _ in range(n)],
+            n_part=rng.randint(1, min(n, 12)), rounds=rng.randint(5, 8),
+            lr=rng.choice([0.005, 0.02, 0.05]), neg_zero=k > 1 and rng.random() < 0.3,
+        ))
+    return configs
+
+
+class TestStackedRoundMatchesPerDevice:
+    """``fedft_round`` against the per-device round of ``oracles``, bit for bit."""
+
+    @staticmethod
+    def build(cfg):
+        devices = [DeviceProfile(f"d{i:02d}", 1e9, 1e9, 1.0, 0.5, r)
+                   for i, r in enumerate(cfg["ranks"])]
+        state = make_synthetic_task(
+            cfg["seed"], devices, feature_dim=cfg["k"], output_dim=cfg["d"], true_rank=1,
+            samples_per_device={p.id: m for p, m in zip(devices, cfg["sizes"])},
+            noise_std=0.1,
+        )
+        if cfg["neg_zero"]:
+            # B starts at zero, so dA is +0.0 and A's -0.0 survives the step
+            for dev, a in state.device_adapters.items():
+                neg = a.A.copy()
+                neg[0, 0] = -0.0
+                state.device_adapters[dev] = LoraAdapter(neg, a.B)
+        return devices, state
+
+    @pytest.mark.parametrize(
+        "cfg", round_oracle_configs(),
+        ids=lambda c: f"s{c['seed']}-d{c['d']}k{c['k']}-p{c['n_part']}of{len(c['ranks'])}",
+    )
+    def test_losses_and_factors(self, cfg):
+        devices, ours = self.build(cfg)
+        _, ref = self.build(cfg)
+        picked = random.Random(cfg["seed"]).sample(devices, cfg["n_part"])
+        participants = tuple(sorted(p.id for p in picked))
+        ranks = {p.id: p.local_rank for p in devices}
+        sizes = ref.dataset_sizes()
+        total = float(sum(sizes[dev] for dev in participants))
+        weights = [sizes[dev] / total for dev in participants]
+        if cfg["neg_zero"]:
+            for dev in participants:
+                x, y = ref.datasets[dev]
+                a = lora_sgd_step(ref.base, ref.device_adapters[dev], x, y, cfg["lr"]).A
+                assert a[0, 0] == 0.0 and math.copysign(1.0, a[0, 0]) == -1.0
+        plan = round_plan(ours, participants, ranks)
+        for _ in range(cfg["rounds"]):
+            got = fedft_round(ours, plan, cfg["lr"])
+            want = fedft_round_per_device(ref, participants, weights, ranks, cfg["lr"])
+            assert got.hex() == want.hex()
+            assert ours.round_index == ref.round_index
+            for a, b in [(ours.global_adapter, ref.global_adapter)] + [
+                (ours.device_adapters[p.id], ref.device_adapters[p.id]) for p in devices
+            ]:
+                assert a.A.tobytes() == b.A.tobytes() and a.A.shape == b.A.shape
+                assert a.B.tobytes() == b.B.tobytes() and a.B.shape == b.B.shape
 
 
 def round_rows(tmp_path, cfg, name):

@@ -367,3 +367,29 @@ class TestBatchedMatchesPerDevice:
         assert sorted(ours.unlearned) == sorted(ref.unlearned) == sorted(opt_out)
         for dev in opt_out:
             assert same_bits(ours.unlearned[dev], ref.unlearned[dev])
+
+    def test_pretrain_with_a_class_of_negative_zero_gradients(self):
+        # feature 3 is 0.0 but one 5e-324 per device, at a class-0 sample:
+        # class 0's gradient there is -5e-324 / m = -0.0 on every device, so
+        # the per-device adds give +0.0 and w[0, 3] = -0.0 stays -0.0
+        rng = np.random.default_rng(45)
+        datasets = {}
+        for i in range(5):
+            x = rng.standard_normal((6, 4))
+            x[:, 3] = 0.0
+            x[0, 3] = 5e-324
+            labels = rng.integers(0, 4, 6)
+            labels[0] = 0
+            datasets[f"d{i}"] = (x, labels)
+        w0 = np.zeros((4, 4))
+        w0[0, 3] = -0.0
+        ours, ref = (UnlearnState(w0.copy(), datasets, {"d0"}) for _ in range(2))
+        grads = bce_dataset_grad(w0, ours.x, ours.labels, 0.05)
+        assert all(g == 0.0 and math.copysign(1.0, g) == -1.0 for g in grads[:, 0, 3])
+        pretrain(ours, 0.5, 1, 0.05)
+        pretrain_per_device(ref, 0.5, 1, 0.05)
+        assert math.copysign(1.0, ours.global_weights[0, 3]) == -1.0
+        assert same_bits(ours.global_weights, ref.global_weights)
+        pretrain(ours, 0.5, 2, 0.05)
+        pretrain_per_device(ref, 0.5, 2, 0.05)
+        assert same_bits(ours.global_weights, ref.global_weights)
